@@ -23,7 +23,7 @@ from leakguard import (
     generate_synthetic_imbalanced,
     run_scenario,
 )
-from leakguard.cli import _format_table
+from leakguard.cli import format_table
 
 
 def main() -> int:
@@ -62,7 +62,7 @@ def main() -> int:
         )
 
     print()
-    print(_format_table(compare_scenarios(results)), end="")
+    print(format_table(compare_scenarios(results)), end="")
     return 0
 
 

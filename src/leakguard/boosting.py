@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import TabularDataset
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,6 @@ class GbdtParams:
     positive_class_weight: float = 1.0
     n_bins: int = 256
     min_child_weight: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -50,8 +49,6 @@ class GbdtParams:
             raise ValueError("n_bins must be at least 2")
         if self.min_child_weight < 0:
             raise ValueError("min_child_weight cannot be negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
     def to_dict(self) -> dict:
         return {
@@ -63,7 +60,6 @@ class GbdtParams:
             "positive_class_weight": self.positive_class_weight,
             "n_bins": self.n_bins,
             "min_child_weight": self.min_child_weight,
-            "seed": self.seed,
         }
 
     @classmethod
@@ -142,10 +138,10 @@ class GbdtModel:
     def __post_init__(self):
         for t, root in enumerate(self.trees):
             for node in _walk(root):
-                if not node.is_leaf and node.feature_index >= self.feature_count:
+                if not node.is_leaf and not 0 <= node.feature_index < self.feature_count:
                     raise ValueError(
                         f"tree {t} splits on feature {node.feature_index}, "
-                        f"model has only {self.feature_count}"
+                        f"model has features 0..{self.feature_count - 1}"
                     )
 
     def to_json(self) -> str:

@@ -110,13 +110,18 @@ def _load_config(path: Path, seed_override: int | None) -> ExperimentConfig:
         raise CliError(f"config: {path}: {exc}") from exc
 
 
-def _write_text(path: Path, text: str, force: bool) -> None:
+def _write_atomic(path: Path, force: bool, write) -> None:
+    """Call write(tmp) on a sibling temp file, then move it onto path."""
     if path.exists() and not force:
         raise CliError(f"output: {path} exists; pass --force to overwrite")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    write(tmp)
     tmp.replace(path)
+
+
+def _write_text(path: Path, text: str, force: bool) -> None:
+    _write_atomic(path, force, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def _json_text(payload) -> str:
@@ -124,24 +129,18 @@ def _json_text(payload) -> str:
 
 
 def cmd_generate(args) -> int:
-    seed = args.seed if args.seed_override is None else args.seed_override
     try:
         data = ds.generate_synthetic_imbalanced(
             n_rows=args.n_rows,
             positive_fraction=args.positive_fraction,
             n_features=args.n_features,
             class_separation=args.class_separation,
-            seed=seed,
+            seed=args.seed,
         )
     except ValueError as exc:
         raise CliError(f"generate: {exc}") from exc
     out = Path(args.output)
-    if out.exists() and not args.force:
-        raise CliError(f"output: {out} exists; pass --force to overwrite")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_name(out.name + ".tmp")
-    ds.save_csv(data, tmp)
-    tmp.replace(out)
+    _write_atomic(out, args.force, lambda tmp: ds.save_csv(data, tmp))
     counts, fraction = ds.class_distribution(data)
     print(f"wrote {out}: {data.n_rows} rows, {counts[1]} positive ({fraction:.4%})")
     return 0
@@ -234,7 +233,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _format_table(report: ComparisonReport) -> str:
+def format_table(report: ComparisonReport) -> str:
     headers = ["scenario", "placement"] + list(METRIC_KEYS) + ["verdict"]
     rows = []
     for entry in report.table:
@@ -287,32 +286,24 @@ def cmd_compare(args) -> int:
     except ValueError as exc:
         raise CliError(f"compare: {exc}") from exc
     out_dir = Path(args.out_dir)
-    text = _format_table(report)
+    text = format_table(report)
     _write_text(out_dir / "comparison.json", _json_text(report.to_dict()), args.force)
     _write_text(out_dir / "comparison.txt", text, args.force)
     print(text, end="")
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--seed-override",
-        type=int,
-        default=None,
-        help="replace every configured seed with this value",
-    )
-    shared.add_argument("--out-dir", default=None, help="directory for output files")
-    shared.add_argument(
+    force = argparse.ArgumentParser(add_help=False)
+    force.add_argument(
         "--force", action="store_true", help="overwrite existing output files"
-    )
-    shared.add_argument(
-        "--allow-presplit-sampling",
-        action="store_true",
-        help="acknowledge that sampling before the split leaks and run anyway",
-    )
-    shared.add_argument(
-        "--workers", type=int, default=1, help="concurrent scenario workers"
     )
 
     parser = argparse.ArgumentParser(
@@ -321,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("generate", parents=[shared], help="write a synthetic dataset CSV")
+    p_gen = sub.add_parser("generate", parents=[force], help="write a synthetic dataset CSV")
     p_gen.add_argument("--n-rows", type=int, default=20000)
     p_gen.add_argument("--positive-fraction", type=float, default=0.01)
     p_gen.add_argument("--n-features", type=int, default=10)
@@ -331,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_generate)
 
     p_stats = sub.add_parser(
-        "stats", parents=[shared], help="write class/amount/correlation summaries"
+        "stats", parents=[force], help="write class/amount/correlation summaries"
     )
     p_stats.add_argument("--input", required=True, help="source CSV path")
     p_stats.add_argument(
@@ -340,24 +331,41 @@ def _build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument(
         "--column", default=None, help="column for the per-class summary"
     )
+    p_stats.add_argument("--out-dir", default=".", help="directory for output files")
     p_stats.set_defaults(func=cmd_stats)
 
-    p_run = sub.add_parser("run", parents=[shared], help="run all configured scenarios")
+    p_run = sub.add_parser("run", parents=[force], help="run all configured scenarios")
     p_run.add_argument("config", help="experiment config JSON path")
+    p_run.add_argument(
+        "--out-dir", default=None, help="directory for result files (default: config out_dir)"
+    )
+    p_run.add_argument(
+        "--seed-override",
+        type=int,
+        default=None,
+        help="replace every configured seed with this value",
+    )
+    p_run.add_argument(
+        "--allow-presplit-sampling",
+        action="store_true",
+        help="acknowledge that sampling before the split leaks and run anyway",
+    )
+    p_run.add_argument(
+        "--workers", type=_positive_int, default=1, help="concurrent scenario workers"
+    )
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser(
-        "compare", parents=[shared], help="compare scenario result files"
+        "compare", parents=[force], help="compare scenario result files"
     )
     p_cmp.add_argument("results", nargs="+", help="*.result.json paths")
+    p_cmp.add_argument("--out-dir", default=".", help="directory for output files")
     p_cmp.set_defaults(func=cmd_compare)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.out_dir is None and args.command in ("stats", "compare"):
-        args.out_dir = "."
     try:
         return args.func(args)
     except CliError as exc:

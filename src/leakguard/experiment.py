@@ -30,7 +30,7 @@ from .dataset import (
     stratified_split,
 )
 
-RESULT_FORMAT_VERSION = 1
+RESULT_FORMAT_VERSION = 2
 
 METRIC_KEYS = ("accuracy", "precision", "recall", "f1", "mcc", "auc")
 
@@ -182,7 +182,6 @@ class ScenarioResult:
             "wall_time": self.wall_time,
             "seeds": {
                 "split": self.scenario.split.seed,
-                "model": self.scenario.model.seed,
                 "samplers": [s.seed for s in self.scenario.pipeline.steps]
                 if self.scenario.pipeline
                 else [],

@@ -143,10 +143,19 @@ def _check_scored_input(labels, scores) -> tuple[np.ndarray, np.ndarray]:
     s = np.asarray(scores, dtype=np.float64)
     if y.shape != s.shape:
         raise ValueError(f"length mismatch: {y.size} labels, {s.size} scores")
+    if np.isnan(s).any():
+        raise ValueError("scores contain NaN")
     n_pos = int((y == 1).sum())
     if n_pos == 0 or n_pos == y.size:
         raise ValueError("ROC analysis needs both classes present")
     return y, s
+
+
+def _tie_bounds(sorted_values: np.ndarray) -> np.ndarray:
+    """Boundaries of the blocks of equal values in a sorted array: block k
+    spans [bounds[k], bounds[k + 1]), and the last bound is the length."""
+    starts = np.flatnonzero(sorted_values[1:] != sorted_values[:-1]) + 1
+    return np.concatenate(([0], starts, [sorted_values.size]))
 
 
 def roc_curve(labels, scores) -> list[tuple[float, float]]:
@@ -159,34 +168,18 @@ def roc_curve(labels, scores) -> list[tuple[float, float]]:
     n_pos = int((y == 1).sum())
     n_neg = y.size - n_pos
     order = np.argsort(-s, kind="stable")
-    sorted_scores = s[order]
-    sorted_labels = y[order]
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < y.size:
-        j = i
-        while j < y.size and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        block = sorted_labels[i:j]
-        tp += int((block == 1).sum())
-        fp += int((block == 0).sum())
-        points.append((fp / n_neg, tp / n_pos))
-        i = j
-    return points
+    ends = _tie_bounds(s[order])[1:]
+    tp = np.cumsum(y[order] == 1)[ends - 1]
+    fp = ends - tp
+    return [(0.0, 0.0)] + list(zip((fp / n_neg).tolist(), (tp / n_pos).tolist()))
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks, ties given the mean rank of their block."""
     order = np.argsort(values, kind="stable")
+    bounds = _tie_bounds(values[order])
     ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j < values.size and values[order[j]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j]] = (i + j + 1) / 2.0
-        i = j
+    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0, np.diff(bounds))
     return ranks
 
 

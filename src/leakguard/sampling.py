@@ -114,6 +114,19 @@ def _with_new_rows(
     )
 
 
+def _oversample_count(
+    spec: SamplerSpec, min_idx: np.ndarray, maj_idx: np.ndarray
+) -> int:
+    """Minority rows to create so minority/majority reaches the target ratio."""
+    target = round_half_up(spec.sampling_strategy * maj_idx.size)
+    if target < min_idx.size:
+        raise SamplingError(
+            f"target ratio {spec.sampling_strategy} is below the current "
+            f"ratio {min_idx.size / maj_idx.size:.6g}; oversampling cannot remove rows"
+        )
+    return target - min_idx.size
+
+
 def random_oversample(train: TabularDataset, spec: SamplerSpec) -> TabularDataset:
     """Duplicate minority rows uniformly at random until the target ratio.
 
@@ -123,13 +136,7 @@ def random_oversample(train: TabularDataset, spec: SamplerSpec) -> TabularDatase
     if spec.kind != SamplerKind.RANDOM_OVER:
         raise SamplingError(f"spec kind {spec.kind.value} is not random_over")
     _, min_idx, maj_idx = _class_split(train)
-    target = round_half_up(spec.sampling_strategy * maj_idx.size)
-    if target < min_idx.size:
-        raise SamplingError(
-            f"target ratio {spec.sampling_strategy} is below the current "
-            f"ratio {min_idx.size / maj_idx.size:.6g}; oversampling cannot remove rows"
-        )
-    n_new = target - min_idx.size
+    n_new = _oversample_count(spec, min_idx, maj_idx)
     if n_new == 0:
         return train
     rng = np.random.default_rng(spec.seed)
@@ -194,13 +201,7 @@ def smote(train: TabularDataset, spec: SamplerSpec) -> TabularDataset:
             f"smote needs more than k_neighbors={spec.k_neighbors} minority "
             f"rows, got {min_idx.size} (need at least {spec.k_neighbors + 1})"
         )
-    target = round_half_up(spec.sampling_strategy * maj_idx.size)
-    if target < min_idx.size:
-        raise SamplingError(
-            f"target ratio {spec.sampling_strategy} is below the current "
-            f"ratio {min_idx.size / maj_idx.size:.6g}"
-        )
-    n_new = target - min_idx.size
+    n_new = _oversample_count(spec, min_idx, maj_idx)
     if n_new == 0:
         return train
     points = train.features[min_idx]
@@ -232,13 +233,7 @@ def gaussian_synthesize(train: TabularDataset, spec: SamplerSpec) -> TabularData
     minority_label, min_idx, maj_idx = _class_split(train)
     if min_idx.size < 2:
         raise SamplingError("gaussian synthesis needs at least 2 minority rows")
-    target = round_half_up(spec.sampling_strategy * maj_idx.size)
-    if target < min_idx.size:
-        raise SamplingError(
-            f"target ratio {spec.sampling_strategy} is below the current "
-            f"ratio {min_idx.size / maj_idx.size:.6g}"
-        )
-    n_new = target - min_idx.size
+    n_new = _oversample_count(spec, min_idx, maj_idx)
     if n_new == 0:
         return train
     points = train.features[min_idx]

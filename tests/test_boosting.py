@@ -400,7 +400,7 @@ class TestSerialization:
 
     def test_round_trip_preserves_params(self):
         data = make_dataset(np.arange(20, dtype=float), np.array([0, 1] * 10))
-        model = train(data, GbdtParams(n_estimators=2, max_depth=2, seed=9))
+        model = train(data, GbdtParams(n_estimators=2, max_depth=2, positive_class_weight=3.0))
         restored = GbdtModel.from_json(model.to_json())
         assert restored.params == model.params
         assert restored.base_score == model.base_score
@@ -411,9 +411,10 @@ class TestSerialization:
             GbdtModel.from_json('{"format_version": 99, "trees": []}')
 
     def test_feature_index_validation(self):
-        bad = TreeNode.split(5, 0.1, True, TreeNode.leaf(0.0), TreeNode.leaf(0.0))
-        with pytest.raises(ValueError, match="feature"):
-            GbdtModel(trees=(bad,), base_score=0.0, params=GbdtParams(), feature_count=2)
+        for feature in (5, -1):
+            bad = TreeNode.split(feature, 0.1, True, TreeNode.leaf(0.0), TreeNode.leaf(0.0))
+            with pytest.raises(ValueError, match="feature"):
+                GbdtModel(trees=(bad,), base_score=0.0, params=GbdtParams(), feature_count=2)
 
 
 class TestParamsValidation:

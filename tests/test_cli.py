@@ -9,6 +9,22 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def assert_usage_error(capsys, *argv, message):
+    """argparse rejects the command line: exit 2 before any handler runs."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+# Flags that other subcommands take but these three never read.
+RUN_ONLY_FLAGS = [
+    ["--seed-override", "6"],
+    ["--workers", "2"],
+    ["--allow-presplit-sampling"],
+]
+
+
 def base_config(tmp_path, out_dir="results", with_presplit=False):
     model = {
         "learning_rate": 0.3,
@@ -19,7 +35,6 @@ def base_config(tmp_path, out_dir="results", with_presplit=False):
         "positive_class_weight": 1.0,
         "n_bins": 64,
         "min_child_weight": 1.0,
-        "seed": 0,
     }
     split = {"test_fraction": 0.2, "seed": 42, "stratified": True}
     pipeline = [{"kind": "smote", "sampling_strategy": 1.0, "k_neighbors": 5, "seed": 7}]
@@ -95,10 +110,19 @@ class TestGenerate:
     def test_seed_override_changes_output(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        common = ["generate", "--n-rows", "100", "--positive-fraction", "0.1", "--seed", "5"]
-        assert run_cli(*common, "--output", str(a)) == 0
-        assert run_cli(*common, "--seed-override", "6", "--output", str(b)) == 0
+        common = ["generate", "--n-rows", "100", "--positive-fraction", "0.1"]
+        assert run_cli(*common, "--seed", "5", "--output", str(a)) == 0
+        assert run_cli(*common, "--seed", "6", "--output", str(b)) == 0
         assert a.read_bytes() != b.read_bytes()
+
+    @pytest.mark.parametrize("flag", RUN_ONLY_FLAGS + [["--out-dir", "x"]])
+    def test_unread_flags_rejected(self, tmp_path, capsys, flag):
+        out = tmp_path / "data.csv"
+        assert_usage_error(
+            capsys, "generate", "--output", str(out), *flag,
+            message="unrecognized arguments",
+        )
+        assert not out.exists()
 
 
 class TestStats:
@@ -138,6 +162,13 @@ class TestStats:
         )
         assert code == 2
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", RUN_ONLY_FLAGS)
+    def test_unread_flags_rejected(self, tmp_path, capsys, flag):
+        assert_usage_error(
+            capsys, "stats", "--input", str(tmp_path / "d.csv"), *flag,
+            message="unrecognized arguments",
+        )
 
 
 class TestRun:
@@ -185,12 +216,28 @@ class TestRun:
             a.pop("wall_time"), b.pop("wall_time")
             assert a == b
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_must_be_positive(self, tmp_path, capsys, workers):
+        config_path, _ = base_config(tmp_path)
+        assert_usage_error(
+            capsys, "run", str(config_path), "--workers", workers,
+            message="--workers: must be at least 1",
+        )
+        assert not (tmp_path / "results").exists()
+
+    def test_model_seed_rejected(self, tmp_path, capsys):
+        config_path, config = base_config(tmp_path)
+        config["scenarios"][0]["model"]["seed"] = 0
+        config_path.write_text(json.dumps(config))
+        assert run_cli("run", str(config_path)) == 2
+        err = capsys.readouterr().err
+        assert "config:" in err and "seed" in err
+
     def test_seed_override_rewrites_every_seed(self, tmp_path):
         config_path, _ = base_config(tmp_path)
         assert run_cli("run", str(config_path), "--seed-override", "123") == 0
-        doc = json.loads((tmp_path / "results" / "baseline-123.result.json").read_text())
-        assert doc["seeds"]["split"] == 123
-        assert doc["seeds"]["model"] == 123
+        doc = json.loads((tmp_path / "results" / "smote-post-123.result.json").read_text())
+        assert doc["seeds"] == {"split": 123, "samplers": [123]}
 
     def test_malformed_json_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -238,6 +285,13 @@ class TestCompare:
     def test_missing_result_file(self, tmp_path, capsys):
         assert run_cli("compare", str(tmp_path / "missing.json"), "--out-dir", str(tmp_path)) == 2
         assert "no such result" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", RUN_ONLY_FLAGS)
+    def test_unread_flags_rejected(self, tmp_path, capsys, flag):
+        assert_usage_error(
+            capsys, "compare", str(tmp_path / "a.json"), str(tmp_path / "b.json"), *flag,
+            message="unrecognized arguments",
+        )
 
 
 class TestConfigRoundTrip:

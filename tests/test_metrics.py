@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from leakguard.metrics import (
     ConfusionMatrix,
+    _average_ranks,
     accuracy,
     auc,
     compute_report,
@@ -156,6 +157,22 @@ class TestRocAuc:
     def test_single_class_errors(self):
         with pytest.raises(ValueError, match="both classes"):
             auc([1, 1, 1], [0.1, 0.2, 0.3])
+
+    def test_nan_score_errors(self):
+        for fn in (auc, roc_curve):
+            with pytest.raises(ValueError, match="NaN"):
+                fn([0, 1, 1], [0.2, np.nan, 0.5])
+
+    @settings(deadline=None, max_examples=100)
+    @given(values=st.lists(st.integers(0, 5), min_size=1, max_size=30))
+    def test_average_ranks_match_pairwise_definition(self, values):
+        # Rank = rows strictly below + the mean position within the tie block.
+        expected = [
+            sum(w < v for w in values) + (sum(w == v for w in values) + 1) / 2
+            for v in values
+        ]
+        ranks = _average_ranks(np.array(values, dtype=np.float64))
+        assert ranks.tolist() == expected
 
     def test_curve_endpoints_and_monotonicity(self):
         rng = np.random.default_rng(7)
