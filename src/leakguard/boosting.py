@@ -213,14 +213,16 @@ def candidate_thresholds(values: np.ndarray, n_bins: int) -> np.ndarray:
     between consecutive distinct values; denser features get n_bins - 1
     interior quantiles, deduplicated.
     """
-    finite = values[~np.isnan(values)]
-    distinct = np.unique(finite)
+    ordered = np.sort(values[~np.isnan(values)])
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[first]
     if distinct.size <= 1:
         return np.empty(0, dtype=np.float64)
     if distinct.size <= n_bins:
         return (distinct[:-1] + distinct[1:]) / 2.0
     qs = np.arange(1, n_bins) / n_bins
-    return np.unique(np.quantile(finite, qs))
+    return np.unique(np.quantile(ordered, qs))
 
 
 def _bin_features(X: np.ndarray, thresholds: list[np.ndarray]) -> np.ndarray:

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import dataset as ds
@@ -62,6 +62,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         try:
             scenarios = tuple(
                 ScenarioSpec.from_dict(s) for s in d["scenarios"]
@@ -309,10 +312,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leakguard",
         description="leakage-guarded experiments for imbalanced binary classification",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("generate", parents=[force], help="write a synthetic dataset CSV")
+    p_gen = sub.add_parser(
+        "generate",
+        parents=[force],
+        allow_abbrev=False,
+        help="write a synthetic dataset CSV",
+    )
     p_gen.add_argument("--n-rows", type=int, default=20000)
     p_gen.add_argument("--positive-fraction", type=float, default=0.01)
     p_gen.add_argument("--n-features", type=int, default=10)
@@ -322,7 +331,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_generate)
 
     p_stats = sub.add_parser(
-        "stats", parents=[force], help="write class/amount/correlation summaries"
+        "stats",
+        parents=[force],
+        allow_abbrev=False,
+        help="write class/amount/correlation summaries",
     )
     p_stats.add_argument("--input", required=True, help="source CSV path")
     p_stats.add_argument(
@@ -334,7 +346,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--out-dir", default=".", help="directory for output files")
     p_stats.set_defaults(func=cmd_stats)
 
-    p_run = sub.add_parser("run", parents=[force], help="run all configured scenarios")
+    p_run = sub.add_parser(
+        "run", parents=[force], allow_abbrev=False, help="run all configured scenarios"
+    )
     p_run.add_argument("config", help="experiment config JSON path")
     p_run.add_argument(
         "--out-dir", default=None, help="directory for result files (default: config out_dir)"
@@ -356,7 +370,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser(
-        "compare", parents=[force], help="compare scenario result files"
+        "compare",
+        parents=[force],
+        allow_abbrev=False,
+        help="compare scenario result files",
     )
     p_cmp.add_argument("results", nargs="+", help="*.result.json paths")
     p_cmp.add_argument("--out-dir", default=".", help="directory for output files")

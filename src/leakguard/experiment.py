@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -96,6 +96,11 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(
+                f"scenario {d.get('name')!r} has unknown key(s): {', '.join(unknown)}"
+            )
         pipeline = d.get("pipeline")
         return cls(
             name=d["name"],
@@ -224,15 +229,25 @@ class ScenarioResult:
 
 
 def dataset_fingerprint(dataset: TabularDataset) -> str:
-    """Order-independent hash of all (features, label) rows."""
-    total = 0
-    modulus = 1 << 256
-    for i in range(dataset.n_rows):
-        digest = hashlib.sha256(
-            dataset.features[i].tobytes() + bytes([int(dataset.labels[i])])
-        ).digest()
-        total = (total + int.from_bytes(digest, "big")) % modulus
-    return f"{total:064x}"
+    """Order-independent hash of all (features, label) rows.
+
+    The sum, mod 2**256, of the big-endian sha256 digest of each row's
+    feature bytes followed by its label byte.
+    """
+    n, width = dataset.n_rows, dataset.n_features * 8 + 1
+    rows = np.empty((n, width), dtype=np.uint8)
+    rows[:, :-1] = np.ascontiguousarray(dataset.features).view(np.uint8).reshape(n, width - 1)
+    rows[:, -1] = dataset.labels
+    buf = memoryview(rows.reshape(-1))
+    digests = b"".join(
+        hashlib.sha256(buf[start : start + width]).digest()
+        for start in range(0, n * width, width)
+    )
+    # Eight 32-bit limbs per digest; a uint64 limb sum cannot overflow for
+    # fewer than 2**32 rows.
+    limbs = np.frombuffer(digests, dtype=">u4").reshape(n, 8).sum(axis=0, dtype=np.uint64)
+    total = sum(int(limb) << (32 * (7 - k)) for k, limb in enumerate(limbs))
+    return f"{total % (1 << 256):064x}"
 
 
 def _class_counts(dataset: TabularDataset) -> dict[int, int]:

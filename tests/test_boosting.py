@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leakguard.boosting import (
     GbdtModel,
@@ -189,6 +191,37 @@ class TestSplitFinding:
         # exact mode on few distinct values: midpoints
         cand2 = candidate_thresholds(np.array([1.0, 2.0, 2.0, 4.0]), 256)
         assert cand2.tolist() == [1.5, 3.0]
+
+    @staticmethod
+    def unique_then_quantile(values, n_bins):
+        """candidate_thresholds as first written: np.unique, then np.quantile
+        on the unsorted values."""
+        finite = values[~np.isnan(values)]
+        distinct = np.unique(finite)
+        if distinct.size <= 1:
+            return np.empty(0, dtype=np.float64)
+        if distinct.size <= n_bins:
+            return (distinct[:-1] + distinct[1:]) / 2.0
+        return np.unique(np.quantile(finite, np.arange(1, n_bins) / n_bins))
+
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from([np.nan, 0.0, -0.0, 1.0, 2.5, -3.0]),
+                st.floats(-1e6, 1e6, allow_nan=False),
+            ),
+            max_size=120,
+        ),
+        n_bins=st.integers(2, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_candidates_match_unique_then_quantile(self, values, n_bins):
+        values = np.array(values, dtype=np.float64)
+        got = candidate_thresholds(values, n_bins)
+        want = self.unique_then_quantile(values, n_bins)
+        # +0.0 and -0.0 compare equal, and so bin every value alike.
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
     def test_constant_feature_never_split(self):
         data = make_dataset(np.ones((30, 1)), np.array([0, 1] * 15))

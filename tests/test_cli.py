@@ -225,6 +225,27 @@ class TestRun:
         )
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("flag", [["--seed", "5"], ["--work", "3"]])
+    def test_abbreviated_flags_rejected(self, tmp_path, capsys, flag):
+        config_path, _ = base_config(tmp_path)
+        assert_usage_error(
+            capsys, "run", str(config_path), *flag, message="unrecognized arguments"
+        )
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize(
+        "in_scenario,key,value",
+        [(True, "treshold", 0.9), (True, "preprocesing", "paper_faithful"), (False, "outdir", "x")],
+    )
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, in_scenario, key, value):
+        config_path, config = base_config(tmp_path)
+        (config["scenarios"][0] if in_scenario else config)[key] = value
+        config_path.write_text(json.dumps(config))
+        assert run_cli("run", str(config_path)) == 2
+        err = capsys.readouterr().err
+        assert "config:" in err and key in err
+        assert not (tmp_path / "results").exists()
+
     def test_model_seed_rejected(self, tmp_path, capsys):
         config_path, config = base_config(tmp_path)
         config["scenarios"][0]["model"]["seed"] = 0

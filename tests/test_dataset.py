@@ -1,8 +1,12 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leakguard import dataset as dataset_module
 from leakguard.dataset import (
     CREDITCARD_SCHEMA,
     CsvParseError,
@@ -152,6 +156,94 @@ class TestLoadCsv:
         save_csv(data, path)
         loaded = load_csv(path)
         assert loaded.equals(data)
+
+
+SEVENTEEN_DIGITS = (
+    "a,b,Class\n"
+    + "".join(
+        f"{x:.17g},{y:.17g},{i % 2}\n"
+        for i, (x, y) in enumerate(
+            [(0.1 + 0.2, 1 / 3), (5e-324, -1.7976931348623157e308), (np.pi, -2 / 3 * 1e-300)]
+        )
+    )
+).encode()
+
+# (id, file bytes, whether the bulk parse keeps its result)
+BULK_CASES = [
+    ("blank-line", b"a,Class\n1.5,0\n\n2.5,1\n", False),
+    ("only-blank-line", b"a,Class\n\n", False),
+    ("crlf", b"a,Class\r\n1.5,0\r\n2.5,1\r\n", True),
+    ("no-trailing-newline", b"a,Class\n1.5,0\n2.5,1", True),
+    ("quoted-cell", b'a,Class\n"1.5",0\n2.5,1\n', False),
+    ("hash-cell", b"a,Class\n1.5,0\n#2.5,1\n", False),
+    ("nan", b"a,Class\n1.5,0\nnan,1\n", False),
+    ("inf", b"a,Class\ninf,0\n2.5,1\n", False),
+    ("label-3", b"a,Class\n1.5,3\n", False),
+    ("label-minus-zero", b"a,Class\n1.5,-0.0\n2.5,1\n", True),
+    ("underscore", b"a,Class\n1_000,0\n2.5,1\n", False),
+    ("arabic-digits", "a,Class\n\u0661\u0662,0\n2.5,1\n".encode(), False),
+    ("short-row", b"a,b,Class\n1,2,0\n1,0\n", False),
+    ("long-row", b"a,b,Class\n1,2,0\n1,2,3,0\n", False),
+    ("one-row", b"Class,a\n1,-2.5e-3\n", True),
+    ("zero-rows", b"a,Class\n", True),
+    ("minus-zero-features", b"a,b,Class\n-0.0,0.0,0\n0.0,-0.0,1\n", True),
+    ("17-digit", SEVENTEEN_DIGITS, True),
+    ("padded-cells", b"a,Class\n 1.5 ,\t0\n", True),
+    # loadtxt skips the blank line and csv splits at the lone CR: the row
+    # counts agree only if the lone CR counts as a line end.
+    ("lone-cr-and-blank-line", b"a,Class\n1.5,0\r2.5,1\n\n", False),
+]
+
+
+def load_or_error(path):
+    try:
+        return load_csv(path), None
+    except ValueError as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestBulkCsvParse:
+    """The bulk parse against the row-by-row loop it falls back to."""
+
+    @pytest.mark.parametrize(
+        "content,bulk_keeps", [c[1:] for c in BULK_CASES], ids=[c[0] for c in BULK_CASES]
+    )
+    def test_matches_row_loop(self, tmp_path, monkeypatch, content, bulk_keeps):
+        path = tmp_path / "data.csv"
+        path.write_bytes(content)
+        header = content.splitlines()[0].decode().split(",")
+        kept = dataset_module._parse_bulk(path, len(header), header.index("Class"))
+        assert (kept is not None) == bulk_keeps
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loaded, error = load_or_error(path)
+
+        monkeypatch.setattr(dataset_module, "_parse_bulk", lambda *args: None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            reference, reference_error = load_or_error(path)
+
+        assert error == reference_error
+        # The one warning a load may emit: the row loop loaded a refused file.
+        fell_back = not bulk_keeps and error is None
+        assert [w.category for w in caught] == ([RuntimeWarning] if fell_back else [])
+        if reference is not None:
+            assert loaded.equals(reference)
+            assert loaded.features.tobytes() == reference.features.tobytes()
+            assert loaded.features.shape == reference.features.shape
+
+    def test_fallback_warns_with_file_name(self, tmp_path):
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text('a,Class\n"1.5",0\n2.5,1\n')
+        with pytest.warns(RuntimeWarning, match=re.escape(str(quoted))):
+            data = load_csv(quoted)
+        assert data.column("a").tolist() == [1.5, 2.5]
+
+        plain = tmp_path / "plain.csv"
+        plain.write_text("a,Class\n1.5,0\n2.5,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_csv(plain).equals(data)
 
 
 class TestGenerateSynthetic:
@@ -344,6 +436,24 @@ class TestEngineerTimeFeatures:
     def test_segment_boundaries(self, hour, segment):
         data = time_dataset([hour, 1.0])
         assert self.segments(engineer_time_features(data, HourMode.CORRECTED))[0] == segment
+
+    @staticmethod
+    def day_segment(hour):
+        """The segment rule, one hour at a time."""
+        if 6 <= hour < 12:
+            return "Morning"
+        elif 12 <= hour < 18:
+            return "Afternoon"
+        elif 18 <= hour < 24:
+            return "Evening"
+        return "Night"
+
+    @pytest.mark.parametrize("mode", list(HourMode))
+    def test_segments_match_per_hour_rule(self, mode):
+        hours = np.arange(-3.0, 52.0, 0.5)
+        out = engineer_time_features(time_dataset(hours.tolist()), mode)
+        segment_hours = np.floor(hours) % 24 if mode == HourMode.CORRECTED else np.floor(hours)
+        assert self.segments(out) == [self.day_segment(h) for h in segment_hours]
 
     def test_afternoon_dropped_as_first_category(self):
         data = time_dataset([13.0, 1.0])

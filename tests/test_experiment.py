@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -279,6 +280,31 @@ class TestFingerprint:
             provenance=data.provenance + (RowProvenance.original(0),),
         )
         assert dataset_fingerprint(data) != dataset_fingerprint(bumped)
+
+    @staticmethod
+    def per_row_sum(dataset):
+        """The fingerprint's definition, one row and one big int at a time."""
+        total = 0
+        for i in range(dataset.n_rows):
+            digest = hashlib.sha256(
+                dataset.features[i].tobytes() + bytes([int(dataset.labels[i])])
+            ).digest()
+            total = (total + int.from_bytes(digest, "big")) % (1 << 256)
+        return f"{total:064x}"
+
+    @pytest.mark.parametrize("n_rows,n_features", [(0, 3), (1, 1), (3, 0), (300, 5), (2000, 30)])
+    def test_matches_per_row_sum(self, n_rows, n_features):
+        rng = np.random.default_rng(n_rows + n_features)
+        unique = rng.standard_normal((max(n_rows // 3, 1), n_features))
+        # Rows drawn with replacement, so most occur more than once.
+        picks = rng.integers(0, unique.shape[0], n_rows)
+        data = TabularDataset(
+            features=unique[picks],
+            feature_names=tuple(f"f{j}" for j in range(n_features)),
+            labels=picks % 2,
+            provenance=tuple(RowProvenance.original(i) for i in range(n_rows)),
+        )
+        assert dataset_fingerprint(data) == self.per_row_sum(data)
 
 
 class TestCompareScenarios:
