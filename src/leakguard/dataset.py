@@ -239,17 +239,20 @@ def load_csv(
     ``schema`` is given the header must contain exactly that set of names.
     All cells must parse as finite reals; the label column must hold 0/1.
 
-    The data rows are parsed in bulk by one streaming ``np.loadtxt`` call.
-    Its result is kept only when it has one row per data line (counted from
-    the raw bytes, as the csv module splits lines), one cell per header
-    column, only finite cells and only 0/1 labels. Any other file (a blank
-    line, a quoted cell, a cell that ``float`` reads but ``loadtxt`` does
-    not, such as ``1_000``, or a bad cell) is parsed again row by row. That
-    loop gives the same values, or raises the error naming the row and
-    column; when it loads a file the bulk parse refused, it emits one
-    ``RuntimeWarning`` that names the file. A 284,807×31 file of 17-digit
-    doubles (161 MB) loads in about 4.6 s, against 10.5 s row by row
-    (2-vCPU host, numpy 2.4.6).
+    The data rows of a regular file are parsed in bulk by one streaming
+    ``np.loadtxt`` call, which reads double-quoted cells as the csv module
+    does (Kaggle's creditcard.csv is reported to quote its labels). Its
+    result is kept only when it has one row per data line (counted from the
+    raw bytes, as the csv module splits lines), one cell per header column,
+    only finite cells and only 0/1 labels. Any other file (a blank line, a
+    quoted line end, a cell that ``float`` reads but ``loadtxt`` does not,
+    such as ``1_000``, or a bad cell) is parsed again row by row. That loop
+    gives the same values, or raises the error naming the row and column. A
+    pipe or other non-regular file can be read only once, so it goes
+    straight to the row loop. Whenever the row loop loads a file, one
+    ``RuntimeWarning`` names the file and the reason. A 284,807×31 file of
+    17-digit doubles (161 MB) loads in about 4.9 s, against 10.6 s row by
+    row (2-vCPU host, numpy 2.4.6).
 
     Raises
     ------
@@ -284,12 +287,18 @@ def load_csv(
 
         label_pos = header.index(label_column)
         feature_names = tuple(h for h in header if h != label_column)
-        parsed = _parse_bulk(path, len(header), label_pos)
+        # A pipe or other non-regular file can be read only once, so only a
+        # regular file is parsed in bulk.
+        if path.is_file():
+            parsed = _parse_bulk(path, len(header), label_pos)
+            reason = "the bulk numeric parse refused this file"
+        else:
+            parsed = None
+            reason = "not a regular file, so it cannot be parsed in bulk"
         if parsed is None:
             parsed = _parse_rows(reader, header, label_pos)
             warnings.warn(
-                f"{path}: the bulk numeric parse refused this file; "
-                "it was loaded row by row",
+                f"{path}: {reason}; it was loaded row by row",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -342,6 +351,7 @@ def _parse_bulk(
                 ndmin=2,
                 dtype=np.float64,
                 encoding="utf-8",
+                quotechar='"',
             )
     except ValueError:
         return None

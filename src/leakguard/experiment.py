@@ -239,14 +239,10 @@ def dataset_fingerprint(dataset: TabularDataset) -> str:
     rows[:, :-1] = np.ascontiguousarray(dataset.features).view(np.uint8).reshape(n, width - 1)
     rows[:, -1] = dataset.labels
     buf = memoryview(rows.reshape(-1))
-    digests = b"".join(
-        hashlib.sha256(buf[start : start + width]).digest()
+    total = sum(
+        int.from_bytes(hashlib.sha256(buf[start : start + width]).digest(), "big")
         for start in range(0, n * width, width)
     )
-    # Eight 32-bit limbs per digest; a uint64 limb sum cannot overflow for
-    # fewer than 2**32 rows.
-    limbs = np.frombuffer(digests, dtype=">u4").reshape(n, 8).sum(axis=0, dtype=np.uint64)
-    total = sum(int(limb) << (32 * (7 - k)) for k, limb in enumerate(limbs))
     return f"{total % (1 << 256):064x}"
 
 

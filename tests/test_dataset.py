@@ -1,4 +1,7 @@
+import csv
+import os
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -174,7 +177,16 @@ BULK_CASES = [
     ("only-blank-line", b"a,Class\n\n", False),
     ("crlf", b"a,Class\r\n1.5,0\r\n2.5,1\r\n", True),
     ("no-trailing-newline", b"a,Class\n1.5,0\n2.5,1", True),
-    ("quoted-cell", b'a,Class\n"1.5",0\n2.5,1\n', False),
+    ("quoted-cell", b'a,Class\n"1.5",0\n2.5,1\n', True),
+    # Kaggle's creditcard.csv quotes its header names and its labels.
+    ("kaggle-quoting", b'"Time","V1","Class"\n0,-1.3598071336738,"0"\n1,2.5,"1"\n', True),
+    ("quoted-comma", b'a,Class\n"1,5",0\n2.5,1\n', False),
+    ("quote-mid-cell", b'a,Class\n1"5",0\n2.5,1\n', False),
+    ("space-before-quote", b'a,Class\n "1.5",0\n2.5,1\n', False),
+    ("text-after-quote", b'a,Class\n"1"5,0\n2.5,1\n', True),
+    # A quoted line end spans two lines but is one row: the row loop loads it.
+    ("quoted-newline", b'a,Class\n"1.5\n",0\n2.5,1\n', False),
+    ("quoted-newline-header", b'"a\n1",Class\n1.5,0\n', False),
     ("hash-cell", b"a,Class\n1.5,0\n#2.5,1\n", False),
     ("nan", b"a,Class\n1.5,0\nnan,1\n", False),
     ("inf", b"a,Class\ninf,0\n2.5,1\n", False),
@@ -211,7 +223,7 @@ class TestBulkCsvParse:
     def test_matches_row_loop(self, tmp_path, monkeypatch, content, bulk_keeps):
         path = tmp_path / "data.csv"
         path.write_bytes(content)
-        header = content.splitlines()[0].decode().split(",")
+        header = next(csv.reader(content.decode().splitlines(keepends=True)))
         kept = dataset_module._parse_bulk(path, len(header), header.index("Class"))
         assert (kept is not None) == bulk_keeps
         with warnings.catch_warnings(record=True) as caught:
@@ -234,7 +246,7 @@ class TestBulkCsvParse:
 
     def test_fallback_warns_with_file_name(self, tmp_path):
         quoted = tmp_path / "quoted.csv"
-        quoted.write_text('a,Class\n"1.5",0\n2.5,1\n')
+        quoted.write_text('a,Class\n"1.5\n",0\n2.5,1\n')
         with pytest.warns(RuntimeWarning, match=re.escape(str(quoted))):
             data = load_csv(quoted)
         assert data.column("a").tolist() == [1.5, 2.5]
@@ -244,6 +256,33 @@ class TestBulkCsvParse:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert load_csv(plain).equals(data)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_read_once_row_by_row(self, tmp_path):
+        content = "a,Class\n" + "".join(f"{i}.25,{i % 2}\n" for i in range(20000))
+        regular = tmp_path / "data.csv"
+        regular.write_text(content)
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        loaded = []
+
+        def read():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                data = load_csv(pipe)
+            loaded.append((data, [str(w.message) for w in caught]))
+
+        # A loader that reopens the pipe blocks forever, so it reads in a
+        # thread that the test can abandon.
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        pipe.write_text(content)
+        reader.join(timeout=60)
+        assert not reader.is_alive(), "load_csv blocked reopening the pipe"
+        data, messages = loaded[0]
+        assert messages == [f"{pipe}: not a regular file, so it cannot be parsed in bulk; "
+                            "it was loaded row by row"]
+        assert data.equals(load_csv(regular))
 
 
 class TestGenerateSynthetic:
