@@ -1,10 +1,13 @@
 """Newton-boosted decision trees for binary classification.
 
-Trees are grown greedily on first- and second-order derivatives of the
-weighted logistic loss. Split candidates come from per-feature quantile
-histograms (exact midpoints when a feature has few distinct values), leaf
-values solve the L1/L2-regularized Newton step in closed form, and each
-split learns which way rows with missing values (NaN) should go.
+Trees are grown greedily, one level at a time, on first- and second-order
+derivatives of the weighted logistic loss. Split candidates come from
+per-feature quantile histograms (exact midpoints when a feature has few
+distinct values). Each level's histograms are built exactly, with no
+sibling subtraction, so the trees are identical to those of growing one
+node at a time. Leaf values solve the L1/L2-regularized Newton step in
+closed form, and each split learns which way rows with missing values
+(NaN) should go.
 
 Training is fully deterministic: there is no row or column subsampling,
 and all tie-breaks are by lower feature index, then lower threshold.
@@ -22,6 +25,10 @@ from .dataset import TabularDataset
 
 MODEL_FORMAT_VERSION = 2
 
+# Nodes whose histograms are built and scored together. It bounds each of a
+# pass's histogram and gain arrays to _NODES_PER_PASS * features * bins cells.
+_NODES_PER_PASS = 32
+
 
 @dataclass(frozen=True)
 class GbdtParams:
@@ -35,6 +42,11 @@ class GbdtParams:
     min_child_weight: float = 1.0
 
     def __post_init__(self):
+        for name in ("n_estimators", "max_depth", "n_bins"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.n_estimators < 0:
@@ -250,88 +262,6 @@ def _score(G: np.ndarray, H: np.ndarray, lam: float, alpha: float) -> np.ndarray
     return out
 
 
-@dataclass(frozen=True)
-class _Split:
-    feature: int
-    position: int
-    threshold: float
-    missing_goes_left: bool
-    gain: float
-
-
-def _find_best_split(
-    binned: np.ndarray,
-    idx: np.ndarray,
-    feature_has_missing: np.ndarray,
-    thresholds: list[np.ndarray],
-    g_node: np.ndarray,
-    h_node: np.ndarray,
-    g_total: float,
-    h_total: float,
-    params: GbdtParams,
-) -> _Split | None:
-    """Best (feature, threshold, missing direction) by Newton gain.
-
-    Gain ties break toward the lower feature index, then the lower
-    threshold; missing-direction ties break left. Returns None when no
-    candidate has positive gain and min_child_weight-feasible children.
-    """
-    lam, alpha, mcw = params.lambda_l2, params.alpha_l1, params.min_child_weight
-    parent_score = _score(np.array(g_total), np.array(h_total), lam, alpha)
-    best: _Split | None = None
-    for f in range(binned.shape[0]):
-        cand = thresholds[f]
-        if cand.size == 0:
-            continue
-        bins = binned[f, idx]
-        n_bins_f = cand.size + 1
-        if feature_has_missing[f]:
-            present = bins >= 0
-            g_hist = np.bincount(bins[present], weights=g_node[present], minlength=n_bins_f)
-            h_hist = np.bincount(bins[present], weights=h_node[present], minlength=n_bins_f)
-            g_missing = g_total - g_hist.sum()
-            h_missing = h_total - h_hist.sum()
-        else:
-            g_hist = np.bincount(bins, weights=g_node, minlength=n_bins_f)
-            h_hist = np.bincount(bins, weights=h_node, minlength=n_bins_f)
-            g_missing = 0.0
-            h_missing = 0.0
-        g_left = np.cumsum(g_hist)[:-1]
-        h_left = np.cumsum(h_hist)[:-1]
-
-        def gains_for(gl, hl):
-            gr = g_total - gl
-            hr = h_total - hl
-            gains = 0.5 * (_score(gl, hl, lam, alpha) + _score(gr, hr, lam, alpha) - parent_score)
-            feasible = (hl >= mcw) & (hr >= mcw)
-            return np.where(feasible, gains, -np.inf)
-
-        if g_missing == 0.0 and h_missing == 0.0:
-            # No missing mass here: both directions score identically and
-            # the tie resolves left.
-            gains = gains_for(g_left, h_left)
-            pos = int(np.argmax(gains))
-            gain = float(gains[pos])
-            go_left_pos = True
-        else:
-            gains_ml = gains_for(g_left + g_missing, h_left + h_missing)
-            gains_mr = gains_for(g_left, h_left)
-            go_left = gains_ml >= gains_mr
-            gains = np.where(go_left, gains_ml, gains_mr)
-            pos = int(np.argmax(gains))
-            gain = float(gains[pos])
-            go_left_pos = bool(go_left[pos])
-        if gain > 0 and (best is None or gain > best.gain):
-            best = _Split(
-                feature=f,
-                position=pos,
-                threshold=float(cand[pos]),
-                missing_goes_left=go_left_pos,
-                gain=gain,
-            )
-    return best
-
-
 def _grow_tree(
     binned: np.ndarray,
     feature_has_missing: np.ndarray,
@@ -340,40 +270,98 @@ def _grow_tree(
     h: np.ndarray,
     params: GbdtParams,
 ) -> tuple[TreeNode, np.ndarray]:
-    """Grow one tree; returns the root and each row's raw leaf value."""
+    """Grow one tree level by level; returns the root and each row's raw leaf value.
+
+    Each level's gradient and hessian histograms come from one keyed
+    bincount per feature (key: node slot * width + bin + 1, so missing
+    values fall in column 0), and every (node, feature, threshold) of the
+    level is scored at once. A node's rows stay in ascending order, so
+    each histogram cell adds the same values in the same order as a
+    bincount over that node alone would: the trees are exactly those of
+    greedy per-node growth.
+
+    A node splits on the highest positive Newton gain whose children both
+    meet min_child_weight. Gain ties break toward the lower feature index,
+    then the lower threshold; missing-direction ties break left.
+    """
+    lam, alpha, mcw = params.lambda_l2, params.alpha_l1, params.min_child_weight
+    feats = [f for f, cand in enumerate(thresholds) if cand.size]
+    sizes = np.array([thresholds[f].size for f in feats], dtype=np.int64)
+    width = int(sizes.max(initial=0)) + 2
+    valid = np.arange(width - 2) < sizes[:, None]
+    with_missing = [j for j, f in enumerate(feats) if feature_has_missing[f]]
     leaf_values = np.empty(g.size, dtype=np.float64)
+    # Breadth-first: a leaf, or (feature, threshold, missing_left, left child's index).
+    nodes: list = []
+    level, depth = [np.arange(g.size)], 0
+    while level:
+        k = len(level)
+        g_tot = np.array([g[idx].sum() for idx in level])
+        h_tot = np.array([h[idx].sum() for idx in level])
+        splits = [None] * k
+        for lo in range(0, k if depth < params.max_depth and feats else 0, _NODES_PER_PASS):
+            part = level[lo : lo + _NODES_PER_PASS]
+            m = len(part)
+            # Rows keep their original order; rows outside this pass's nodes
+            # fill a spare slot m that is never read.
+            base = np.full(g.size, m * width + 1)
+            for slot, idx in enumerate(part):
+                base[idx] = slot * width + 1
+            G = np.empty((m, len(feats), width))
+            H = np.empty_like(G)
+            for j, f in enumerate(feats):
+                key = binned[f] + base
+                G[:, j] = np.bincount(key, g, (m + 1) * width).reshape(m + 1, width)[:m]
+                H[:, j] = np.bincount(key, h, (m + 1) * width).reshape(m + 1, width)[:m]
+            gt, ht = g_tot[lo : lo + m, None, None], h_tot[lo : lo + m, None, None]
+            parent = _score(gt, ht, lam, alpha)
 
-    def build(idx: np.ndarray, depth: int) -> TreeNode:
-        g_node = g[idx]
-        h_node = h[idx]
-        g_total = float(g_node.sum())
-        h_total = float(h_node.sum())
-        if depth < params.max_depth:
-            split = _find_best_split(
-                binned, idx, feature_has_missing, thresholds,
-                g_node, h_node, g_total, h_total, params,
-            )
-            if split is not None:
-                bins = binned[split.feature, idx]
-                if feature_has_missing[split.feature]:
-                    left = ((bins >= 0) & (bins <= split.position)) | (
-                        (bins < 0) & split.missing_goes_left
-                    )
-                else:
-                    left = bins <= split.position
-                return TreeNode.split(
-                    feature_index=split.feature,
-                    threshold=split.threshold,
-                    missing_goes_left=split.missing_goes_left,
-                    left=build(idx[left], depth + 1),
-                    right=build(idx[~left], depth + 1),
-                )
-        w = leaf_weight(g_total, h_total, params.lambda_l2, params.alpha_l1)
-        leaf_values[idx] = w
-        return TreeNode.leaf(w)
+            def gains_for(gl, hl):
+                gr, hr = gt - gl, ht - hl
+                gains = 0.5 * (_score(gl, hl, lam, alpha) + _score(gr, hr, lam, alpha) - parent)
+                return np.where(valid & (hl >= mcw) & (hr >= mcw), gains, -np.inf)
 
-    root = build(np.arange(g.size), 0)
-    return root, leaf_values
+            g_left = np.cumsum(G[:, :, 1:-1], axis=2)
+            h_left = np.cumsum(H[:, :, 1:-1], axis=2)
+            gains = gains_for(g_left, h_left)
+            go_left = np.ones(gains.shape, dtype=bool)
+            if with_missing:
+                # Missing mass is the node total less its present bins, so a
+                # node without missing rows may keep a rounding residue; with
+                # none at all both directions tie, and the tie goes left.
+                g_miss = np.zeros((m, len(feats), 1))
+                h_miss = np.zeros_like(g_miss)
+                for j in with_missing:
+                    present = slice(1, sizes[j] + 2)
+                    g_miss[:, j, 0] = gt[:, 0, 0] - G[:, j, present].sum(axis=1)
+                    h_miss[:, j, 0] = ht[:, 0, 0] - H[:, j, present].sum(axis=1)
+                gains_ml = gains_for(g_left + g_miss, h_left + h_miss)
+                go_left = gains_ml >= gains
+                gains = np.where(go_left, gains_ml, gains)
+            gains, go_left = gains.reshape(m, -1), go_left.reshape(m, -1)
+            for i, b in enumerate(gains.argmax(axis=1)):
+                if gains[i, b] > 0:
+                    j, pos = divmod(int(b), width - 2)
+                    splits[lo + i] = (feats[j], pos, bool(go_left[i, b]))
+        next_level = []
+        first_child = len(nodes) + k
+        for idx, g_sum, h_sum, split in zip(level, g_tot, h_tot, splits):
+            if split is None:
+                w = leaf_weight(float(g_sum), float(h_sum), lam, alpha)
+                leaf_values[idx] = w
+                nodes.append(TreeNode.leaf(w))
+                continue
+            f, pos, missing_left = split
+            bins = binned[f][idx]
+            left = (bins <= pos) & (missing_left | (bins >= 0))
+            nodes.append((f, float(thresholds[f][pos]), missing_left, first_child + len(next_level)))
+            next_level += [idx[left], idx[~left]]
+        level, depth = next_level, depth + 1
+    for i in reversed(range(len(nodes))):
+        if isinstance(nodes[i], tuple):
+            f, threshold, missing_left, child = nodes[i]
+            nodes[i] = TreeNode.split(f, threshold, missing_left, nodes[child], nodes[child + 1])
+    return nodes[0], leaf_values
 
 
 def train(train_data: TabularDataset, params: GbdtParams) -> GbdtModel:

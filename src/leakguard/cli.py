@@ -52,6 +52,10 @@ class ExperimentConfig:
                 "data source must be {'csv': path[, 'schema': 'creditcard']} "
                 "or {'synthetic': {...}}"
             )
+        if self.data.get("schema", "creditcard") != "creditcard":
+            raise ValueError(
+                f"unknown data schema {self.data['schema']!r}; the only schema is 'creditcard'"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -79,9 +83,7 @@ class ExperimentConfig:
 
     def load_dataset(self) -> ds.TabularDataset:
         if "csv" in self.data:
-            schema = None
-            if self.data.get("schema") == "creditcard":
-                schema = ds.CREDITCARD_SCHEMA
+            schema = ds.CREDITCARD_SCHEMA if "schema" in self.data else None
             return ds.load_csv(self.data["csv"], schema=schema)
         return ds.generate_synthetic_imbalanced(**self.data["synthetic"])
 

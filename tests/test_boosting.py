@@ -1,14 +1,17 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leakguard import boosting
 from leakguard.boosting import (
     GbdtModel,
     GbdtParams,
     TreeNode,
+    _score,
     apply_tree,
     candidate_thresholds,
     leaf_weight,
@@ -356,6 +359,197 @@ class TestTrainingDynamics:
         assert a.to_json() == b.to_json()
 
 
+# The per-node grower that training used before level-wise growth, kept
+# verbatim as the oracle: the level-wise grower must build the same trees.
+@dataclass(frozen=True)
+class _Split:
+    feature: int
+    position: int
+    threshold: float
+    missing_goes_left: bool
+    gain: float
+
+
+def _find_best_split(
+    binned: np.ndarray,
+    idx: np.ndarray,
+    feature_has_missing: np.ndarray,
+    thresholds: list[np.ndarray],
+    g_node: np.ndarray,
+    h_node: np.ndarray,
+    g_total: float,
+    h_total: float,
+    params: GbdtParams,
+) -> _Split | None:
+    """Best (feature, threshold, missing direction) by Newton gain.
+
+    Gain ties break toward the lower feature index, then the lower
+    threshold; missing-direction ties break left. Returns None when no
+    candidate has positive gain and min_child_weight-feasible children.
+    """
+    lam, alpha, mcw = params.lambda_l2, params.alpha_l1, params.min_child_weight
+    parent_score = _score(np.array(g_total), np.array(h_total), lam, alpha)
+    best: _Split | None = None
+    for f in range(binned.shape[0]):
+        cand = thresholds[f]
+        if cand.size == 0:
+            continue
+        bins = binned[f, idx]
+        n_bins_f = cand.size + 1
+        if feature_has_missing[f]:
+            present = bins >= 0
+            g_hist = np.bincount(bins[present], weights=g_node[present], minlength=n_bins_f)
+            h_hist = np.bincount(bins[present], weights=h_node[present], minlength=n_bins_f)
+            g_missing = g_total - g_hist.sum()
+            h_missing = h_total - h_hist.sum()
+        else:
+            g_hist = np.bincount(bins, weights=g_node, minlength=n_bins_f)
+            h_hist = np.bincount(bins, weights=h_node, minlength=n_bins_f)
+            g_missing = 0.0
+            h_missing = 0.0
+        g_left = np.cumsum(g_hist)[:-1]
+        h_left = np.cumsum(h_hist)[:-1]
+
+        def gains_for(gl, hl):
+            gr = g_total - gl
+            hr = h_total - hl
+            gains = 0.5 * (_score(gl, hl, lam, alpha) + _score(gr, hr, lam, alpha) - parent_score)
+            feasible = (hl >= mcw) & (hr >= mcw)
+            return np.where(feasible, gains, -np.inf)
+
+        if g_missing == 0.0 and h_missing == 0.0:
+            # No missing mass here: both directions score identically and
+            # the tie resolves left.
+            gains = gains_for(g_left, h_left)
+            pos = int(np.argmax(gains))
+            gain = float(gains[pos])
+            go_left_pos = True
+        else:
+            gains_ml = gains_for(g_left + g_missing, h_left + h_missing)
+            gains_mr = gains_for(g_left, h_left)
+            go_left = gains_ml >= gains_mr
+            gains = np.where(go_left, gains_ml, gains_mr)
+            pos = int(np.argmax(gains))
+            gain = float(gains[pos])
+            go_left_pos = bool(go_left[pos])
+        if gain > 0 and (best is None or gain > best.gain):
+            best = _Split(
+                feature=f,
+                position=pos,
+                threshold=float(cand[pos]),
+                missing_goes_left=go_left_pos,
+                gain=gain,
+            )
+    return best
+
+
+def reference_grow_tree(
+    binned: np.ndarray,
+    feature_has_missing: np.ndarray,
+    thresholds: list[np.ndarray],
+    g: np.ndarray,
+    h: np.ndarray,
+    params: GbdtParams,
+) -> tuple[TreeNode, np.ndarray]:
+    """Grow one tree; returns the root and each row's raw leaf value."""
+    leaf_values = np.empty(g.size, dtype=np.float64)
+
+    def build(idx: np.ndarray, depth: int) -> TreeNode:
+        g_node = g[idx]
+        h_node = h[idx]
+        g_total = float(g_node.sum())
+        h_total = float(h_node.sum())
+        if depth < params.max_depth:
+            split = _find_best_split(
+                binned, idx, feature_has_missing, thresholds,
+                g_node, h_node, g_total, h_total, params,
+            )
+            if split is not None:
+                bins = binned[split.feature, idx]
+                if feature_has_missing[split.feature]:
+                    left = ((bins >= 0) & (bins <= split.position)) | (
+                        (bins < 0) & split.missing_goes_left
+                    )
+                else:
+                    left = bins <= split.position
+                return TreeNode.split(
+                    feature_index=split.feature,
+                    threshold=split.threshold,
+                    missing_goes_left=split.missing_goes_left,
+                    left=build(idx[left], depth + 1),
+                    right=build(idx[~left], depth + 1),
+                )
+        w = leaf_weight(g_total, h_total, params.lambda_l2, params.alpha_l1)
+        leaf_values[idx] = w
+        return TreeNode.leaf(w)
+
+    root = build(np.arange(g.size), 0)
+    return root, leaf_values
+
+
+def _oracle_dataset(rng, n_rows, nan_fraction):
+    """Features with a duplicated column (ties go to the lower index), a
+    constant column, a few-valued column and, optionally, NaN cells."""
+    x = rng.normal(size=(n_rows, 3))
+    X = np.column_stack(
+        [x[:, 0], x[:, 1], x[:, 1], np.full(n_rows, 2.5), np.round(x[:, 2] * 2), x[:, 2]]
+    )
+    if nan_fraction:
+        X[rng.random(X.shape) < nan_fraction] = np.nan
+        X[: n_rows // 3, 5] = np.nan
+    logits = 1.5 * x[:, 0] - x[:, 1] + rng.normal(size=n_rows)
+    y = (logits > np.quantile(logits, 0.7)).astype(int)
+    y[:2] = [0, 1]
+    return make_dataset(X, y)
+
+
+ORACLE_CASES = [
+    # (n_rows, nan_fraction, params)
+    (300, 0.0, dict(n_estimators=3, max_depth=7)),
+    (300, 0.2, dict(n_estimators=3, max_depth=7, n_bins=16)),
+    (200, 0.1, dict(n_estimators=3, max_depth=3, n_bins=2)),
+    (200, 0.1, dict(n_estimators=3, max_depth=7, n_bins=3, lambda_l2=0.0, min_child_weight=0.0)),
+    (300, 0.1, dict(n_estimators=3, max_depth=4, alpha_l1=0.5, min_child_weight=3.0)),
+    (300, 0.2, dict(n_estimators=3, max_depth=1, positive_class_weight=7.0)),
+    (100, 0.1, dict(n_estimators=0)),
+    (2, 0.0, dict(n_estimators=2, max_depth=7, min_child_weight=0.0)),
+    # 42 open nodes at depth 6: more than one pass of _NODES_PER_PASS.
+    (1000, 0.1, dict(n_estimators=1, max_depth=7, min_child_weight=0.0)),
+]
+
+
+class TestLevelwiseMatchesPerNodeGrowth:
+    @pytest.mark.parametrize("n_rows, nan_fraction, kwargs", ORACLE_CASES)
+    def test_model_json_byte_equal(self, monkeypatch, n_rows, nan_fraction, kwargs):
+        data = _oracle_dataset(np.random.default_rng(n_rows), n_rows, nan_fraction)
+        params = GbdtParams(**kwargs)
+        levelwise = train(data, params).to_json()
+        monkeypatch.setattr(boosting, "_grow_tree", reference_grow_tree)
+        assert train(data, params).to_json() == levelwise
+
+    def test_seeded_random_configs_byte_equal(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        configs = []
+        for _ in range(12):
+            data = _oracle_dataset(
+                rng, int(rng.integers(2, 150)), float(rng.choice([0.0, 0.05, 0.3]))
+            )
+            params = GbdtParams(
+                learning_rate=float(rng.uniform(0.1, 1.0)),
+                n_estimators=2,
+                max_depth=int(rng.integers(1, 8)),
+                lambda_l2=float(rng.choice([0.0, 1.0, 5.0])),
+                alpha_l1=float(rng.choice([0.0, 0.2])),
+                positive_class_weight=float(rng.choice([1.0, 7.0])),
+                n_bins=int(rng.choice([2, 3, 16, 256])),
+                min_child_weight=float(rng.choice([0.0, 0.5, 3.0])),
+            )
+            configs.append((data, params, train(data, params).to_json()))
+        monkeypatch.setattr(boosting, "_grow_tree", reference_grow_tree)
+        for data, params, levelwise in configs:
+            assert train(data, params).to_json() == levelwise, params
+
+
 def _walk_nodes(node):
     yield node
     if not node.is_leaf:
@@ -467,6 +661,17 @@ class TestParamsValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             GbdtParams(**kwargs)
+
+    @pytest.mark.parametrize("name", ["n_estimators", "max_depth", "n_bins"])
+    @pytest.mark.parametrize("value", [2.5, 16.0, True, "8", None])
+    def test_integer_fields_reject_non_integers(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            GbdtParams(**{name: value})
+
+    def test_numpy_integers_stored_as_int(self):
+        params = GbdtParams(n_estimators=np.int64(3), max_depth=np.int32(2), n_bins=np.uint8(16))
+        assert [type(v) for v in (params.n_estimators, params.max_depth, params.n_bins)] == [int] * 3
+        assert GbdtModel.from_json(train(make_dataset([0.0, 1.0], [0, 1]), params).to_json()).params == params
 
     def test_dict_round_trip(self):
         params = GbdtParams(learning_rate=0.4, n_estimators=1000, n_bins=256)

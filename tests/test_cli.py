@@ -254,6 +254,14 @@ class TestRun:
         err = capsys.readouterr().err
         assert "config:" in err and "seed" in err
 
+    def test_float_model_depth_rejected(self, tmp_path, capsys):
+        config_path, config = base_config(tmp_path)
+        config["scenarios"][0]["model"]["max_depth"] = 2.5
+        config_path.write_text(json.dumps(config))
+        assert run_cli("run", str(config_path)) == 2
+        err = capsys.readouterr().err
+        assert "config:" in err and "max_depth" in err
+
     def test_seed_override_rewrites_every_seed(self, tmp_path):
         config_path, _ = base_config(tmp_path)
         assert run_cli("run", str(config_path), "--seed-override", "123") == 0
@@ -321,6 +329,12 @@ class TestConfigRoundTrip:
         parsed = ExperimentConfig.from_dict(config)
         again = ExperimentConfig.from_dict(parsed.to_dict())
         assert parsed == again
+
+    def test_unknown_schema_rejected(self, tmp_path):
+        _, config = base_config(tmp_path)
+        config["data"] = {"csv": "x.csv", "schema": "creditcrd"}
+        with pytest.raises(ValueError, match="'creditcrd'"):
+            ExperimentConfig.from_dict(config)
 
     def test_data_source_shape_validated(self, tmp_path):
         _, config = base_config(tmp_path)
