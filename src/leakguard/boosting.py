@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import TabularDataset
+from .dataset import TabularDataset, as_int
 
 MODEL_FORMAT_VERSION = 2
 
@@ -43,10 +43,15 @@ class GbdtParams:
 
     def __post_init__(self):
         for name in ("n_estimators", "max_depth", "n_bins"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
+        for name in ("learning_rate", "lambda_l2", "alpha_l1", "positive_class_weight", "min_child_weight"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float, np.integer, np.floating))
+                or not math.isfinite(value)
+            ):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.n_estimators < 0:

@@ -59,6 +59,14 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def as_int(name: str, value) -> int:
+    """Return an integer field's value as int; anything else, bool included,
+    is a ValueError that names the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RowProvenance:
     """Origin of one dataset row.
@@ -192,6 +200,9 @@ class SplitSpec:
     def __post_init__(self):
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie strictly between 0 and 1")
+        if not isinstance(self.stratified, bool):
+            raise ValueError(f"stratified must be true or false, got {self.stratified!r}")
+        object.__setattr__(self, "seed", as_int("seed", self.seed))
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -219,7 +230,6 @@ class StandardizerParams:
     columns: tuple[str, ...]
     means: tuple[float, ...]
     std_devs: tuple[float, ...]
-    fitted_on: FitScope
 
     def __post_init__(self):
         if not (len(self.columns) == len(self.means) == len(self.std_devs)):
@@ -518,7 +528,6 @@ def stratified_split(
 def fit_standardizer(
     dataset: TabularDataset,
     columns: list[str] | tuple[str, ...],
-    mode: FitScope,
 ) -> StandardizerParams:
     """Fit per-column mean and population std on the given dataset."""
     if dataset.n_rows == 0:
@@ -532,7 +541,6 @@ def fit_standardizer(
         columns=tuple(columns),
         means=tuple(means),
         std_devs=tuple(stds),
-        fitted_on=mode,
     )
 
 

@@ -10,6 +10,7 @@ train/test pair.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import time
 from collections import Counter
@@ -120,26 +121,23 @@ class LeakageReport:
     synthetic_rows_in_test counts test rows whose provenance is not
     Original (sampler-created rows that ended up in the evaluation set);
     duplicate_pairs_across_split counts exact feature-vector matches
-    between the partitions. The verdict is Leaky exactly when either count
-    is positive or the scaler saw the full dataset. near_duplicate_pairs
-    is an optional diagnostic (pairs within a caller-chosen radius,
-    exact matches included) and does not affect the verdict.
+    between the partitions. The verdict is derived from these facts, never
+    stored: Leaky exactly when either count is positive or the scaler saw
+    the full dataset.
     """
 
     synthetic_rows_in_test: int
     duplicate_pairs_across_split: int
     scaler_fitted_on_full_data: bool
-    verdict: Verdict
-    near_duplicate_pairs: int | None = None
 
-    def __post_init__(self):
-        should_leak = (
+    @property
+    def verdict(self) -> Verdict:
+        leaky = (
             self.synthetic_rows_in_test > 0
             or self.duplicate_pairs_across_split > 0
             or self.scaler_fitted_on_full_data
         )
-        if (self.verdict == Verdict.LEAKY) != should_leak:
-            raise ValueError("verdict inconsistent with the leakage counts")
+        return Verdict.LEAKY if leaky else Verdict.CLEAN
 
     def to_dict(self) -> dict:
         return {
@@ -147,18 +145,20 @@ class LeakageReport:
             "duplicate_pairs_across_split": self.duplicate_pairs_across_split,
             "scaler_fitted_on_full_data": self.scaler_fitted_on_full_data,
             "verdict": self.verdict.value,
-            "near_duplicate_pairs": self.near_duplicate_pairs,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "LeakageReport":
-        return cls(
+        """Read a stored report; a stored verdict that its counts do not
+        produce is refused."""
+        report = cls(
             synthetic_rows_in_test=d["synthetic_rows_in_test"],
             duplicate_pairs_across_split=d["duplicate_pairs_across_split"],
             scaler_fitted_on_full_data=d["scaler_fitted_on_full_data"],
-            verdict=Verdict(d["verdict"]),
-            near_duplicate_pairs=d.get("near_duplicate_pairs"),
         )
+        if Verdict(d["verdict"]) != report.verdict:
+            raise ValueError("verdict inconsistent with the leakage counts")
+        return report
 
 
 @dataclass(frozen=True)
@@ -253,30 +253,15 @@ def _class_counts(dataset: TabularDataset) -> dict[int, int]:
     }
 
 
-def _near_duplicate_pairs(
-    train: TabularDataset, test: TabularDataset, radius: float
-) -> int:
-    count = 0
-    radius2 = radius * radius
-    chunk = 256
-    for start in range(0, test.n_rows, chunk):
-        block = test.features[start : start + chunk]
-        d2 = ((block[:, None, :] - train.features[None, :, :]) ** 2).sum(axis=2)
-        count += int((d2 <= radius2).sum())
-    return count
-
-
 def detect_leakage(
-    train: TabularDataset,
-    test: TabularDataset,
-    scaler_mode: FitScope,
-    near_duplicate_radius: float | None = None,
+    train: TabularDataset, test: TabularDataset, scaler_mode: FitScope
 ) -> LeakageReport:
     """Audit a train/test pair for evaluation contamination.
 
     Counts non-Original provenance rows in the test partition and exact
     feature-vector matches across the partitions (hash-based), and records
-    whether the standardizer saw the full dataset.
+    whether the standardizer saw the full dataset; the report derives its
+    verdict from those three facts.
     """
     if train.n_rows == 0 or test.n_rows == 0:
         raise ValueError("both partitions must be non-empty")
@@ -287,17 +272,10 @@ def detect_leakage(
     duplicate_pairs = sum(
         train_counts[test.features[i].tobytes()] for i in range(test.n_rows)
     )
-    scaler_full = scaler_mode == FitScope.FULL_DATASET
-    near = None
-    if near_duplicate_radius is not None:
-        near = _near_duplicate_pairs(train, test, near_duplicate_radius)
-    leaky = created > 0 or duplicate_pairs > 0 or scaler_full
     return LeakageReport(
         synthetic_rows_in_test=created,
         duplicate_pairs_across_split=duplicate_pairs,
-        scaler_fitted_on_full_data=scaler_full,
-        verdict=Verdict.LEAKY if leaky else Verdict.CLEAN,
-        near_duplicate_pairs=near,
+        scaler_fitted_on_full_data=scaler_mode == FitScope.FULL_DATASET,
     )
 
 
@@ -305,10 +283,9 @@ def _preprocess(
     train: TabularDataset,
     test: TabularDataset,
     fit_source: TabularDataset,
-    scope: FitScope,
     hour_mode: HourMode,
 ) -> tuple[TabularDataset, TabularDataset]:
-    """Standardize both partitions with parameters fitted per scope.
+    """Standardize both partitions with parameters fitted on fit_source.
 
     Datasets with a raw Time column get the hour/day-segment treatment and
     scaled copies of Time and Amount; anything else is standardized across
@@ -316,26 +293,25 @@ def _preprocess(
     """
     if "Time" in train.feature_names:
         cols = [c for c in ("Time", "Amount") if c in train.feature_names]
-        params = fit_standardizer(fit_source, cols, scope)
+        params = fit_standardizer(fit_source, cols)
         return (
             engineer_time_features(train, hour_mode, params),
             engineer_time_features(test, hour_mode, params),
         )
-    params = fit_standardizer(fit_source, train.feature_names, scope)
+    params = fit_standardizer(fit_source, train.feature_names)
     return apply_standardizer(train, params), apply_standardizer(test, params)
 
 
+@contextlib.contextmanager
 def _stage(name: str):
-    class _StageContext:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, ScenarioError):
-                raise ScenarioError(f"stage '{name}': {exc}") from exc
-            return False
-
-    return _StageContext()
+    """Name the stage in any ordinary exception raised inside it; a
+    ScenarioError, or a BaseException such as KeyboardInterrupt, passes."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except Exception as exc:
+        raise ScenarioError(f"stage '{name}': {exc}") from exc
 
 
 def run_scenario(data: TabularDataset, spec: ScenarioSpec) -> ScenarioResult:
@@ -364,9 +340,7 @@ def run_scenario(data: TabularDataset, spec: ScenarioSpec) -> ScenarioResult:
     hour_mode = HourMode.CORRECTED if guarded else HourMode.PAPER_FAITHFUL
     fit_source = train_part if guarded else data
     with _stage("preprocessing"):
-        train_ready, test_ready = _preprocess(
-            train_part, test_part, fit_source, scope, hour_mode
-        )
+        train_ready, test_ready = _preprocess(train_part, test_part, fit_source, hour_mode)
 
     with _stage("model training"):
         model = boosting.train(train_ready, spec.model)

@@ -668,6 +668,15 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match=name):
             GbdtParams(**{name: value})
 
+    @pytest.mark.parametrize(
+        "name",
+        ["learning_rate", "lambda_l2", "alpha_l1", "positive_class_weight", "min_child_weight"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, "0.3", None])
+    def test_float_fields_reject_non_finite_or_non_real(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            GbdtParams(**{name: value})
+
     def test_numpy_integers_stored_as_int(self):
         params = GbdtParams(n_estimators=np.int64(3), max_depth=np.int32(2), n_bins=np.uint8(16))
         assert [type(v) for v in (params.n_estimators, params.max_depth, params.n_bins)] == [int] * 3

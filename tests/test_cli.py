@@ -262,6 +262,29 @@ class TestRun:
         err = capsys.readouterr().err
         assert "config:" in err and "max_depth" in err
 
+    def test_nan_learning_rate_rejected_before_loading(self, tmp_path, capsys):
+        config_path, config = base_config(tmp_path)
+        config["scenarios"][0]["model"]["learning_rate"] = float("nan")
+        config_path.write_text(json.dumps(config))  # writes the NaN token json.loads accepts
+        assert run_cli("run", str(config_path)) == 2
+        err = capsys.readouterr().err
+        assert "config:" in err and "learning_rate" in err
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("split", "stratified", "false"), ("split", "seed", 1.5), ("pipeline", "k_neighbors", 2.5)],
+    )
+    def test_spec_field_types_rejected(self, tmp_path, capsys, section, key, value):
+        config_path, config = base_config(tmp_path)
+        scenario = config["scenarios"][1]
+        (scenario["pipeline"][0] if section == "pipeline" else scenario["split"])[key] = value
+        config_path.write_text(json.dumps(config))
+        assert run_cli("run", str(config_path)) == 2
+        err = capsys.readouterr().err
+        assert "config:" in err and key in err
+        assert not (tmp_path / "results").exists()
+
     def test_seed_override_rewrites_every_seed(self, tmp_path):
         config_path, _ = base_config(tmp_path)
         assert run_cli("run", str(config_path), "--seed-override", "123") == 0
@@ -310,6 +333,19 @@ class TestCompare:
         text = (cmp_dir / "comparison.txt").read_text()
         assert "verdict" in text
         assert "positive-class" in text
+
+    def test_tampered_verdict_refused(self, tmp_path, capsys):
+        paths = self.make_results(tmp_path)
+        pre = tmp_path / "results" / "smote-pre-42.result.json"
+        doc = json.loads(pre.read_text())
+        assert doc["leakage"]["verdict"] == "leaky"
+        doc["leakage"]["verdict"] = "clean"
+        pre.write_text(json.dumps(doc))
+        assert run_cli("compare", *paths, "--out-dir", str(tmp_path / "cmp")) == 2
+        err = capsys.readouterr().err
+        assert "compare:" in err and str(pre) in err
+        assert "verdict inconsistent with the leakage counts" in err
+        assert not (tmp_path / "cmp").exists()
 
     def test_missing_result_file(self, tmp_path, capsys):
         assert run_cli("compare", str(tmp_path / "missing.json"), "--out-dir", str(tmp_path)) == 2

@@ -13,7 +13,6 @@ from leakguard import dataset as dataset_module
 from leakguard.dataset import (
     CREDITCARD_SCHEMA,
     CsvParseError,
-    FitScope,
     HourMode,
     RowProvenance,
     SchemaError,
@@ -361,11 +360,30 @@ class TestStratifiedSplit:
         b = stratified_split(data, SplitSpec(0.2, 9, True))
         assert a[0].equals(b[0]) and a[1].equals(b[1])
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"stratified": "false"}, "stratified"),
+            ({"stratified": 0}, "stratified"),
+            ({"stratified": None}, "stratified"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": 42.0}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"seed": "42"}, "seed"),
+        ],
+    )
+    def test_spec_field_types_checked(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            SplitSpec(**kwargs)
+
+    def test_numpy_integer_seed_stored_as_int(self):
+        assert type(SplitSpec(seed=np.int64(7)).seed) is int
+
 
 class TestStandardizer:
     def test_hand_computed_column(self):
         data = make_dataset([[2.0], [4.0], [6.0]], [0, 0, 1])
-        params = fit_standardizer(data, ["c0"], FitScope.TRAIN_ONLY)
+        params = fit_standardizer(data, ["c0"])
         assert params.means == (4.0,)
         assert params.std_devs == (1.632993161855452,)  # population sqrt(8/3)
         out = apply_standardizer(data, params)
@@ -375,14 +393,14 @@ class TestStandardizer:
     def test_fitting_data_becomes_standard(self):
         rng = np.random.default_rng(2)
         data = make_dataset(rng.normal(5, 3, size=(50, 2)), rng.integers(0, 2, 50))
-        params = fit_standardizer(data, ["c0", "c1"], FitScope.TRAIN_ONLY)
+        params = fit_standardizer(data, ["c0", "c1"])
         out = apply_standardizer(data, params)
         assert abs(out.column("c0").mean()) < 1e-9
         assert abs(out.column("c0").var(ddof=0) - 1.0) < 1e-9
 
     def test_constant_column_passes_through(self):
         data = make_dataset([[5.0], [5.0], [5.0]], [0, 1, 0])
-        params = fit_standardizer(data, ["c0"], FitScope.TRAIN_ONLY)
+        params = fit_standardizer(data, ["c0"])
         assert params.std_devs == (0.0,)
         out = apply_standardizer(data, params)
         assert out.column("c0").tolist() == [5.0, 5.0, 5.0]
@@ -390,15 +408,15 @@ class TestStandardizer:
     def test_test_column_mean_not_centered(self):
         train = make_dataset([[1.0], [2.0], [3.0]], [0, 0, 1])
         test = make_dataset([[10.0], [20.0]], [0, 1])
-        params = fit_standardizer(train, ["c0"], FitScope.TRAIN_ONLY)
+        params = fit_standardizer(train, ["c0"])
         out = apply_standardizer(test, params)
         assert abs(out.column("c0").mean()) > 1.0
 
     def test_missing_column_errors(self):
         data = make_dataset([[1.0]], [0])
         with pytest.raises(KeyError):
-            fit_standardizer(data, ["nope"], FitScope.TRAIN_ONLY)
-        params = fit_standardizer(data, ["c0"], FitScope.TRAIN_ONLY)
+            fit_standardizer(data, ["nope"])
+        params = fit_standardizer(data, ["c0"])
         other = TabularDataset(
             features=np.ones((1, 1)),
             feature_names=("different",),
@@ -411,7 +429,7 @@ class TestStandardizer:
     def test_train_only_params_ignore_test_rows(self):
         data = generate_synthetic_imbalanced(200, 0.2, 3, 1.0, 21)
         train, test = stratified_split(data, SplitSpec(0.25, 4, True))
-        params = fit_standardizer(train, list(train.feature_names), FitScope.TRAIN_ONLY)
+        params = fit_standardizer(train, list(train.feature_names))
         # Perturbing test rows cannot matter: params come from train alone.
         perturbed = TabularDataset(
             features=test.features + 100.0,
@@ -419,7 +437,7 @@ class TestStandardizer:
             labels=test.labels,
             provenance=test.provenance,
         )
-        params_again = fit_standardizer(train, list(train.feature_names), FitScope.TRAIN_ONLY)
+        params_again = fit_standardizer(train, list(train.feature_names))
         assert params == params_again
         assert perturbed.n_rows == test.n_rows
 
@@ -502,7 +520,7 @@ class TestEngineerTimeFeatures:
 
     def test_raw_columns_dropped_once_scaled_versions_exist(self):
         data = time_dataset([30.0, 2.0], amounts=[5.0, 15.0])
-        params = fit_standardizer(data, ["Time", "Amount"], FitScope.FULL_DATASET)
+        params = fit_standardizer(data, ["Time", "Amount"])
         out = engineer_time_features(data, HourMode.CORRECTED, standardizer=params)
         assert "Time" not in out.feature_names
         assert "Amount" not in out.feature_names

@@ -117,28 +117,16 @@ class TestDetectLeakage:
         assert report.scaler_fitted_on_full_data
         assert report.verdict == Verdict.LEAKY
 
-    def test_near_duplicate_diagnostic_is_optional_and_counted(self):
-        features = np.array([[0.0, 0.0], [10.0, 10.0], [0.05, 0.0], [20.0, 20.0]])
-        labels = np.array([0, 1, 0, 1])
-        prov = tuple(RowProvenance.original(i) for i in range(4))
-        data = TabularDataset(features, ("a", "b"), labels, prov)
-        train = data.select_rows([0, 1])
-        test = data.select_rows([2, 3])
-        none_requested = detect_leakage(train, test, FitScope.TRAIN_ONLY)
-        assert none_requested.near_duplicate_pairs is None
-        report = detect_leakage(train, test, FitScope.TRAIN_ONLY, near_duplicate_radius=0.1)
-        assert report.near_duplicate_pairs == 1
-        # the diagnostic alone never flips the verdict
-        assert report.verdict == Verdict.CLEAN
-
     def test_verdict_invariant_enforced(self):
-        with pytest.raises(ValueError, match="verdict"):
-            LeakageReport(
-                synthetic_rows_in_test=1,
-                duplicate_pairs_across_split=0,
-                scaler_fitted_on_full_data=False,
-                verdict=Verdict.CLEAN,
-            )
+        stored = {
+            "synthetic_rows_in_test": 1,
+            "duplicate_pairs_across_split": 0,
+            "scaler_fitted_on_full_data": False,
+            "verdict": "leaky",
+        }
+        assert LeakageReport.from_dict(stored).verdict == Verdict.LEAKY
+        with pytest.raises(ValueError, match="verdict inconsistent with the leakage counts"):
+            LeakageReport.from_dict({**stored, "verdict": "clean"})
 
 
 class TestRunScenario:
@@ -182,7 +170,7 @@ class TestRunScenario:
 
         def train_side_model(source):
             tr, _ = stratified_split(source, spec.split)
-            params = fit_standardizer(tr, list(tr.feature_names), FitScope.TRAIN_ONLY)
+            params = fit_standardizer(tr, list(tr.feature_names))
             return train_model(apply_standardizer(tr, params), spec.model).to_json()
 
         assert train_side_model(data) == train_side_model(mutated)
@@ -228,6 +216,14 @@ class TestRunScenario:
         )
         with pytest.raises(ScenarioError, match="sampling after split"):
             run_scenario(small_data(), scenario("boom", Placement.SAMPLING_AFTER_SPLIT, bad_pipeline))
+
+    def test_interrupt_is_not_wrapped_as_stage_failure(self, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("leakguard.boosting.train", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_scenario(small_data(), scenario("stop", Placement.NO_SAMPLING))
 
     def test_pipeline_required_unless_no_sampling(self):
         with pytest.raises(ValueError, match="pipeline"):

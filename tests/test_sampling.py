@@ -326,6 +326,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SamplerSpec(SamplerKind.SMOTE, 1.5)
 
+    @pytest.mark.parametrize("kind", [SamplerKind.SMOTE, SamplerKind.RANDOM_OVER])
+    @pytest.mark.parametrize("field", ["k_neighbors", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_integer_fields_reject_non_integers(self, kind, field, value):
+        with pytest.raises(ValueError, match=field):
+            SamplerSpec(kind, 0.5, **{field: value})
+
     def test_kind_mismatch_rejected(self):
         data = imbalanced(30, 100)
         with pytest.raises(SamplingError):
