@@ -10,7 +10,6 @@ audits the outcome for evaluation contamination.
 from .boosting import GbdtModel, GbdtParams, predict, predict_margin, predict_proba, train
 from .dataset import (
     CREDITCARD_SCHEMA,
-    FitScope,
     HourMode,
     RowProvenance,
     SplitSpec,
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CREDITCARD_SCHEMA",
     "ConfusionMatrix",
-    "FitScope",
     "GbdtModel",
     "GbdtParams",
     "HourMode",

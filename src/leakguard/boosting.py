@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import TabularDataset, as_int
+from .dataset import TabularDataset, as_int, as_real
 
 MODEL_FORMAT_VERSION = 2
 
@@ -45,13 +45,7 @@ class GbdtParams:
         for name in ("n_estimators", "max_depth", "n_bins"):
             object.__setattr__(self, name, as_int(name, getattr(self, name)))
         for name in ("learning_rate", "lambda_l2", "alpha_l1", "positive_class_weight", "min_child_weight"):
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float, np.integer, np.floating))
-                or not math.isfinite(value)
-            ):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+            object.__setattr__(self, name, as_real(name, getattr(self, name)))
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.n_estimators < 0:

@@ -284,7 +284,7 @@ def cmd_compare(args) -> int:
             raise CliError(f"compare: no such result file: {p}")
         try:
             results.append(ScenarioResult.from_dict(json.loads(p.read_text(encoding="utf-8"))))
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise CliError(f"compare: {p}: {exc}") from exc
     try:
         report = compare_scenarios(results)

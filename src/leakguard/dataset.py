@@ -35,13 +35,6 @@ class CsvParseError(ValueError):
         self.column = column
 
 
-class FitScope(str, Enum):
-    """What data a preprocessing transform was fitted on."""
-
-    TRAIN_ONLY = "train_only"
-    FULL_DATASET = "full_dataset"
-
-
 class HourMode(str, Enum):
     """How hour-of-day is derived from an elapsed-seconds column.
 
@@ -65,6 +58,15 @@ def as_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_real(name: str, value) -> float:
+    """Return a real field's value as float; a bool, a non-number, NaN or an
+    infinity is a ValueError that names the field."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not real or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -198,6 +200,7 @@ class SplitSpec:
     stratified: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "test_fraction", as_real("test_fraction", self.test_fraction))
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie strictly between 0 and 1")
         if not isinstance(self.stratified, bool):

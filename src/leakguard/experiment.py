@@ -11,6 +11,7 @@ train/test pair.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import time
 from collections import Counter
@@ -21,11 +22,13 @@ import numpy as np
 
 from . import boosting, metrics, sampling
 from .dataset import (
-    FitScope,
     HourMode,
     SplitSpec,
     TabularDataset,
     apply_standardizer,
+    as_int,
+    as_real,
+    class_distribution,
     engineer_time_features,
     fit_standardizer,
     stratified_split,
@@ -81,6 +84,7 @@ class ScenarioSpec:
                 raise ValueError("no_sampling scenarios cannot carry a pipeline")
         elif self.pipeline is None:
             raise ValueError(f"{self.placement.value} scenarios need a pipeline")
+        object.__setattr__(self, "threshold", as_real("threshold", self.threshold))
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie strictly between 0 and 1")
 
@@ -130,6 +134,15 @@ class LeakageReport:
     duplicate_pairs_across_split: int
     scaler_fitted_on_full_data: bool
 
+    def __post_init__(self):
+        for name in ("synthetic_rows_in_test", "duplicate_pairs_across_split"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} cannot be negative")
+        flag = self.scaler_fitted_on_full_data
+        if not isinstance(flag, bool):
+            raise ValueError(f"scaler_fitted_on_full_data must be true or false, got {flag!r}")
+
     @property
     def verdict(self) -> Verdict:
         leaky = (
@@ -163,16 +176,26 @@ class LeakageReport:
 
 @dataclass(frozen=True)
 class ScenarioResult:
+    """One scenario's outcome. The test labels, scores, the scenario's
+    threshold and the test provenance counts are the stored facts; the
+    metrics and test class counts are derived from them, never stored."""
+
     scenario: ScenarioSpec
-    metrics: metrics.MetricsReport
     leakage: LeakageReport
     train_class_counts: dict[int, int]
-    test_class_counts: dict[int, int]
     test_provenance_counts: dict[str, int]
     wall_time: float
     data_fingerprint: str
     test_labels: tuple[int, ...]
     test_scores: tuple[float, ...]
+
+    @functools.cached_property
+    def metrics(self) -> metrics.MetricsReport:
+        return metrics.compute_report(self.test_labels, self.test_scores, self.scenario.threshold)
+
+    @property
+    def test_class_counts(self) -> dict[int, int]:
+        return {0: self.metrics.negative_count, 1: self.metrics.positive_count}
 
     def to_dict(self) -> dict:
         return {
@@ -197,35 +220,34 @@ class ScenarioResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioResult":
+        """Read a stored result; a file that contradicts itself is refused
+        with a ValueError that names the field."""
         version = d.get("format_version")
         if version != RESULT_FORMAT_VERSION:
             raise ValueError(f"unsupported result format version {version!r}")
-        m = d["metrics"]
-        report = metrics.MetricsReport(
-            accuracy=m["accuracy"],
-            precision=m["precision"],
-            recall=m["recall"],
-            f1=m["f1"],
-            mcc=m["mcc"],
-            auc=m["auc"],
-            threshold=m["threshold"],
-            confusion=metrics.ConfusionMatrix(**m["confusion"]),
-            positive_count=m["positive_count"],
-            negative_count=m["negative_count"],
-            zero_division_flags=tuple(m.get("zero_division_flags", ())),
-        )
-        return cls(
+        result = cls(
             scenario=ScenarioSpec.from_dict(d["scenario"]),
-            metrics=report,
             leakage=LeakageReport.from_dict(d["leakage"]),
             train_class_counts={int(k): v for k, v in d["train_class_counts"].items()},
-            test_class_counts={int(k): v for k, v in d["test_class_counts"].items()},
             test_provenance_counts=dict(d["test_provenance_counts"]),
             wall_time=d["wall_time"],
             data_fingerprint=d["data_fingerprint"],
             test_labels=tuple(d["test_labels"]),
             test_scores=tuple(d["test_scores"]),
         )
+        derived = result.to_dict()
+        for key in ("metrics", "test_class_counts"):
+            stored = d[key] if isinstance(d[key], dict) else {}
+            wrong = [f"{key}.{k}" for k, v in derived[key].items() if stored.get(k) != v]
+            if wrong or stored.keys() != derived[key].keys():
+                bad = ", ".join(wrong) or key
+                raise ValueError(f"{bad}: stored value contradicts the test labels and scores")
+        prov = result.test_provenance_counts
+        if result.leakage.synthetic_rows_in_test != prov["duplicate"] + prov["synthetic"]:
+            raise ValueError("leakage.synthetic_rows_in_test disagrees with test_provenance_counts")
+        if sum(prov.values()) != len(result.test_labels):
+            raise ValueError("test_provenance_counts do not add up to the number of test labels")
+        return result
 
 
 def dataset_fingerprint(dataset: TabularDataset) -> str:
@@ -246,15 +268,8 @@ def dataset_fingerprint(dataset: TabularDataset) -> str:
     return f"{total % (1 << 256):064x}"
 
 
-def _class_counts(dataset: TabularDataset) -> dict[int, int]:
-    return {
-        0: int((dataset.labels == 0).sum()),
-        1: int((dataset.labels == 1).sum()),
-    }
-
-
 def detect_leakage(
-    train: TabularDataset, test: TabularDataset, scaler_mode: FitScope
+    train: TabularDataset, test: TabularDataset, scaler_fitted_on_full_data: bool
 ) -> LeakageReport:
     """Audit a train/test pair for evaluation contamination.
 
@@ -275,7 +290,7 @@ def detect_leakage(
     return LeakageReport(
         synthetic_rows_in_test=created,
         duplicate_pairs_across_split=duplicate_pairs,
-        scaler_fitted_on_full_data=scaler_mode == FitScope.FULL_DATASET,
+        scaler_fitted_on_full_data=scaler_fitted_on_full_data,
     )
 
 
@@ -336,7 +351,6 @@ def run_scenario(data: TabularDataset, spec: ScenarioSpec) -> ScenarioResult:
             train_part = sampling.apply_pipeline(train_part, spec.pipeline)
 
     guarded = spec.preprocessing == Preprocessing.GUARDED
-    scope = FitScope.TRAIN_ONLY if guarded else FitScope.FULL_DATASET
     hour_mode = HourMode.CORRECTED if guarded else HourMode.PAPER_FAITHFUL
     fit_source = train_part if guarded else data
     with _stage("preprocessing"):
@@ -345,37 +359,24 @@ def run_scenario(data: TabularDataset, spec: ScenarioSpec) -> ScenarioResult:
     with _stage("model training"):
         model = boosting.train(train_ready, spec.model)
 
+    with _stage("leakage detection"):
+        leakage = detect_leakage(train_ready, test_ready, not guarded)
+
+    kinds = Counter(p.kind for p in test_ready.provenance)
     with _stage("evaluation"):
         scores = boosting.predict_proba(model, test_ready.features)
-        report = metrics.compute_report(test_ready.labels, scores, spec.threshold)
-
-    with _stage("leakage detection"):
-        leakage = detect_leakage(train_ready, test_ready, scope)
-
-    provenance_counts = Counter(p.kind for p in test_ready.provenance)
-    return ScenarioResult(
-        scenario=spec,
-        metrics=report,
-        leakage=leakage,
-        train_class_counts=_class_counts(train_ready),
-        test_class_counts=_class_counts(test_ready),
-        test_provenance_counts={
-            k: provenance_counts.get(k, 0) for k in ("original", "duplicate", "synthetic")
-        },
-        wall_time=time.perf_counter() - start,
-        data_fingerprint=fingerprint,
-        test_labels=tuple(int(v) for v in test_ready.labels),
-        test_scores=tuple(float(v) for v in scores),
-    )
-
-
-def recompute_report(result: ScenarioResult) -> metrics.MetricsReport:
-    """Rebuild the metrics from the persisted labels, scores, threshold."""
-    return metrics.compute_report(
-        np.array(result.test_labels),
-        np.array(result.test_scores),
-        result.scenario.threshold,
-    )
+        result = ScenarioResult(
+            scenario=spec,
+            leakage=leakage,
+            train_class_counts=class_distribution(train_ready)[0],
+            test_provenance_counts={k: kinds[k] for k in ("original", "duplicate", "synthetic")},
+            wall_time=time.perf_counter() - start,
+            data_fingerprint=fingerprint,
+            test_labels=tuple(test_ready.labels.tolist()),
+            test_scores=tuple(scores.tolist()),
+        )
+        result.metrics  # scored here, so a scoring error names this stage
+    return result
 
 
 @dataclass(frozen=True)

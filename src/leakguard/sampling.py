@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import RowProvenance, TabularDataset, as_int, round_half_up
+from .dataset import RowProvenance, TabularDataset, as_int, as_real, round_half_up
 
 
 class SamplingError(ValueError):
@@ -44,6 +44,8 @@ class SamplerSpec:
         object.__setattr__(self, "kind", SamplerKind(self.kind))
         for name in ("k_neighbors", "seed"):
             object.__setattr__(self, name, as_int(name, getattr(self, name)))
+        strategy = as_real("sampling_strategy", self.sampling_strategy)
+        object.__setattr__(self, "sampling_strategy", strategy)
         if not 0.0 < self.sampling_strategy <= 1.0:
             raise ValueError("sampling_strategy must lie in (0, 1]")
         if self.kind == SamplerKind.SMOTE and self.k_neighbors < 1:

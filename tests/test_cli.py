@@ -347,6 +347,34 @@ class TestCompare:
         assert "verdict inconsistent with the leakage counts" in err
         assert not (tmp_path / "cmp").exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["metrics"].update(f1=0.999), "metrics.f1"),
+            (lambda d: d.update(test_class_counts={"0": 1, "1": 1}), "test_class_counts"),
+            (lambda d: d["leakage"].update(synthetic_rows_in_test=0, verdict="clean"),
+             "synthetic_rows_in_test"),
+            (lambda d: d["scenario"].update(threshold="0.5"), "threshold"),
+            (lambda d: d["leakage"].update(synthetic_rows_in_test=-5), "synthetic_rows_in_test"),
+            (lambda d: d["scenario"]["pipeline"][0].update(sampling_strategy=True),
+             "sampling_strategy"),
+            (lambda d: d.update(train_class_counts=[]), "items"),  # an AttributeError
+            (lambda d: d.update(test_labels=None), "NoneType"),  # a TypeError
+        ],
+        ids=["f1", "class-counts", "zeroed-synthetic", "string-threshold", "negative-count",
+             "bool-strategy", "list-train-counts", "null-labels"],
+    )
+    def test_malformed_result_file_refused(self, tmp_path, capsys, edit, message):
+        paths = self.make_results(tmp_path)
+        pre = tmp_path / "results" / "smote-pre-42.result.json"
+        doc = json.loads(pre.read_text())
+        edit(doc)
+        pre.write_text(json.dumps(doc))
+        assert run_cli("compare", *paths, "--out-dir", str(tmp_path / "cmp")) == 2
+        err = capsys.readouterr().err
+        assert f"compare: {pre}: " in err and message in err
+        assert not (tmp_path / "cmp").exists()
+
     def test_missing_result_file(self, tmp_path, capsys):
         assert run_cli("compare", str(tmp_path / "missing.json"), "--out-dir", str(tmp_path)) == 2
         assert "no such result" in capsys.readouterr().err

@@ -370,6 +370,9 @@ class TestStratifiedSplit:
             ({"seed": 42.0}, "seed"),
             ({"seed": True}, "seed"),
             ({"seed": "42"}, "seed"),
+            ({"test_fraction": "0.2"}, "test_fraction"),
+            ({"test_fraction": True}, "test_fraction"),
+            ({"test_fraction": float("nan")}, "test_fraction"),
         ],
     )
     def test_spec_field_types_checked(self, kwargs, field):

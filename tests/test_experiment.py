@@ -6,7 +6,6 @@ import pytest
 
 from leakguard.boosting import GbdtParams
 from leakguard.dataset import (
-    FitScope,
     RowProvenance,
     SplitSpec,
     TabularDataset,
@@ -24,7 +23,6 @@ from leakguard.experiment import (
     compare_scenarios,
     dataset_fingerprint,
     detect_leakage,
-    recompute_report,
     run_scenario,
 )
 from leakguard.sampling import SamplerKind, SamplerPipeline, SamplerSpec
@@ -66,7 +64,7 @@ class TestDetectLeakage:
     def test_disjoint_original_partitions_are_clean(self):
         data = small_data()
         train, test = stratified_split(data, SplitSpec(0.2, 1, True))
-        report = detect_leakage(train, test, FitScope.TRAIN_ONLY)
+        report = detect_leakage(train, test, False)
         assert report.verdict == Verdict.CLEAN
         assert report.synthetic_rows_in_test == 0
         assert report.duplicate_pairs_across_split == 0
@@ -80,7 +78,7 @@ class TestDetectLeakage:
             labels=np.concatenate([test.labels, train.labels[:1]]),
             provenance=test.provenance + (RowProvenance.original(0),),
         )
-        report = detect_leakage(train, polluted, FitScope.TRAIN_ONLY)
+        report = detect_leakage(train, polluted, False)
         assert report.duplicate_pairs_across_split >= 1
         assert report.verdict == Verdict.LEAKY
 
@@ -93,7 +91,7 @@ class TestDetectLeakage:
         data = TabularDataset(pool, ("a", "b"), labels, prov)
         train = data.select_rows(range(25))
         test = data.select_rows(range(25, 40))
-        report = detect_leakage(train, test, FitScope.TRAIN_ONLY)
+        report = detect_leakage(train, test, False)
         assert report.duplicate_pairs_across_split == brute_force_duplicate_pairs(train, test)
         assert report.duplicate_pairs_across_split > 0
 
@@ -106,27 +104,44 @@ class TestDetectLeakage:
             labels=test.labels,
             provenance=(RowProvenance.synthetic("smote"),) + test.provenance[1:],
         )
-        report = detect_leakage(train, tainted, FitScope.TRAIN_ONLY)
+        report = detect_leakage(train, tainted, False)
         assert report.synthetic_rows_in_test == 1
         assert report.verdict == Verdict.LEAKY
 
     def test_full_data_scaler_flag_forces_leaky(self):
         data = small_data()
         train, test = stratified_split(data, SplitSpec(0.2, 1, True))
-        report = detect_leakage(train, test, FitScope.FULL_DATASET)
+        report = detect_leakage(train, test, True)
         assert report.scaler_fitted_on_full_data
         assert report.verdict == Verdict.LEAKY
 
+    STORED = {
+        "synthetic_rows_in_test": 1,
+        "duplicate_pairs_across_split": 0,
+        "scaler_fitted_on_full_data": False,
+        "verdict": "leaky",
+    }
+
     def test_verdict_invariant_enforced(self):
-        stored = {
-            "synthetic_rows_in_test": 1,
-            "duplicate_pairs_across_split": 0,
-            "scaler_fitted_on_full_data": False,
-            "verdict": "leaky",
-        }
-        assert LeakageReport.from_dict(stored).verdict == Verdict.LEAKY
+        assert LeakageReport.from_dict(self.STORED).verdict == Verdict.LEAKY
         with pytest.raises(ValueError, match="verdict inconsistent with the leakage counts"):
-            LeakageReport.from_dict({**stored, "verdict": "clean"})
+            LeakageReport.from_dict({**self.STORED, "verdict": "clean"})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("synthetic_rows_in_test", -5),
+            ("synthetic_rows_in_test", "1"),
+            ("synthetic_rows_in_test", 1.0),
+            ("duplicate_pairs_across_split", -1),
+            ("duplicate_pairs_across_split", True),
+            ("scaler_fitted_on_full_data", "no"),
+            ("scaler_fitted_on_full_data", 0),
+        ],
+    )
+    def test_stored_field_types_checked(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            LeakageReport.from_dict({**self.STORED, key: value})
 
 
 class TestRunScenario:
@@ -196,8 +211,13 @@ class TestRunScenario:
         result = run_scenario(
             small_data(), scenario("post", Placement.SAMPLING_AFTER_SPLIT, smote_pipeline())
         )
-        recomputed = recompute_report(result)
-        assert recomputed == result.metrics
+        doc = json.loads(json.dumps(result.to_dict()))
+        restored = ScenarioResult.from_dict(doc)
+        # from_dict derives the metrics from the labels, scores and
+        # threshold; equality with the run's own report is exact.
+        assert restored.metrics == result.metrics
+        assert restored.test_class_counts == result.test_class_counts
+        assert restored.to_dict() == doc
 
     def test_result_dict_round_trip(self):
         result = run_scenario(
@@ -362,6 +382,62 @@ class TestCompareScenarios:
             compare_scenarios([pre])
 
 
+class TestResultFileChecks:
+    """A result file is refused when a stored copy of a fact disagrees
+    with the labels, scores, threshold and provenance it was derived from."""
+
+    @pytest.fixture(scope="class")
+    def docs(self):
+        data = small_data()
+        clean = run_scenario(data, scenario("baseline", Placement.NO_SAMPLING))
+        leaky = run_scenario(
+            data, scenario("pre", Placement.SAMPLING_BEFORE_SPLIT, smote_pipeline())
+        )
+        return json.dumps(clean.to_dict()), json.dumps(leaky.to_dict())
+
+    def tamper(self, text, edit):
+        doc = json.loads(text)
+        edit(doc)
+        return doc
+
+    def test_untampered_files_read(self, docs):
+        clean, leaky = (ScenarioResult.from_dict(json.loads(t)) for t in docs)
+        report = compare_scenarios([clean, leaky])
+        assert leaky.metrics.f1 > clean.metrics.f1
+        assert report.leaky_outperforming_clean == ("pre",)
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda d: d["metrics"].update(f1=0.999), "metrics.f1"),
+            (lambda d: d["metrics"].update(threshold=0.9), "metrics.threshold"),
+            (lambda d: d["metrics"].update(extra=1), "metrics"),
+            (lambda d: d.update(test_class_counts={"0": 1, "1": 1}), "test_class_counts.0"),
+            (lambda d: d.update(test_class_counts=[]), "test_class_counts"),
+            (lambda d: d["test_provenance_counts"].update(original=1), "test_provenance_counts"),
+        ],
+        ids=["f1", "threshold", "extra-key", "class-counts", "list-class-counts", "provenance-sum"],
+    )
+    def test_clean_file_contradicting_itself_refused(self, docs, edit, field):
+        with pytest.raises(ValueError, match=field):
+            ScenarioResult.from_dict(self.tamper(docs[0], edit))
+
+    def test_zeroed_synthetic_count_refused(self, docs):
+        def edit(d):
+            assert d["test_provenance_counts"]["synthetic"] > 0
+            d["leakage"].update(synthetic_rows_in_test=0, verdict="clean")
+
+        with pytest.raises(ValueError, match="synthetic_rows_in_test"):
+            ScenarioResult.from_dict(self.tamper(docs[1], edit))
+
+    def test_string_threshold_refused(self, docs):
+        def edit(d):
+            d["scenario"]["threshold"] = "0.5"
+
+        with pytest.raises(ValueError, match="threshold"):
+            ScenarioResult.from_dict(self.tamper(docs[0], edit))
+
+
 class TestScenarioSpecRoundTrip:
     def test_dict_round_trip(self):
         spec = scenario("x", Placement.SAMPLING_BEFORE_SPLIT, smote_pipeline(0.8, 3))
@@ -372,3 +448,8 @@ class TestScenarioSpecRoundTrip:
         restored = ScenarioSpec.from_dict(spec.to_dict())
         assert restored == spec
         assert restored.pipeline is None
+
+    @pytest.mark.parametrize("value", ["0.5", True, float("nan"), None])
+    def test_threshold_must_be_a_finite_real(self, value):
+        with pytest.raises(ValueError, match="threshold"):
+            scenario("z", Placement.NO_SAMPLING, threshold=value)

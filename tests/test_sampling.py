@@ -333,6 +333,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=field):
             SamplerSpec(kind, 0.5, **{field: value})
 
+    @pytest.mark.parametrize("value", [True, "0.5", float("nan"), None])
+    def test_strategy_must_be_a_finite_real(self, value):
+        with pytest.raises(ValueError, match="sampling_strategy"):
+            SamplerSpec(SamplerKind.RANDOM_OVER, value, seed=1)
+
     def test_kind_mismatch_rejected(self):
         data = imbalanced(30, 100)
         with pytest.raises(SamplingError):
