@@ -225,13 +225,27 @@ class ScenarioResult:
         version = d.get("format_version")
         if version != RESULT_FORMAT_VERSION:
             raise ValueError(f"unsupported result format version {version!r}")
+        fingerprint = d["data_fingerprint"]
+        hex_digits = isinstance(fingerprint, str) and set(fingerprint) <= set("0123456789abcdef")
+        if not hex_digits or len(fingerprint) != 64:
+            raise ValueError(f"data_fingerprint must be 64 lowercase hex digits, got {fingerprint!r}")
+        train_counts = {
+            k: as_int(f"train_class_counts.{k}", v) for k, v in d["train_class_counts"].items()
+        }
+        if train_counts.keys() != {"0", "1"}:
+            raise ValueError("train_class_counts must have exactly the keys '0' and '1'")
+        wall_time = as_real("wall_time", d["wall_time"])
+        negative = [f"train_class_counts.{k}" for k, v in train_counts.items() if v < 0]
+        negative += ["wall_time"] if wall_time < 0 else []
+        if negative:
+            raise ValueError(f"{', '.join(negative)} cannot be negative")
         result = cls(
             scenario=ScenarioSpec.from_dict(d["scenario"]),
             leakage=LeakageReport.from_dict(d["leakage"]),
-            train_class_counts={int(k): v for k, v in d["train_class_counts"].items()},
+            train_class_counts={int(k): v for k, v in train_counts.items()},
             test_provenance_counts=dict(d["test_provenance_counts"]),
-            wall_time=d["wall_time"],
-            data_fingerprint=d["data_fingerprint"],
+            wall_time=wall_time,
+            data_fingerprint=fingerprint,
             test_labels=tuple(d["test_labels"]),
             test_scores=tuple(d["test_scores"]),
         )

@@ -86,6 +86,11 @@ class SamplerPipeline:
         return cls(steps=tuple(SamplerSpec.from_dict(s) for s in steps))
 
 
+# Float64 cells in one block of _nearest_neighbor_table's difference tensor
+# (32 MB), so its memory stays bounded whatever the minority count.
+_KNN_BLOCK_ELEMENTS = 1 << 22
+
+
 def _class_split(train: TabularDataset) -> tuple[int, np.ndarray, np.ndarray]:
     """Resolve the minority label and per-class row indices.
 
@@ -181,13 +186,20 @@ def _nearest_neighbor_table(points: np.ndarray, k: int) -> np.ndarray:
     """Indices of each point's k nearest neighbors (self excluded).
 
     Exact brute-force Euclidean search; distance ties break toward the
-    lower row index via stable argsort.
+    lower row index via stable argsort. Query rows go in blocks whose
+    difference tensor holds at most _KNN_BLOCK_ELEMENTS cells, and each
+    row's distances and sort are the same as in one m x m x d pass.
     """
-    diffs = points[:, None, :] - points[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", diffs, diffs)
-    np.fill_diagonal(dist2, np.inf)
-    order = np.argsort(dist2, axis=1, kind="stable")
-    return order[:, :k]
+    m = points.shape[0]
+    rows = max(1, _KNN_BLOCK_ELEMENTS // max(1, m * points.shape[1]))
+    table = np.empty((m, k), dtype=np.intp)
+    for s in range(0, m, rows):
+        e = min(s + rows, m)
+        diffs = points[s:e, None, :] - points[None, :, :]
+        dist2 = np.einsum("ijk,ijk->ij", diffs, diffs)
+        dist2[np.arange(e - s), np.arange(s, e)] = np.inf
+        table[s:e] = np.argsort(dist2, axis=1, kind="stable")[:, :k]
+    return table
 
 
 def smote(train: TabularDataset, spec: SamplerSpec) -> TabularDataset:

@@ -360,9 +360,21 @@ class TestCompare:
              "sampling_strategy"),
             (lambda d: d.update(train_class_counts=[]), "items"),  # an AttributeError
             (lambda d: d.update(test_labels=None), "NoneType"),  # a TypeError
+            (lambda d: d.update(data_fingerprint=[1]), "data_fingerprint"),
+            (lambda d: d.update(data_fingerprint="AB" * 32), "data_fingerprint"),
+            (lambda d: d.update(data_fingerprint="ab"), "data_fingerprint"),
+            (lambda d: d["train_class_counts"].update({"0": -7}), "train_class_counts.0"),
+            (lambda d: d["train_class_counts"].update({"1": "x"}), "train_class_counts.1"),
+            (lambda d: d["train_class_counts"].update({"2": 0}), "train_class_counts"),
+            (lambda d: d["train_class_counts"].pop("1"), "train_class_counts"),
+            (lambda d: d.update(wall_time="x"), "wall_time"),
+            (lambda d: d.update(wall_time=-1.0), "wall_time"),
         ],
         ids=["f1", "class-counts", "zeroed-synthetic", "string-threshold", "negative-count",
-             "bool-strategy", "list-train-counts", "null-labels"],
+             "bool-strategy", "list-train-counts", "null-labels", "list-fingerprint",
+             "upper-hex-fingerprint", "short-fingerprint", "negative-train-count",
+             "string-train-count", "extra-train-class", "missing-train-class",
+             "string-wall-time", "negative-wall-time"],
     )
     def test_malformed_result_file_refused(self, tmp_path, capsys, edit, message):
         paths = self.make_results(tmp_path)

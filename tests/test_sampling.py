@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leakguard import sampling
 from leakguard.dataset import RowProvenance, TabularDataset, round_half_up
 from leakguard.sampling import (
     SamplerKind,
@@ -222,6 +225,58 @@ class TestSmote:
         data = imbalanced(15, 60)
         spec = SamplerSpec(SamplerKind.SMOTE, 0.9, seed=4)
         assert smote(data, spec).equals(smote(data, spec))
+
+
+def one_shot_neighbor_table(points, k):
+    """The unblocked m x m x d kernel, kept verbatim as the oracle."""
+    diffs = points[:, None, :] - points[None, :, :]
+    dist2 = np.einsum("ijk,ijk->ij", diffs, diffs)
+    np.fill_diagonal(dist2, np.inf)
+    order = np.argsort(dist2, axis=1, kind="stable")
+    return order[:, :k]
+
+
+def tied_points(m, d, seed):
+    """Values rounded to integers, and every fourth row repeating its
+    predecessor, so distances tie both ways."""
+    points = np.round(np.random.default_rng(seed).standard_normal((m, d)))
+    points[1::4] = points[0::4][: points[1::4].shape[0]]
+    return points
+
+
+class TestNearestNeighborTable:
+    @pytest.mark.parametrize("block_rows", [1, 3])
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+    def test_blocks_equal_one_shot(self, monkeypatch, block_rows, tied):
+        m, d, k = 100, 6, 5  # blocks of 3 rows leave a last block of 1
+        points = tied_points(m, d, 1) if tied else np.random.default_rng(1).standard_normal((m, d))
+        monkeypatch.setattr(sampling, "_KNN_BLOCK_ELEMENTS", block_rows * m * d)
+        table = sampling._nearest_neighbor_table(points, k)
+        assert np.array_equal(table, one_shot_neighbor_table(points, k))
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+    @pytest.mark.parametrize("m, d", [(7, 3), (300, 30), (800, 8)])
+    def test_default_block_equals_one_shot(self, m, d, tied):
+        # 800 x 8 takes two blocks at the default size, the others one.
+        points = tied_points(m, d, 2) if tied else np.random.default_rng(2).standard_normal((m, d))
+        table = sampling._nearest_neighbor_table(points, 5)
+        assert np.array_equal(table, one_shot_neighbor_table(points, 5))
+
+    def test_repeated_points_tie_to_lower_index(self):
+        points = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+        table = sampling._nearest_neighbor_table(points, 2)
+        assert table.tolist() == [[2, 4], [3, 0], [0, 4], [1, 0], [0, 2]]
+
+    def test_peak_memory_is_bounded(self):
+        # The one-shot kernel peaks at about 791 MB on this shape.
+        points = np.random.default_rng(3).standard_normal((2400, 16))
+        tracemalloc.start()
+        try:
+            sampling._nearest_neighbor_table(points, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
 
 
 class TestGaussianSynthesize:
