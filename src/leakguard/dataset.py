@@ -9,6 +9,8 @@ fact, so all loading, splitting, and preprocessing operations preserve it.
 from __future__ import annotations
 
 import csv
+import functools
+import hashlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -82,10 +84,10 @@ class RowProvenance:
     source_index: int | None = None
     method: str | None = None
 
-    _KINDS = ("original", "duplicate", "synthetic")
+    KINDS = ("original", "duplicate", "synthetic")
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown provenance kind {self.kind!r}")
         if self.kind in ("original", "duplicate"):
             if self.source_index is None or self.source_index < 0:
@@ -160,6 +162,25 @@ class TabularDataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
+
+    @functools.cached_property
+    def fingerprint(self) -> str:
+        """Order-independent hash of all (features, label) rows.
+
+        The sum, mod 2**256, of the big-endian sha256 digest of each row's
+        feature bytes followed by its label byte. The dataset is immutable,
+        so the hash is computed at most once per object.
+        """
+        n, width = self.n_rows, self.n_features * 8 + 1
+        rows = np.empty((n, width), dtype=np.uint8)
+        rows[:, :-1] = np.ascontiguousarray(self.features).view(np.uint8).reshape(n, width - 1)
+        rows[:, -1] = self.labels
+        buf = memoryview(rows.reshape(-1))
+        total = sum(
+            int.from_bytes(hashlib.sha256(buf[start : start + width]).digest(), "big")
+            for start in range(0, n * width, width)
+        )
+        return f"{total % (1 << 256):064x}"
 
     def column_index(self, name: str) -> int:
         try:

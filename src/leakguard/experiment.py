@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import time
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -23,6 +22,7 @@ import numpy as np
 from . import boosting, metrics, sampling
 from .dataset import (
     HourMode,
+    RowProvenance,
     SplitSpec,
     TabularDataset,
     apply_standardizer,
@@ -229,21 +229,15 @@ class ScenarioResult:
         hex_digits = isinstance(fingerprint, str) and set(fingerprint) <= set("0123456789abcdef")
         if not hex_digits or len(fingerprint) != 64:
             raise ValueError(f"data_fingerprint must be 64 lowercase hex digits, got {fingerprint!r}")
-        train_counts = {
-            k: as_int(f"train_class_counts.{k}", v) for k, v in d["train_class_counts"].items()
-        }
-        if train_counts.keys() != {"0", "1"}:
-            raise ValueError("train_class_counts must have exactly the keys '0' and '1'")
+        train_counts = _read_counts(d, "train_class_counts", ("0", "1"))
         wall_time = as_real("wall_time", d["wall_time"])
-        negative = [f"train_class_counts.{k}" for k, v in train_counts.items() if v < 0]
-        negative += ["wall_time"] if wall_time < 0 else []
-        if negative:
-            raise ValueError(f"{', '.join(negative)} cannot be negative")
+        if wall_time < 0:
+            raise ValueError("wall_time cannot be negative")
         result = cls(
             scenario=ScenarioSpec.from_dict(d["scenario"]),
             leakage=LeakageReport.from_dict(d["leakage"]),
             train_class_counts={int(k): v for k, v in train_counts.items()},
-            test_provenance_counts=dict(d["test_provenance_counts"]),
+            test_provenance_counts=_read_counts(d, "test_provenance_counts", RowProvenance.KINDS),
             wall_time=wall_time,
             data_fingerprint=fingerprint,
             test_labels=tuple(d["test_labels"]),
@@ -264,22 +258,21 @@ class ScenarioResult:
         return result
 
 
-def dataset_fingerprint(dataset: TabularDataset) -> str:
-    """Order-independent hash of all (features, label) rows.
+def _read_counts(d: dict, field: str, keys: tuple[str, ...]) -> dict[str, int]:
+    """A stored count table with exactly the given keys, each a non-negative
+    integer; anything else is a ValueError that names the field."""
+    counts = {k: as_int(f"{field}.{k}", v) for k, v in d[field].items()}
+    if counts.keys() != set(keys):
+        raise ValueError(f"{field} must have exactly the keys {', '.join(map(repr, keys))}")
+    negative = [f"{field}.{k}" for k, v in counts.items() if v < 0]
+    if negative:
+        raise ValueError(f"{', '.join(negative)} cannot be negative")
+    return counts
 
-    The sum, mod 2**256, of the big-endian sha256 digest of each row's
-    feature bytes followed by its label byte.
-    """
-    n, width = dataset.n_rows, dataset.n_features * 8 + 1
-    rows = np.empty((n, width), dtype=np.uint8)
-    rows[:, :-1] = np.ascontiguousarray(dataset.features).view(np.uint8).reshape(n, width - 1)
-    rows[:, -1] = dataset.labels
-    buf = memoryview(rows.reshape(-1))
-    total = sum(
-        int.from_bytes(hashlib.sha256(buf[start : start + width]).digest(), "big")
-        for start in range(0, n * width, width)
-    )
-    return f"{total % (1 << 256):064x}"
+
+def dataset_fingerprint(dataset: TabularDataset) -> str:
+    """The dataset's order-independent row hash (see TabularDataset.fingerprint)."""
+    return dataset.fingerprint
 
 
 def detect_leakage(
@@ -383,7 +376,7 @@ def run_scenario(data: TabularDataset, spec: ScenarioSpec) -> ScenarioResult:
             scenario=spec,
             leakage=leakage,
             train_class_counts=class_distribution(train_ready)[0],
-            test_provenance_counts={k: kinds[k] for k in ("original", "duplicate", "synthetic")},
+            test_provenance_counts={k: kinds[k] for k in RowProvenance.KINDS},
             wall_time=time.perf_counter() - start,
             data_fingerprint=fingerprint,
             test_labels=tuple(test_ready.labels.tolist()),

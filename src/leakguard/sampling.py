@@ -186,9 +186,12 @@ def _nearest_neighbor_table(points: np.ndarray, k: int) -> np.ndarray:
     """Indices of each point's k nearest neighbors (self excluded).
 
     Exact brute-force Euclidean search; distance ties break toward the
-    lower row index via stable argsort. Query rows go in blocks whose
-    difference tensor holds at most _KNN_BLOCK_ELEMENTS cells, and each
-    row's distances and sort are the same as in one m x m x d pass.
+    lower row index, NaN distances sort last, exactly as the first k
+    columns of a stable row-wise argsort. Query rows go in blocks whose
+    difference tensor holds at most _KNN_BLOCK_ELEMENTS cells. In each
+    block, np.partition finds every row's k-th smallest distance; the
+    cells not above it (NaN cells included, so rows with NaN stay exact)
+    are ordered by (row, distance, column) and the first k per row kept.
     """
     m = points.shape[0]
     rows = max(1, _KNN_BLOCK_ELEMENTS // max(1, m * points.shape[1]))
@@ -198,7 +201,11 @@ def _nearest_neighbor_table(points: np.ndarray, k: int) -> np.ndarray:
         diffs = points[s:e, None, :] - points[None, :, :]
         dist2 = np.einsum("ijk,ijk->ij", diffs, diffs)
         dist2[np.arange(e - s), np.arange(s, e)] = np.inf
-        table[s:e] = np.argsort(dist2, axis=1, kind="stable")[:, :k]
+        kth = np.partition(dist2, k - 1, axis=1)[:, k - 1 : k]
+        r, c = np.nonzero(~(dist2 > kth))
+        order = np.lexsort((c, dist2[r, c], r))
+        starts = np.searchsorted(r, np.arange(e - s))  # nonzero lists r ascending
+        table[s:e] = c[order][starts[:, None] + np.arange(k)]
     return table
 
 

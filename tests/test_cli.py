@@ -1,7 +1,10 @@
+import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from leakguard import dataset as ds
 from leakguard.cli import ExperimentConfig, main
 
 
@@ -184,6 +187,25 @@ class TestRun:
         assert doc["leakage"]["verdict"] == "clean"
         assert doc["metrics"]["f1"] >= 0.0
         assert doc["seeds"]["split"] == 42
+
+    def test_loaded_data_is_fingerprinted_once(self, tmp_path, monkeypatch):
+        config_path, config = base_config(tmp_path)
+        config["scenarios"].append(dict(config["scenarios"][1], name="smote-post-again"))
+        config_path.write_text(json.dumps(config))
+        hashed_rows = []
+
+        def counting_sha256(row):
+            hashed_rows.append(len(row))
+            return hashlib.sha256(row)
+
+        monkeypatch.setattr(ds, "hashlib", SimpleNamespace(sha256=counting_sha256))
+        assert run_cli("run", str(config_path)) == 0
+        # Three scenarios, one hash over the loaded dataset's rows.
+        fresh = ExperimentConfig.from_dict(config).load_dataset()
+        assert len(hashed_rows) == fresh.n_rows
+        for spec in config["scenarios"]:
+            path = tmp_path / "results" / f"{spec['name']}-42.result.json"
+            assert json.loads(path.read_text())["data_fingerprint"] == fresh.fingerprint
 
     def test_refuses_presplit_without_flag(self, tmp_path, capsys):
         config_path, _ = base_config(tmp_path, with_presplit=True)
@@ -369,12 +391,25 @@ class TestCompare:
             (lambda d: d["train_class_counts"].pop("1"), "train_class_counts"),
             (lambda d: d.update(wall_time="x"), "wall_time"),
             (lambda d: d.update(wall_time=-1.0), "wall_time"),
+            (lambda d: d["test_provenance_counts"].update(
+                duplicate=d["test_provenance_counts"]["synthetic"] + 3, synthetic=-3),
+             "test_provenance_counts.synthetic"),
+            (lambda d: d["test_provenance_counts"].update(bogus=0), "test_provenance_counts"),
+            (lambda d: d["test_provenance_counts"].pop("duplicate"), "test_provenance_counts"),
+            (lambda d: d["test_provenance_counts"].update(
+                original=float(d["test_provenance_counts"]["original"])),
+             "test_provenance_counts.original"),
+            (lambda d: d["test_provenance_counts"].update(
+                duplicate=True, synthetic=d["test_provenance_counts"]["synthetic"] - 1),
+             "test_provenance_counts.duplicate"),
         ],
         ids=["f1", "class-counts", "zeroed-synthetic", "string-threshold", "negative-count",
              "bool-strategy", "list-train-counts", "null-labels", "list-fingerprint",
              "upper-hex-fingerprint", "short-fingerprint", "negative-train-count",
              "string-train-count", "extra-train-class", "missing-train-class",
-             "string-wall-time", "negative-wall-time"],
+             "string-wall-time", "negative-wall-time", "negative-provenance-count",
+             "extra-provenance-kind", "missing-provenance-kind", "float-provenance-count",
+             "bool-provenance-count"],
     )
     def test_malformed_result_file_refused(self, tmp_path, capsys, edit, message):
         paths = self.make_results(tmp_path)

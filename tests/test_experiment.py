@@ -25,7 +25,7 @@ from leakguard.experiment import (
     detect_leakage,
     run_scenario,
 )
-from leakguard.sampling import SamplerKind, SamplerPipeline, SamplerSpec
+from leakguard.sampling import SamplerKind, SamplerPipeline, SamplerSpec, apply_pipeline
 
 FAST_MODEL = GbdtParams(learning_rate=0.3, n_estimators=8, max_depth=3)
 
@@ -296,6 +296,15 @@ class TestFingerprint:
             provenance=data.provenance + (RowProvenance.original(0),),
         )
         assert dataset_fingerprint(data) != dataset_fingerprint(bumped)
+
+    def test_derived_datasets_hash_their_own_rows(self):
+        data = small_data()
+        loaded = dataset_fingerprint(data)
+        subset = data.select_rows(np.arange(0, data.n_rows, 2))
+        sampled = apply_pipeline(data, smote_pipeline())
+        for derived in (subset, sampled):
+            assert dataset_fingerprint(derived) == self.per_row_sum(derived) != loaded
+        assert dataset_fingerprint(data) == loaded == self.per_row_sum(data)
 
     @staticmethod
     def per_row_sum(dataset):

@@ -262,6 +262,35 @@ class TestNearestNeighborTable:
         table = sampling._nearest_neighbor_table(points, 5)
         assert np.array_equal(table, one_shot_neighbor_table(points, 5))
 
+    @pytest.mark.parametrize("block_rows", [1, 3, None], ids=["block-1", "block-3", "default"])
+    @pytest.mark.parametrize("data", ["nan", "identical", "tied"])
+    def test_selection_edge_cases_equal_one_shot(self, monkeypatch, block_rows, data):
+        # A row with a NaN cell has NaN distances, which sort last, and an
+        # all-NaN row's k-th distance is itself NaN. Identical rows tie every
+        # off-diagonal distance at the k-th, so only the column order decides.
+        m, d = 40, 3
+        points = np.full((m, d), 2.5) if data == "identical" else tied_points(m, d, 4)
+        if data == "nan":
+            points[[2, 9, 10], 1] = np.nan
+            points[17] = np.nan
+        if block_rows is not None:
+            monkeypatch.setattr(sampling, "_KNN_BLOCK_ELEMENTS", block_rows * m * d)
+        for k in (1, 5, m - 1):
+            table = sampling._nearest_neighbor_table(points, k)
+            assert np.array_equal(table, one_shot_neighbor_table(points, k)), k
+
+    def test_seeded_random_tied_cases_equal_one_shot(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        for case in range(60):
+            m = int(rng.integers(2, 40))
+            d = int(rng.integers(1, 6))
+            k = int(rng.integers(1, m))
+            points = np.round(rng.standard_normal((m, d)) * rng.choice([0.5, 1.0, 3.0]))
+            block_rows = int(rng.integers(1, m + 1))
+            monkeypatch.setattr(sampling, "_KNN_BLOCK_ELEMENTS", block_rows * m * d)
+            table = sampling._nearest_neighbor_table(points, k)
+            assert np.array_equal(table, one_shot_neighbor_table(points, k)), (case, m, d, k)
+
     def test_repeated_points_tie_to_lower_index(self):
         points = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
         table = sampling._nearest_neighbor_table(points, 2)
