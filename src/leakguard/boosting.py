@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,16 +62,7 @@ class GbdtParams:
             raise ValueError("min_child_weight cannot be negative")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "n_estimators": self.n_estimators,
-            "max_depth": self.max_depth,
-            "lambda_l2": self.lambda_l2,
-            "alpha_l1": self.alpha_l1,
-            "positive_class_weight": self.positive_class_weight,
-            "n_bins": self.n_bins,
-            "min_child_weight": self.min_child_weight,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GbdtParams":

@@ -157,9 +157,21 @@ def cmd_stats(args) -> int:
         data = ds.load_csv(args.input, schema=schema)
     except (OSError, ValueError) as exc:
         raise CliError(f"data loading: {exc}") from exc
-    out_dir = Path(args.out_dir)
+    if not data.feature_names:
+        raise CliError(f"stats: {args.input} has no feature columns")
+    column = args.column
+    if column is None:
+        column = "Amount" if "Amount" in data.feature_names else data.feature_names[0]
+    try:
+        counts, fraction = ds.class_distribution(data)
+        summary = ds.amount_summary_by_class(data, column)
+        matrix, constant = ds.correlation_matrix(data)
+    except KeyError as exc:
+        raise CliError(f"stats: {exc.args[0]}") from exc
+    except ValueError as exc:
+        raise CliError(f"stats: {exc}") from exc
 
-    counts, fraction = ds.class_distribution(data)
+    out_dir = Path(args.out_dir)
     _write_text(
         out_dir / "class_distribution.json",
         _json_text(
@@ -170,21 +182,11 @@ def cmd_stats(args) -> int:
         ),
         args.force,
     )
-
-    column = args.column
-    if column is None:
-        column = "Amount" if "Amount" in data.feature_names else data.feature_names[0]
-    try:
-        summary = ds.amount_summary_by_class(data, column)
-    except KeyError as exc:
-        raise CliError(f"stats: {exc.args[0]}") from exc
     _write_text(
         out_dir / "amount_summary.json",
         _json_text({"column": column, "by_class": {str(k): v for k, v in summary.items()}}),
         args.force,
     )
-
-    matrix, constant = ds.correlation_matrix(data)
     lines = ["," + ",".join(data.feature_names)]
     for name, row in zip(data.feature_names, matrix):
         lines.append(name + "," + ",".join(repr(v) for v in row.tolist()))

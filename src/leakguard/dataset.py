@@ -13,7 +13,7 @@ import functools
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -231,11 +231,7 @@ class SplitSpec:
             raise ValueError("seed must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "test_fraction": self.test_fraction,
-            "seed": self.seed,
-            "stratified": self.stratified,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SplitSpec":
@@ -260,6 +256,8 @@ class StandardizerParams:
             raise ValueError("columns, means, and std_devs must align")
         if any(s < 0 for s in self.std_devs):
             raise ValueError("std_dev cannot be negative")
+        if len(set(self.columns)) != len(self.columns):
+            raise ValueError("standardizer columns must be unique")
 
 
 def load_csv(
@@ -474,6 +472,11 @@ def generate_synthetic_imbalanced(
     round-half-up of ``n_rows * positive_fraction``. Row order is a seeded
     permutation, deterministic for a fixed seed.
     """
+    n_rows = as_int("n_rows", n_rows)
+    n_features = as_int("n_features", n_features)
+    seed = as_int("seed", seed)
+    positive_fraction = as_real("positive_fraction", positive_fraction)
+    class_separation = as_real("class_separation", class_separation)
     if n_rows < 2:
         raise ValueError("n_rows must be at least 2")
     if not 0.0 < positive_fraction < 1.0:
@@ -482,6 +485,8 @@ def generate_synthetic_imbalanced(
         raise ValueError("n_features must be at least 1")
     if class_separation < 0:
         raise ValueError("class_separation cannot be negative")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     n_pos = round_half_up(n_rows * positive_fraction)
     if not 1 <= n_pos <= n_rows - 1:
         raise ValueError(
@@ -568,6 +573,19 @@ def fit_standardizer(
     )
 
 
+def _scaled_columns(dataset: TabularDataset, params: StandardizerParams):
+    """Yield (name, values) for each fitted column, centred and scaled, or
+    unchanged when its std_dev is 0; one column at a time."""
+    missing = [c for c in params.columns if c not in dataset.feature_names]
+    if missing:
+        raise KeyError(
+            f"standardizer columns not in dataset: {', '.join(missing)}"
+        )
+    for name, mean, std in zip(params.columns, params.means, params.std_devs):
+        raw = dataset.column(name)
+        yield name, (raw - mean) / std if std > 0 else raw
+
+
 def apply_standardizer(
     dataset: TabularDataset, params: StandardizerParams
 ) -> TabularDataset:
@@ -575,16 +593,9 @@ def apply_standardizer(
 
     Columns recorded with std_dev 0 pass through unchanged.
     """
-    missing = [c for c in params.columns if c not in dataset.feature_names]
-    if missing:
-        raise KeyError(
-            f"standardizer columns not in dataset: {', '.join(missing)}"
-        )
     features = dataset.features.copy()
-    for name, mean, std in zip(params.columns, params.means, params.std_devs):
-        j = dataset.column_index(name)
-        if std > 0:
-            features[:, j] = (features[:, j] - mean) / std
+    for name, values in _scaled_columns(dataset, params):
+        features[:, dataset.column_index(name)] = values
     return TabularDataset(
         features=features,
         feature_names=dataset.feature_names,
@@ -634,16 +645,7 @@ def engineer_time_features(
         new_names.append(seg_col)
 
     if standardizer is not None:
-        missing = [c for c in standardizer.columns if c not in dataset.feature_names]
-        if missing:
-            raise KeyError(
-                f"standardizer columns not in dataset: {', '.join(missing)}"
-            )
-        for name, mean, std in zip(
-            standardizer.columns, standardizer.means, standardizer.std_devs
-        ):
-            raw = dataset.column(name)
-            scaled = (raw - mean) / std if std > 0 else raw.copy()
+        for name, scaled in _scaled_columns(dataset, standardizer):
             new_names.append(f"{name}_Scaled")
             new_cols.append(scaled)
         # Raw columns are dropped only once their scaled versions exist.

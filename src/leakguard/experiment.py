@@ -14,7 +14,7 @@ import contextlib
 import functools
 import time
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -153,12 +153,7 @@ class LeakageReport:
         return Verdict.LEAKY if leaky else Verdict.CLEAN
 
     def to_dict(self) -> dict:
-        return {
-            "synthetic_rows_in_test": self.synthetic_rows_in_test,
-            "duplicate_pairs_across_split": self.duplicate_pairs_across_split,
-            "scaler_fitted_on_full_data": self.scaler_fitted_on_full_data,
-            "verdict": self.verdict.value,
-        }
+        return {**asdict(self), "verdict": self.verdict.value}
 
     @classmethod
     def from_dict(cls, d: dict) -> "LeakageReport":

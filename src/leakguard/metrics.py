@@ -8,7 +8,7 @@ such event is flagged in the report that carries the score.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ class ConfusionMatrix:
         return self.tp + self.fp + self.tn + self.fn
 
     def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

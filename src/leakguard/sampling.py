@@ -8,7 +8,7 @@ partitioning of data; they transform exactly the dataset they are handed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -54,12 +54,7 @@ class SamplerSpec:
             raise ValueError("seed must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "sampling_strategy": self.sampling_strategy,
-            "k_neighbors": self.k_neighbors,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "kind": self.kind.value}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SamplerSpec":
@@ -106,34 +101,44 @@ def _class_split(train: TabularDataset) -> tuple[int, np.ndarray, np.ndarray]:
     return 0, neg, pos
 
 
-def _with_new_rows(
+def _oversample(
     train: TabularDataset,
-    new_features: np.ndarray,
-    new_label: int,
-    new_provenance: list[RowProvenance],
+    spec: SamplerSpec,
+    kind: SamplerKind,
+    min_minority_rows: int,
+    make_rows,
 ) -> TabularDataset:
-    labels = np.concatenate(
-        [train.labels, np.full(len(new_provenance), new_label, dtype=np.int64)]
-    )
-    return TabularDataset(
-        features=np.vstack([train.features, new_features]),
-        feature_names=train.feature_names,
-        labels=labels,
-        provenance=train.provenance + tuple(new_provenance),
-    )
+    """Append new minority rows until minority/majority reaches the target.
 
-
-def _oversample_count(
-    spec: SamplerSpec, min_idx: np.ndarray, maj_idx: np.ndarray
-) -> int:
-    """Minority rows to create so minority/majority reaches the target ratio."""
+    The steps every oversampler shares. Only ``make_rows(min_idx, n_new,
+    rng)`` differs between them: it returns the n_new new feature rows and
+    their provenance, drawing from the rng seeded with ``spec.seed``. A
+    dataset already at the target ratio is returned as is.
+    """
+    if spec.kind != kind:
+        raise SamplingError(f"spec kind {spec.kind.value} is not {kind.value}")
+    minority_label, min_idx, maj_idx = _class_split(train)
+    if min_idx.size < min_minority_rows:
+        raise SamplingError(
+            f"{kind.value} needs at least {min_minority_rows} minority rows, "
+            f"got {min_idx.size}"
+        )
     target = round_half_up(spec.sampling_strategy * maj_idx.size)
     if target < min_idx.size:
         raise SamplingError(
             f"target ratio {spec.sampling_strategy} is below the current "
             f"ratio {min_idx.size / maj_idx.size:.6g}; oversampling cannot remove rows"
         )
-    return target - min_idx.size
+    n_new = target - min_idx.size
+    if n_new == 0:
+        return train
+    new_features, new_provenance = make_rows(min_idx, n_new, np.random.default_rng(spec.seed))
+    return TabularDataset(
+        features=np.vstack([train.features, new_features]),
+        feature_names=train.feature_names,
+        labels=np.concatenate([train.labels, np.full(n_new, minority_label, dtype=np.int64)]),
+        provenance=train.provenance + tuple(new_provenance),
+    )
 
 
 def random_oversample(train: TabularDataset, spec: SamplerSpec) -> TabularDataset:
@@ -142,21 +147,12 @@ def random_oversample(train: TabularDataset, spec: SamplerSpec) -> TabularDatase
     New rows are exact copies tagged Duplicate(source row index); majority
     rows are untouched.
     """
-    if spec.kind != SamplerKind.RANDOM_OVER:
-        raise SamplingError(f"spec kind {spec.kind.value} is not random_over")
-    _, min_idx, maj_idx = _class_split(train)
-    n_new = _oversample_count(spec, min_idx, maj_idx)
-    if n_new == 0:
-        return train
-    rng = np.random.default_rng(spec.seed)
-    sources = rng.choice(min_idx, size=n_new, replace=True)
-    minority_label = int(train.labels[min_idx[0]])
-    return _with_new_rows(
-        train,
-        train.features[sources],
-        minority_label,
-        [RowProvenance.duplicate(int(s)) for s in sources],
-    )
+
+    def copies(min_idx, n_new, rng):
+        sources = rng.choice(min_idx, size=n_new, replace=True)
+        return train.features[sources], [RowProvenance.duplicate(int(s)) for s in sources]
+
+    return _oversample(train, spec, SamplerKind.RANDOM_OVER, 1, copies)
 
 
 def random_undersample(train: TabularDataset, spec: SamplerSpec) -> TabularDataset:
@@ -216,32 +212,18 @@ def smote(train: TabularDataset, spec: SamplerSpec) -> TabularDataset:
     row a, one of its k nearest minority neighbors b (uniform), and
     u ~ U[0, 1) drawn per row.
     """
-    if spec.kind != SamplerKind.SMOTE:
-        raise SamplingError(f"spec kind {spec.kind.value} is not smote")
-    minority_label, min_idx, maj_idx = _class_split(train)
-    if min_idx.size <= spec.k_neighbors:
-        raise SamplingError(
-            f"smote needs more than k_neighbors={spec.k_neighbors} minority "
-            f"rows, got {min_idx.size} (need at least {spec.k_neighbors + 1})"
-        )
-    n_new = _oversample_count(spec, min_idx, maj_idx)
-    if n_new == 0:
-        return train
-    points = train.features[min_idx]
-    neighbors = _nearest_neighbor_table(points, spec.k_neighbors)
-    rng = np.random.default_rng(spec.seed)
-    base = rng.integers(0, min_idx.size, size=n_new)
-    picks = rng.integers(0, spec.k_neighbors, size=n_new)
-    u = rng.random(n_new)
-    a = points[base]
-    b = points[neighbors[base, picks]]
-    synthetic = a + u[:, None] * (b - a)
-    return _with_new_rows(
-        train,
-        synthetic,
-        minority_label,
-        [RowProvenance.synthetic("smote")] * n_new,
-    )
+
+    def interpolations(min_idx, n_new, rng):
+        points = train.features[min_idx]
+        neighbors = _nearest_neighbor_table(points, spec.k_neighbors)
+        base = rng.integers(0, min_idx.size, size=n_new)
+        picks = rng.integers(0, spec.k_neighbors, size=n_new)
+        u = rng.random(n_new)
+        a = points[base]
+        b = points[neighbors[base, picks]]
+        return a + u[:, None] * (b - a), [RowProvenance.synthetic("smote")] * n_new
+
+    return _oversample(train, spec, SamplerKind.SMOTE, spec.k_neighbors + 1, interpolations)
 
 
 def gaussian_synthesize(train: TabularDataset, spec: SamplerSpec) -> TabularDataset:
@@ -251,25 +233,15 @@ def gaussian_synthesize(train: TabularDataset, spec: SamplerSpec) -> TabularData
     per-feature mean and variance on the minority rows and samples from
     that distribution until the target ratio.
     """
-    if spec.kind != SamplerKind.GAUSSIAN_SYNTH:
-        raise SamplingError(f"spec kind {spec.kind.value} is not gaussian_synth")
-    minority_label, min_idx, maj_idx = _class_split(train)
-    if min_idx.size < 2:
-        raise SamplingError("gaussian synthesis needs at least 2 minority rows")
-    n_new = _oversample_count(spec, min_idx, maj_idx)
-    if n_new == 0:
-        return train
-    points = train.features[min_idx]
-    mean = points.mean(axis=0)
-    std = points.std(axis=0, ddof=0)
-    rng = np.random.default_rng(spec.seed)
-    synthetic = mean + rng.standard_normal((n_new, points.shape[1])) * std
-    return _with_new_rows(
-        train,
-        synthetic,
-        minority_label,
-        [RowProvenance.synthetic("gaussian")] * n_new,
-    )
+
+    def gaussian_draws(min_idx, n_new, rng):
+        points = train.features[min_idx]
+        mean = points.mean(axis=0)
+        std = points.std(axis=0, ddof=0)
+        draws = mean + rng.standard_normal((n_new, points.shape[1])) * std
+        return draws, [RowProvenance.synthetic("gaussian")] * n_new
+
+    return _oversample(train, spec, SamplerKind.GAUSSIAN_SYNTH, 2, gaussian_draws)
 
 
 _SAMPLERS = {

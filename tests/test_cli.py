@@ -118,6 +118,12 @@ class TestGenerate:
         assert run_cli(*common, "--seed", "6", "--output", str(b)) == 0
         assert a.read_bytes() != b.read_bytes()
 
+    def test_non_finite_separation_rejected(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        assert run_cli("generate", "--class-separation", "nan", "--output", str(out)) == 2
+        assert "generate: class_separation" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", RUN_ONLY_FLAGS + [["--out-dir", "x"]])
     def test_unread_flags_rejected(self, tmp_path, capsys, flag):
         out = tmp_path / "data.csv"
@@ -165,6 +171,24 @@ class TestStats:
         )
         assert code == 2
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("f1,Class\n1.0,0\n", "at least 2 rows"),
+            ("f1,Class\n", "empty dataset"),
+            ("Class\n0\n1\n", "no feature columns"),
+        ],
+        ids=["one-row", "header-only", "labels-only"],
+    )
+    def test_too_small_input_fails_before_writing(self, tmp_path, capsys, content, message):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text(content)
+        out_dir = tmp_path / "s"
+        assert run_cli("stats", "--input", str(csv_path), "--out-dir", str(out_dir)) == 2
+        err = capsys.readouterr().err
+        assert "error: stats:" in err and message in err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag", RUN_ONLY_FLAGS)
     def test_unread_flags_rejected(self, tmp_path, capsys, flag):
@@ -305,6 +329,18 @@ class TestRun:
         assert run_cli("run", str(config_path)) == 2
         err = capsys.readouterr().err
         assert "config:" in err and key in err
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("class_separation", float("nan")), ("seed", True), ("n_rows", 600.0)],
+    )
+    def test_synthetic_data_fields_checked(self, tmp_path, capsys, key, value):
+        config_path, config = base_config(tmp_path)
+        config["data"]["synthetic"][key] = value
+        config_path.write_text(json.dumps(config))
+        assert run_cli("run", str(config_path)) == 2
+        assert f"data loading: {key}" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
 
     def test_seed_override_rewrites_every_seed(self, tmp_path):

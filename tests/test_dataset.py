@@ -17,6 +17,7 @@ from leakguard.dataset import (
     RowProvenance,
     SchemaError,
     SplitSpec,
+    StandardizerParams,
     TabularDataset,
     amount_summary_by_class,
     apply_standardizer,
@@ -316,6 +317,32 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic_imbalanced(100, 0.001, 3, 1.0, 0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_rows", 100.0),
+            ("n_rows", True),
+            ("n_features", 3.0),
+            ("seed", True),
+            ("seed", 1.5),
+            ("seed", -1),
+            ("positive_fraction", float("nan")),
+            ("positive_fraction", True),
+            ("class_separation", float("nan")),
+            ("class_separation", float("inf")),
+            ("class_separation", "1.0"),
+        ],
+    )
+    def test_field_types_checked(self, field, value):
+        kwargs = dict(n_rows=100, positive_fraction=0.1, n_features=3, class_separation=1.0, seed=0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            generate_synthetic_imbalanced(**kwargs)
+
+    def test_numpy_scalars_accepted(self):
+        a = generate_synthetic_imbalanced(np.int64(100), np.float64(0.1), np.int32(3), 1, np.int64(5))
+        assert a.equals(generate_synthetic_imbalanced(100, 0.1, 3, 1.0, 5))
+
 
 class TestStratifiedSplit:
     def test_per_class_counts(self):
@@ -428,6 +455,13 @@ class TestStandardizer:
         )
         with pytest.raises(KeyError):
             apply_standardizer(other, params)
+
+    def test_repeated_column_rejected(self):
+        # Applied twice, a repeated column would be scaled twice.
+        with pytest.raises(ValueError, match="unique"):
+            StandardizerParams(columns=("c0", "c0"), means=(2.0, 2.0), std_devs=(1.0, 1.0))
+        with pytest.raises(ValueError, match="unique"):
+            fit_standardizer(make_dataset([[1.0], [3.0]], [0, 1]), ["c0", "c0"])
 
     def test_train_only_params_ignore_test_rows(self):
         data = generate_synthetic_imbalanced(200, 0.2, 3, 1.0, 21)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from leakguard.experiment import (
     detect_leakage,
     run_scenario,
 )
+from leakguard.metrics import ConfusionMatrix
 from leakguard.sampling import SamplerKind, SamplerPipeline, SamplerSpec, apply_pipeline
 
 FAST_MODEL = GbdtParams(learning_rate=0.3, n_estimators=8, max_depth=3)
@@ -462,3 +464,20 @@ class TestScenarioSpecRoundTrip:
     def test_threshold_must_be_a_finite_real(self, value):
         with pytest.raises(ValueError, match="threshold"):
             scenario("z", Placement.NO_SAMPLING, threshold=value)
+
+
+@pytest.mark.parametrize(
+    "obj, from_dict, derived",
+    [
+        (GbdtParams(learning_rate=0.1, n_estimators=3, n_bins=32), GbdtParams.from_dict, []),
+        (SplitSpec(0.25, 9, False), SplitSpec.from_dict, []),
+        (SamplerSpec(SamplerKind.SMOTE, 0.8, 3, 11), SamplerSpec.from_dict, []),
+        (LeakageReport(2, 0, False), LeakageReport.from_dict, ["verdict"]),
+        (ConfusionMatrix(tp=1, fp=2, tn=3, fn=4), lambda d: ConfusionMatrix(**d), []),
+    ],
+    ids=["GbdtParams", "SplitSpec", "SamplerSpec", "LeakageReport", "ConfusionMatrix"],
+)
+def test_to_dict_keys_are_the_declared_fields_in_order(obj, from_dict, derived):
+    d = obj.to_dict()
+    assert list(d) == [f.name for f in fields(obj)] + derived
+    assert from_dict(json.loads(json.dumps(d))) == obj

@@ -346,6 +346,49 @@ class TestGaussianSynthesize:
             gaussian_synthesize(tiny, SamplerSpec(SamplerKind.GAUSSIAN_SYNTH, 0.5, seed=2))
 
 
+@pytest.mark.parametrize(
+    "sampler, kind",
+    [
+        (random_oversample, SamplerKind.RANDOM_OVER),
+        (smote, SamplerKind.SMOTE),
+        (gaussian_synthesize, SamplerKind.GAUSSIAN_SYNTH),
+    ],
+    ids=["random_over", "smote", "gaussian_synth"],
+)
+class TestOversamplerSteps:
+    """The steps all oversamplers share, checked for each of them."""
+
+    def test_fixed_point_returns_the_input(self, sampler, kind):
+        data = imbalanced(50, 100)
+        assert sampler(data, SamplerSpec(kind, 0.5, seed=1)) is data
+
+    def test_below_current_ratio_refused(self, sampler, kind):
+        data = imbalanced(80, 100)
+        with pytest.raises(SamplingError, match="below the current"):
+            sampler(data, SamplerSpec(kind, 0.5, seed=1))
+
+    def test_other_kind_refused(self, sampler, kind):
+        data = imbalanced(30, 100)
+        with pytest.raises(SamplingError, match=f"is not {kind.value}"):
+            sampler(data, SamplerSpec(SamplerKind.RANDOM_UNDER, 0.8, seed=1))
+
+    def test_single_class_refused(self, sampler, kind):
+        data = imbalanced(50, 1000)
+        only_maj = data.select_rows(np.flatnonzero(data.labels == 0))
+        with pytest.raises(SamplingError, match="both classes"):
+            sampler(only_maj, SamplerSpec(kind, 0.8, seed=1))
+
+
+@pytest.mark.parametrize(
+    "sampler, kind, n_min, fragment",
+    [(smote, SamplerKind.SMOTE, 5, "at least 6"), (gaussian_synthesize, SamplerKind.GAUSSIAN_SYNTH, 1, "at least 2")],
+    ids=["smote", "gaussian_synth"],
+)
+def test_too_few_minority_rows_refused(sampler, kind, n_min, fragment):
+    with pytest.raises(SamplingError, match=fragment):
+        sampler(imbalanced(n_min, 100), SamplerSpec(kind, 0.5, seed=1))
+
+
 class TestPipeline:
     def hybrid_pipeline(self):
         return SamplerPipeline(
@@ -437,3 +480,22 @@ class TestSpecValidation:
         assert SamplerSpec.from_dict(spec.to_dict()) == spec
         pipeline = SamplerPipeline(steps=(spec,))
         assert SamplerPipeline.from_dict(pipeline.to_dict()) == pipeline
+
+
+# Fingerprints of each sampler's output on one fixed input, recorded from
+# the per-arm samplers before they shared one oversampling path. A change
+# in what a sampler draws, or in which order, moves its fingerprint.
+SAMPLER_FINGERPRINTS = {
+    SamplerKind.RANDOM_OVER: "6040e4e33eb805e3411903b50e984a88c817b47bd0d848a840892a09a7da4a12",
+    SamplerKind.RANDOM_UNDER: "2a07a6208205760135b0a715f170da8750c9ae0ebacfdaaf37490784c3b69758",
+    SamplerKind.SMOTE: "d973ce57cd770ba24c3c2029b8c93541e85c2e4bbe599957e43989c1d9cd9995",
+    SamplerKind.GAUSSIAN_SYNTH: "20c5547c41a3a3979d8f491a2ecfde656e4a48d2c693aaa30d40ad504fa1bebf",
+}
+
+
+@pytest.mark.parametrize("kind", list(SamplerKind), ids=lambda k: k.value)
+def test_sampler_output_fingerprint_is_pinned(kind):
+    data = imbalanced(30, 100, dims=3, seed=4)
+    out = resample(data, SamplerSpec(kind, 0.6, seed=5))
+    assert out.n_rows == (80 if kind == SamplerKind.RANDOM_UNDER else 160)
+    assert out.fingerprint == SAMPLER_FINGERPRINTS[kind]
