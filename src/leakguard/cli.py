@@ -4,7 +4,8 @@ Subcommands: generate (synthetic dataset CSV), stats (distribution
 summaries behind the usual imbalance figures), run (execute configured
 scenarios), compare (side-by-side metric tables with inflation deltas).
 Every run is driven entirely by explicit config and seeds; outputs are
-written atomically and never overwritten without --force.
+written atomically and never overwritten without --force, and every
+subcommand checks all its output paths before it does any work.
 """
 
 from __future__ import annotations
@@ -115,14 +116,27 @@ def _load_config(path: Path, seed_override: int | None) -> ExperimentConfig:
         raise CliError(f"config: {path}: {exc}") from exc
 
 
+def _refuse_existing(paths, force: bool) -> None:
+    """Refuse, before anything is written, if any output already exists."""
+    for path in paths:
+        if path.exists() and not force:
+            raise CliError(f"output: {path} exists; pass --force to overwrite")
+
+
 def _write_atomic(path: Path, force: bool, write) -> None:
-    """Call write(tmp) on a sibling temp file, then move it onto path."""
-    if path.exists() and not force:
-        raise CliError(f"output: {path} exists; pass --force to overwrite")
+    """Call write(tmp) on a sibling temp file, then move it onto path.
+
+    If either step fails, or is interrupted, the temp file is removed.
+    """
+    _refuse_existing([path], force)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    write(tmp)
-    tmp.replace(path)
+    try:
+        write(tmp)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_text(path: Path, text: str, force: bool) -> None:
@@ -134,6 +148,8 @@ def _json_text(payload) -> str:
 
 
 def cmd_generate(args) -> int:
+    out = Path(args.output)
+    _refuse_existing([out], args.force)
     try:
         data = ds.generate_synthetic_imbalanced(
             n_rows=args.n_rows,
@@ -144,7 +160,6 @@ def cmd_generate(args) -> int:
         )
     except ValueError as exc:
         raise CliError(f"generate: {exc}") from exc
-    out = Path(args.output)
     _write_atomic(out, args.force, lambda tmp: ds.save_csv(data, tmp))
     counts, fraction = ds.class_distribution(data)
     print(f"wrote {out}: {data.n_rows} rows, {counts[1]} positive ({fraction:.4%})")
@@ -152,6 +167,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    out_dir = Path(args.out_dir)
+    dist_path, summary_path, matrix_path = (
+        out_dir / name
+        for name in ("class_distribution.json", "amount_summary.json", "correlation_matrix.csv")
+    )
+    _refuse_existing([dist_path, summary_path, matrix_path], args.force)
     schema = ds.CREDITCARD_SCHEMA if args.schema == "creditcard" else None
     try:
         data = ds.load_csv(args.input, schema=schema)
@@ -171,9 +192,8 @@ def cmd_stats(args) -> int:
     except ValueError as exc:
         raise CliError(f"stats: {exc}") from exc
 
-    out_dir = Path(args.out_dir)
     _write_text(
-        out_dir / "class_distribution.json",
+        dist_path,
         _json_text(
             {
                 "counts": {str(k): v for k, v in counts.items()},
@@ -183,7 +203,7 @@ def cmd_stats(args) -> int:
         args.force,
     )
     _write_text(
-        out_dir / "amount_summary.json",
+        summary_path,
         _json_text({"column": column, "by_class": {str(k): v for k, v in summary.items()}}),
         args.force,
     )
@@ -192,7 +212,7 @@ def cmd_stats(args) -> int:
         lines.append(name + "," + ",".join(repr(v) for v in row.tolist()))
     if constant:
         print(f"note: constant column(s) reported with zero correlation: {', '.join(constant)}")
-    _write_text(out_dir / "correlation_matrix.csv", "\n".join(lines) + "\n", args.force)
+    _write_text(matrix_path, "\n".join(lines) + "\n", args.force)
 
     print(f"wrote stats for {args.input} to {out_dir}")
     return 0
@@ -213,23 +233,25 @@ def cmd_run(args) -> int:
             "pass --allow-presplit-sampling to run them anyway"
         )
 
+    out_dir = Path(args.out_dir) if args.out_dir else Path(config.out_dir)
+    paths = [out_dir / f"{s.name}-{s.split.seed}.result.json" for s in config.scenarios]
+    _refuse_existing(paths, args.force)
+
     try:
         data = config.load_dataset()
     except Exception as exc:
         raise CliError(f"data loading: {exc}") from exc
 
-    out_dir = Path(args.out_dir) if args.out_dir else Path(config.out_dir)
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
         futures = [
             (spec, pool.submit(run_scenario, data, spec))
             for spec in config.scenarios
         ]
-        for spec, future in futures:
+        for (spec, future), path in zip(futures, paths):
             try:
                 result = future.result()
             except Exception as exc:
                 raise CliError(f"scenario '{spec.name}': {exc}") from exc
-            path = out_dir / f"{spec.name}-{spec.split.seed}.result.json"
             _write_text(path, _json_text(result.to_dict()), args.force)
             m = result.metrics
             print(
@@ -279,6 +301,9 @@ def format_table(report: ComparisonReport) -> str:
 
 
 def cmd_compare(args) -> int:
+    json_path = Path(args.out_dir) / "comparison.json"
+    text_path = Path(args.out_dir) / "comparison.txt"
+    _refuse_existing([json_path, text_path], args.force)
     results = []
     for path in args.results:
         p = Path(path)
@@ -292,10 +317,9 @@ def cmd_compare(args) -> int:
         report = compare_scenarios(results)
     except ValueError as exc:
         raise CliError(f"compare: {exc}") from exc
-    out_dir = Path(args.out_dir)
     text = format_table(report)
-    _write_text(out_dir / "comparison.json", _json_text(report.to_dict()), args.force)
-    _write_text(out_dir / "comparison.txt", text, args.force)
+    _write_text(json_path, _json_text(report.to_dict()), args.force)
+    _write_text(text_path, text, args.force)
     print(text, end="")
     return 0
 

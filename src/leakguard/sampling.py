@@ -81,8 +81,10 @@ class SamplerPipeline:
         return cls(steps=tuple(SamplerSpec.from_dict(s) for s in steps))
 
 
-# Float64 cells in one block of _nearest_neighbor_table's difference tensor
-# (32 MB), so its memory stays bounded whatever the minority count.
+# Float64 difference cells that one block of _nearest_neighbor_table may
+# refine (32 MB) when every cell survives its screen, as with identical
+# rows; the block's screen itself holds 1/d of that. Memory stays bounded
+# whatever the minority count.
 _KNN_BLOCK_ELEMENTS = 1 << 22
 
 
@@ -179,27 +181,92 @@ def random_undersample(train: TabularDataset, spec: SamplerSpec) -> TabularDatas
 
 
 def _nearest_neighbor_table(points: np.ndarray, k: int) -> np.ndarray:
-    """Indices of each point's k nearest neighbors (self excluded).
+    """Indices of each float64 point's k nearest neighbors (self excluded).
 
-    Exact brute-force Euclidean search; distance ties break toward the
-    lower row index, NaN distances sort last, exactly as the first k
-    columns of a stable row-wise argsort. Query rows go in blocks whose
-    difference tensor holds at most _KNN_BLOCK_ELEMENTS cells. In each
-    block, np.partition finds every row's k-th smallest distance; the
-    cells not above it (NaN cells included, so rows with NaN stay exact)
-    are ordered by (row, distance, column) and the first k per row kept.
+    The table is the first k columns of a stable row-wise argsort of the
+    difference-form squared distances t_ij = sum_l fl(p_il - p_jl)**2
+    with the diagonal set to inf: distance ties break toward the lower
+    row index and NaN distances sort last. Query rows go in blocks of
+    _KNN_BLOCK_ELEMENTS // (m * d) rows, and each block takes two passes.
+
+    Screen. With c = fl(p - mean) the centred rows and n_i = fl(|c_i|^2),
+    one matrix product gives g_ij = n_i + n_j - 2 fl(c_i . c_j), with the
+    diagonal set to inf. G_i is the row's k-th smallest g, and every cell
+    with g_ij <= G_i + 2 E_i is kept, where E_i bounds |g_ij - t_ij| over
+    the row. The k cells of smallest g then have t <= G_i + E_i, so the
+    row's k-th smallest t, T_i, is at most G_i + E_i, and every cell with
+    t_ij <= T_i has g_ij <= G_i + 2 E_i: the screen keeps every cell the
+    table can hold.
+
+    Refine. For the kept cells only, t_ij is computed from the original
+    points by the same einsum reduction over d contiguous differences as
+    in the one-shot kernel, so each value is bit-identical to it.
+    Self-pairs are set to inf, the cells are ordered by (row, t, column),
+    and each row's first k are its table row.
+
+    The bound. Let u = 2**-53, eps = 2u, N = |c_i|^2 + |c_j|^2 and
+    gamma_d = d u / (1 - d u). Every inner product below is bounded for
+    any summation order, with or without FMA (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 3.1): |fl(x.y) - x.y| <=
+    gamma_d sum_l |x_l y_l| + d * 2**-1075, the last term for underflow
+    in the products. A subtraction's error is relative even when its
+    result is subnormal. To first order in u:
+    - Centring: c_i = x_i + e_i with x_i = p_i - mean exact and
+      |e_il| <= u |x_il|, whatever the mean's own rounding. So
+      |x_i| <= (1 + 2u)|c_i| and |e_i - e_j| <= u sqrt(2N).
+    - t against D = |p_i - p_j|^2: each difference is rounded once, then
+      squared and summed, so |t - D| <= (d + 3) u D + d * 2**-1075, and
+      D = |x_i - x_j|^2 <= 2N.
+    - D against Dc = |c_i - c_j|^2: with a = x_i - x_j and e = e_i - e_j,
+      |Dc - D| = |2 a.e + |e|^2| <= 2 sqrt(2N) u sqrt(2N) = 4u N.
+    - g against Dc: the norms cost gamma_d N, the cross term
+      2 gamma_d |c_i| |c_j| <= gamma_d N, the two additions, whose
+      operands and results are at most 2N, u (2N + 2N), and the
+      underflow terms 4d * 2**-1075.
+    Summed, |g - t| <= (2d + 7) eps N + 5d * 2**-1075. With
+    M = max_j n_j, N <= (n_i + M)(1 + gamma_d) + d * 2**-1074, so
+    E_i = 4(d + 4) eps (n_i + M) + 4(d + 4) * 2**-1074 exceeds twice the
+    relative term and 4/3 of the absolute one. The spare, at least
+    (2d + 9) eps N, absorbs the O(d^2 u^2 N) terms and the rounding of
+    E_i and of G_i + 2 E_i. The centring makes N, and so E_i,
+    independent of a common offset in the data.
+
+    Range. While n_i + M <= 2**1000 no quantity above overflows. Above
+    that, or when n_i + M is inf or NaN (an inf or NaN anywhere in the
+    points makes M NaN), E_i is inf: the threshold is inf or NaN, the
+    comparison keeps the whole row and it is refined exactly as any
+    other. The screen runs under np.errstate, so such input warns only
+    from the refine, as the difference-form kernel warns.
     """
-    m = points.shape[0]
-    rows = max(1, _KNN_BLOCK_ELEMENTS // max(1, m * points.shape[1]))
+    m, d = points.shape
+    rows = max(1, _KNN_BLOCK_ELEMENTS // max(1, m * d))
     table = np.empty((m, k), dtype=np.intp)
+    with np.errstate(all="ignore"):
+        centred = points - points.mean(axis=0)
+        sq = np.einsum("ij,ij->i", centred, centred)
+        scale = sq + sq.max()
+        slack = 4.0 * (d + 4)
+        err = np.where(
+            scale <= 2.0**1000,
+            slack * np.finfo(np.float64).eps * scale
+            + slack * np.finfo(np.float64).smallest_subnormal,
+            np.inf,
+        )
     for s in range(0, m, rows):
         e = min(s + rows, m)
-        diffs = points[s:e, None, :] - points[None, :, :]
-        dist2 = np.einsum("ijk,ijk->ij", diffs, diffs)
-        dist2[np.arange(e - s), np.arange(s, e)] = np.inf
-        kth = np.partition(dist2, k - 1, axis=1)[:, k - 1 : k]
-        r, c = np.nonzero(~(dist2 > kth))
-        order = np.lexsort((c, dist2[r, c], r))
+        with np.errstate(all="ignore"):
+            screen = centred[s:e] @ centred.T
+            screen *= -2.0
+            screen += sq[s:e, None]
+            screen += sq[None, :]
+            screen[np.arange(e - s), np.arange(s, e)] = np.inf
+            bound = np.partition(screen, k - 1, axis=1)[:, k - 1 : k] + 2.0 * err[s:e, None]
+            r, c = np.nonzero(~(screen > bound))
+        diffs = points[s + r]
+        diffs -= points[c]
+        dist2 = np.einsum("ij,ij->i", diffs, diffs)
+        dist2[s + r == c] = np.inf
+        order = np.lexsort((c, dist2, r))
         starts = np.searchsorted(r, np.arange(e - s))  # nonzero lists r ascending
         table[s:e] = c[order][starts[:, None] + np.arange(k)]
     return table

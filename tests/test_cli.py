@@ -124,6 +124,22 @@ class TestGenerate:
         assert "generate: class_separation" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("failure", [OSError("disk full"), KeyboardInterrupt()])
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch, failure):
+        def failing_save_csv(data, path):
+            path.write_text("Class\n0\n")
+            raise failure
+
+        monkeypatch.setattr(ds, "save_csv", failing_save_csv)
+        out = tmp_path / "data.csv"
+        args = ("generate", "--n-rows", "100", "--positive-fraction", "0.1", "--output", str(out))
+        if isinstance(failure, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                run_cli(*args)
+        else:
+            assert run_cli(*args) == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag", RUN_ONLY_FLAGS + [["--out-dir", "x"]])
     def test_unread_flags_rejected(self, tmp_path, capsys, flag):
         out = tmp_path / "data.csv"
@@ -190,6 +206,22 @@ class TestStats:
         assert "error: stats:" in err and message in err
         assert not out_dir.exists()
 
+    def test_existing_later_output_leaves_nothing_written(self, tmp_path, capsys):
+        csv_path = tmp_path / "d.csv"
+        assert run_cli(
+            "generate", "--n-rows", "100", "--positive-fraction", "0.1",
+            "--output", str(csv_path),
+        ) == 0
+        out_dir = tmp_path / "s"
+        out_dir.mkdir()
+        (out_dir / "amount_summary.json").write_text("old\n")
+        args = ("stats", "--input", str(csv_path), "--out-dir", str(out_dir))
+        assert run_cli(*args) == 2
+        assert "amount_summary.json exists" in capsys.readouterr().err
+        assert [p.name for p in out_dir.iterdir()] == ["amount_summary.json"]
+        assert run_cli(*args, "--force") == 0
+        assert len(list(out_dir.iterdir())) == 3
+
     @pytest.mark.parametrize("flag", RUN_ONLY_FLAGS)
     def test_unread_flags_rejected(self, tmp_path, capsys, flag):
         assert_usage_error(
@@ -249,6 +281,20 @@ class TestRun:
         assert run_cli("run", str(config_path)) == 0
         assert run_cli("run", str(config_path)) == 2
         assert run_cli("run", str(config_path), "--force") == 0
+
+    def test_existing_later_output_refused_before_loading(self, tmp_path, monkeypatch, capsys):
+        config_path, _ = base_config(tmp_path)
+        out_dir = tmp_path / "results"
+        out_dir.mkdir()
+        (out_dir / "smote-post-42.result.json").write_text("old\n")
+
+        def no_loading(config):
+            raise AssertionError("data loaded before the outputs were checked")
+
+        monkeypatch.setattr(ExperimentConfig, "load_dataset", no_loading)
+        assert run_cli("run", str(config_path)) == 2
+        assert "smote-post-42.result.json exists" in capsys.readouterr().err
+        assert [p.name for p in out_dir.iterdir()] == ["smote-post-42.result.json"]
 
     def test_workers_do_not_change_results(self, tmp_path):
         config_path, _ = base_config(tmp_path)
@@ -457,6 +503,17 @@ class TestCompare:
         err = capsys.readouterr().err
         assert f"compare: {pre}: " in err and message in err
         assert not (tmp_path / "cmp").exists()
+
+    def test_existing_later_output_leaves_nothing_written(self, tmp_path, capsys):
+        paths = self.make_results(tmp_path)
+        cmp_dir = tmp_path / "cmp"
+        cmp_dir.mkdir()
+        (cmp_dir / "comparison.txt").write_text("old\n")
+        assert run_cli("compare", *paths, "--out-dir", str(cmp_dir)) == 2
+        assert "comparison.txt exists" in capsys.readouterr().err
+        assert [p.name for p in cmp_dir.iterdir()] == ["comparison.txt"]
+        assert run_cli("compare", *paths, "--out-dir", str(cmp_dir), "--force") == 0
+        assert (cmp_dir / "comparison.json").exists()
 
     def test_missing_result_file(self, tmp_path, capsys):
         assert run_cli("compare", str(tmp_path / "missing.json"), "--out-dir", str(tmp_path)) == 2

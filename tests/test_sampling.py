@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -306,6 +307,97 @@ class TestNearestNeighborTable:
         finally:
             tracemalloc.stop()
         assert peak < 128 * 2**20
+
+    # The screen keeps every cell whose Gram-form distance is within twice
+    # its rounding bound of the row's k-th; these cases push that bound at
+    # the ends of the float range, under cancellation and at full width.
+
+    def test_seeded_random_scales_equal_one_shot(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        for case in range(120):
+            m = int(rng.integers(2, 60))
+            d = int(rng.integers(1, 12))
+            k = int(rng.integers(1, m))
+            scale = 10.0 ** rng.uniform(-150, 150)
+            points = rng.standard_normal((m, d))
+            if case % 2:
+                points = tied_points(m, d, case)
+            points *= scale
+            block_rows = int(rng.integers(1, m + 1))
+            monkeypatch.setattr(sampling, "_KNN_BLOCK_ELEMENTS", block_rows * m * d)
+            table = sampling._nearest_neighbor_table(points, k)
+            assert np.array_equal(table, one_shot_neighbor_table(points, k)), (case, m, d, k)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 1e150])
+    def test_extreme_scales_at_credit_card_widths_equal_one_shot(self, scale):
+        for d in (30, 34):
+            rng = np.random.default_rng(d)
+            for points in (rng.standard_normal((300, d)), tied_points(300, d, d)):
+                points = points * scale
+                table = sampling._nearest_neighbor_table(points, 5)
+                assert np.array_equal(table, one_shot_neighbor_table(points, 5)), d
+
+    @pytest.mark.parametrize(
+        "offset, spread", [(1e8, 1e-3), (-1e8, 1e-3), (1e15, 1.0), (1e12, 1e-9)]
+    )
+    def test_large_common_offset_equals_one_shot(self, offset, spread):
+        # Uncentred, the Gram form would lose every digit of the spread.
+        rng = np.random.default_rng(16)
+        for d in (3, 16, 34):
+            points = offset + spread * rng.standard_normal((200, d))
+            table = sampling._nearest_neighbor_table(points, 5)
+            assert np.array_equal(table, one_shot_neighbor_table(points, 5)), d
+
+    @pytest.mark.parametrize("block_rows", [1, 7, None], ids=["block-1", "block-7", "default"])
+    @pytest.mark.parametrize("cells", ["inf", "inf-row", "near-overflow"])
+    def test_inf_cells_equal_one_shot_and_warn_alike(self, monkeypatch, block_rows, cells):
+        m, d = 50, 4
+        points = np.random.default_rng(17).standard_normal((m, d))
+        if cells == "inf":
+            points[[3, 8], 1] = np.inf
+            points[20, 2] = -np.inf
+        elif cells == "inf-row":
+            points[11] = np.inf
+        else:
+            points[[5, 30]] *= 1e154  # their squared distances overflow
+        if block_rows is not None:
+            monkeypatch.setattr(sampling, "_KNN_BLOCK_ELEMENTS", block_rows * m * d)
+        for k in (1, 5, m - 1):
+            with warnings.catch_warnings(record=True) as ours:
+                warnings.simplefilter("always")
+                table = sampling._nearest_neighbor_table(points, k)
+            with warnings.catch_warnings(record=True) as oracle:
+                warnings.simplefilter("always")
+                expected = one_shot_neighbor_table(points, k)
+            assert np.array_equal(table, expected), k
+            assert {str(w.message) for w in ours} <= {str(w.message) for w in oracle}
+
+    def test_bench_shape_equals_one_shot(self):
+        # 2,400 x 16 is resample-sweep's largest minority set; the oracle
+        # holds a 737 MB difference tensor for it.
+        points = np.random.default_rng(18).standard_normal((2400, 16))
+        table = sampling._nearest_neighbor_table(points, 5)
+        assert np.array_equal(table, one_shot_neighbor_table(points, 5))
+
+    @pytest.mark.parametrize("data, limit_mb", [("offset", 16), ("identical", 128)])
+    def test_peak_memory_is_bounded_when_cells_survive_the_screen(self, data, limit_mb):
+        # Identical rows tie every cell with the row's k-th, so the screen
+        # keeps them all and the refine holds a full block. Uncentred, the
+        # offset input would do the same; centred, it keeps about as few
+        # cells as unshifted data.
+        if data == "identical":
+            points = np.full((2400, 16), 2.5)
+        else:
+            points = 1e8 + 1e-3 * np.random.default_rng(19).standard_normal((2400, 16))
+        tracemalloc.start()
+        try:
+            table = sampling._nearest_neighbor_table(points, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 2**20
+        if data == "identical":
+            assert table[:3].tolist() == [[1, 2, 3, 4, 5], [0, 2, 3, 4, 5], [0, 1, 3, 4, 5]]
 
 
 class TestGaussianSynthesize:
