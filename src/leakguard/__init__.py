@@ -11,6 +11,7 @@ from .boosting import GbdtModel, GbdtParams, predict, predict_margin, predict_pr
 from .dataset import (
     CREDITCARD_SCHEMA,
     HourMode,
+    ProvenanceColumns,
     RowProvenance,
     SplitSpec,
     StandardizerParams,
@@ -62,6 +63,7 @@ __all__ = [
     "MetricsReport",
     "Placement",
     "Preprocessing",
+    "ProvenanceColumns",
     "RowProvenance",
     "SamplerKind",
     "SamplerPipeline",

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import boosting, metrics, sampling
 from .dataset import (
+    ORIGINAL,
     HourMode,
     RowProvenance,
     SplitSpec,
@@ -31,10 +32,15 @@ from .dataset import (
     class_distribution,
     engineer_time_features,
     fit_standardizer,
+    round_half_up,
     stratified_split,
 )
 
-RESULT_FORMAT_VERSION = 2
+RESULT_FORMAT_VERSION = 3
+
+# Probability, on each side, that a clean unstratified split puts a test
+# positive count outside the interval the audit accepts.
+CLASS_COUNT_TAIL = 1e-9
 
 METRIC_KEYS = ("accuracy", "precision", "recall", "f1", "mcc", "auc")
 
@@ -125,17 +131,21 @@ class LeakageReport:
     synthetic_rows_in_test counts test rows whose provenance is not
     Original (sampler-created rows that ended up in the evaluation set);
     duplicate_pairs_across_split counts exact feature-vector matches
-    between the partitions. The verdict is derived from these facts, never
-    stored: Leaky exactly when either count is positive or the scaler saw
-    the full dataset.
+    between the partitions; test_class_count_shift counts how far the test
+    partition's size and class counts lie from what the split spec allows
+    for the loaded data (see class_count_shift). The verdict is derived
+    from these facts, never stored: Leaky exactly when any count is
+    positive or the scaler saw the full dataset.
     """
 
     synthetic_rows_in_test: int
     duplicate_pairs_across_split: int
     scaler_fitted_on_full_data: bool
+    test_class_count_shift: int
 
     def __post_init__(self):
-        for name in ("synthetic_rows_in_test", "duplicate_pairs_across_split"):
+        counts = ("synthetic_rows_in_test", "duplicate_pairs_across_split", "test_class_count_shift")
+        for name in counts:
             object.__setattr__(self, name, as_int(name, getattr(self, name)))
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} cannot be negative")
@@ -148,6 +158,7 @@ class LeakageReport:
         leaky = (
             self.synthetic_rows_in_test > 0
             or self.duplicate_pairs_across_split > 0
+            or self.test_class_count_shift > 0
             or self.scaler_fitted_on_full_data
         )
         return Verdict.LEAKY if leaky else Verdict.CLEAN
@@ -159,11 +170,7 @@ class LeakageReport:
     def from_dict(cls, d: dict) -> "LeakageReport":
         """Read a stored report; a stored verdict that its counts do not
         produce is refused."""
-        report = cls(
-            synthetic_rows_in_test=d["synthetic_rows_in_test"],
-            duplicate_pairs_across_split=d["duplicate_pairs_across_split"],
-            scaler_fitted_on_full_data=d["scaler_fitted_on_full_data"],
-        )
+        report = cls(**{f.name: d[f.name] for f in fields(cls)})
         if Verdict(d["verdict"]) != report.verdict:
             raise ValueError("verdict inconsistent with the leakage counts")
         return report
@@ -228,11 +235,17 @@ class ScenarioResult:
         wall_time = as_real("wall_time", d["wall_time"])
         if wall_time < 0:
             raise ValueError("wall_time cannot be negative")
+        # Checked before the stored verdict, so a count edited together with
+        # the verdict is named as the contradiction it is.
+        prov = _read_counts(d, "test_provenance_counts", RowProvenance.KINDS)
+        created = as_int("leakage.synthetic_rows_in_test", d["leakage"]["synthetic_rows_in_test"])
+        if created != prov["duplicate"] + prov["synthetic"]:
+            raise ValueError("leakage.synthetic_rows_in_test disagrees with test_provenance_counts")
         result = cls(
             scenario=ScenarioSpec.from_dict(d["scenario"]),
             leakage=LeakageReport.from_dict(d["leakage"]),
             train_class_counts={int(k): v for k, v in train_counts.items()},
-            test_provenance_counts=_read_counts(d, "test_provenance_counts", RowProvenance.KINDS),
+            test_provenance_counts=prov,
             wall_time=wall_time,
             data_fingerprint=fingerprint,
             test_labels=tuple(d["test_labels"]),
@@ -245,9 +258,6 @@ class ScenarioResult:
             if wrong or stored.keys() != derived[key].keys():
                 bad = ", ".join(wrong) or key
                 raise ValueError(f"{bad}: stored value contradicts the test labels and scores")
-        prov = result.test_provenance_counts
-        if result.leakage.synthetic_rows_in_test != prov["duplicate"] + prov["synthetic"]:
-            raise ValueError("leakage.synthetic_rows_in_test disagrees with test_provenance_counts")
         if sum(prov.values()) != len(result.test_labels):
             raise ValueError("test_provenance_counts do not add up to the number of test labels")
         return result
@@ -270,19 +280,74 @@ def dataset_fingerprint(dataset: TabularDataset) -> str:
     return dataset.fingerprint
 
 
+def hypergeometric_interval(rows: int, positives: int, draws: int) -> tuple[int, int]:
+    """Bounds [lo, hi] on X, the positives among ``draws`` rows drawn without
+    replacement from ``rows`` rows that hold ``positives`` positives, with
+    P(X < lo) and P(X > hi) each at most CLASS_COUNT_TAIL: lo is the least
+    k with P(X <= k) above the tail, hi the greatest k with P(X >= k)
+    above it."""
+    low = max(0, draws + positives - rows)
+    k = np.arange(low, min(draws, positives), dtype=np.float64)
+    # pmf(k + 1) / pmf(k), so the log pmf, up to a constant, is a running sum.
+    ratio = (positives - k) * (draws - k) / ((k + 1) * (rows - positives - draws + k + 1))
+    log_pmf = np.concatenate([[0.0], np.cumsum(np.log(ratio))])
+    pmf = np.exp(log_pmf - log_pmf.max())
+    pmf /= pmf.sum()
+    at_most = np.cumsum(pmf)
+    at_least = np.cumsum(pmf[::-1])[::-1]
+    return (
+        low + int(np.flatnonzero(at_most > CLASS_COUNT_TAIL)[0]),
+        low + int(np.flatnonzero(at_least > CLASS_COUNT_TAIL)[-1]),
+    )
+
+
+def class_count_shift(
+    loaded_class_counts: dict[int, int], test_labels: np.ndarray, split: SplitSpec
+) -> int:
+    """How many rows the test partition's size and class counts lie outside
+    what ``split`` draws from data with the loaded class counts.
+
+    A stratified split takes exactly round_half_up(count * test_fraction)
+    rows of each class, so the shift is the sum over classes of the
+    distance to that count. An unstratified split takes exactly
+    round_half_up(rows * test_fraction) rows, with a positive count that is
+    hypergeometric, so the shift is the distance to that size plus the
+    distance of the positive count to hypergeometric_interval. A split of
+    the loaded data shifts nothing, except an unstratified one with
+    probability at most 2 * CLASS_COUNT_TAIL; sampling before the split
+    that changes the class counts shifts them.
+    """
+    counts = np.bincount(test_labels, minlength=2)
+    if split.stratified:
+        return sum(
+            abs(int(counts[c]) - round_half_up(loaded_class_counts[c] * split.test_fraction))
+            for c in (0, 1)
+        )
+    rows = loaded_class_counts[0] + loaded_class_counts[1]
+    n_test = round_half_up(rows * split.test_fraction)
+    lo, hi = hypergeometric_interval(rows, loaded_class_counts[1], n_test)
+    positives = int(counts[1])
+    return abs(int(counts.sum()) - n_test) + max(lo - positives, positives - hi, 0)
+
+
 def detect_leakage(
-    train: TabularDataset, test: TabularDataset, scaler_fitted_on_full_data: bool
+    train: TabularDataset,
+    test: TabularDataset,
+    scaler_fitted_on_full_data: bool,
+    loaded_class_counts: dict[int, int],
+    split: SplitSpec,
 ) -> LeakageReport:
     """Audit a train/test pair for evaluation contamination.
 
-    Counts non-Original provenance rows in the test partition and exact
-    feature-vector matches across the partitions (hash-based), and records
-    whether the standardizer saw the full dataset; the report derives its
-    verdict from those three facts.
+    Counts non-Original provenance rows in the test partition, exact
+    feature-vector matches across the partitions (hash-based) and the test
+    class count shift against the loaded data's class counts under
+    ``split``, and records whether the standardizer saw the full dataset;
+    the report derives its verdict from those four facts.
     """
     if train.n_rows == 0 or test.n_rows == 0:
         raise ValueError("both partitions must be non-empty")
-    created = sum(1 for p in test.provenance if not p.is_original)
+    created = np.count_nonzero(test.provenance.kinds != ORIGINAL)
     train_counts = Counter(
         train.features[i].tobytes() for i in range(train.n_rows)
     )
@@ -293,6 +358,7 @@ def detect_leakage(
         synthetic_rows_in_test=created,
         duplicate_pairs_across_split=duplicate_pairs,
         scaler_fitted_on_full_data=scaler_fitted_on_full_data,
+        test_class_count_shift=class_count_shift(loaded_class_counts, test.labels, split),
     )
 
 
@@ -319,6 +385,31 @@ def _preprocess(
     return apply_standardizer(train, params), apply_standardizer(test, params)
 
 
+def _prepared_partitions(
+    data: TabularDataset, spec: ScenarioSpec, guarded: bool
+) -> tuple[TabularDataset, TabularDataset]:
+    """Sample, split and preprocess ``data`` as ``spec`` places them, and
+    return only the prepared (train, test) pair. The raw partitions and any
+    pre-split sample are freed on return, before training starts."""
+    working = data
+    if spec.placement == Placement.SAMPLING_BEFORE_SPLIT:
+        with _stage("sampling before split"):
+            working = sampling.apply_pipeline(working, spec.pipeline)
+
+    with _stage("train/test split"):
+        train_part, test_part = stratified_split(working, spec.split)
+    del working  # the pre-split sample is not read again
+
+    if spec.placement == Placement.SAMPLING_AFTER_SPLIT:
+        with _stage("sampling after split"):
+            train_part = sampling.apply_pipeline(train_part, spec.pipeline)
+
+    hour_mode = HourMode.CORRECTED if guarded else HourMode.PAPER_FAITHFUL
+    fit_source = train_part if guarded else data
+    with _stage("preprocessing"):
+        return _preprocess(train_part, test_part, fit_source, hour_mode)
+
+
 @contextlib.contextmanager
 def _stage(name: str):
     """Name the stage in any ordinary exception raised inside it; a
@@ -339,39 +430,25 @@ def run_scenario(data: TabularDataset, spec: ScenarioSpec) -> ScenarioResult:
     """
     start = time.perf_counter()
     fingerprint = dataset_fingerprint(data)
-
-    working = data
-    if spec.placement == Placement.SAMPLING_BEFORE_SPLIT:
-        with _stage("sampling before split"):
-            working = sampling.apply_pipeline(working, spec.pipeline)
-
-    with _stage("train/test split"):
-        train_part, test_part = stratified_split(working, spec.split)
-
-    if spec.placement == Placement.SAMPLING_AFTER_SPLIT:
-        with _stage("sampling after split"):
-            train_part = sampling.apply_pipeline(train_part, spec.pipeline)
-
     guarded = spec.preprocessing == Preprocessing.GUARDED
-    hour_mode = HourMode.CORRECTED if guarded else HourMode.PAPER_FAITHFUL
-    fit_source = train_part if guarded else data
-    with _stage("preprocessing"):
-        train_ready, test_ready = _preprocess(train_part, test_part, fit_source, hour_mode)
+    train_ready, test_ready = _prepared_partitions(data, spec, guarded)
 
     with _stage("model training"):
         model = boosting.train(train_ready, spec.model)
 
     with _stage("leakage detection"):
-        leakage = detect_leakage(train_ready, test_ready, not guarded)
+        leakage = detect_leakage(
+            train_ready, test_ready, not guarded, class_distribution(data)[0], spec.split
+        )
 
-    kinds = Counter(p.kind for p in test_ready.provenance)
+    kinds = np.bincount(test_ready.provenance.kinds, minlength=len(RowProvenance.KINDS))
     with _stage("evaluation"):
         scores = boosting.predict_proba(model, test_ready.features)
         result = ScenarioResult(
             scenario=spec,
             leakage=leakage,
             train_class_counts=class_distribution(train_ready)[0],
-            test_provenance_counts={k: kinds[k] for k in RowProvenance.KINDS},
+            test_provenance_counts=dict(zip(RowProvenance.KINDS, kinds.tolist())),
             wall_time=time.perf_counter() - start,
             data_fingerprint=fingerprint,
             test_labels=tuple(test_ready.labels.tolist()),

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import RowProvenance, TabularDataset, as_int, as_real, round_half_up
+from .dataset import ProvenanceColumns, TabularDataset, as_int, as_real, round_half_up
 
 
 class SamplingError(ValueError):
@@ -114,8 +114,8 @@ def _oversample(
 
     The steps every oversampler shares. Only ``make_rows(min_idx, n_new,
     rng)`` differs between them: it returns the n_new new feature rows and
-    their provenance, drawing from the rng seeded with ``spec.seed``. A
-    dataset already at the target ratio is returned as is.
+    their ProvenanceColumns, drawing from the rng seeded with
+    ``spec.seed``. A dataset already at the target ratio is returned as is.
     """
     if spec.kind != kind:
         raise SamplingError(f"spec kind {spec.kind.value} is not {kind.value}")
@@ -139,7 +139,7 @@ def _oversample(
         features=np.vstack([train.features, new_features]),
         feature_names=train.feature_names,
         labels=np.concatenate([train.labels, np.full(n_new, minority_label, dtype=np.int64)]),
-        provenance=train.provenance + tuple(new_provenance),
+        provenance=train.provenance + new_provenance,
     )
 
 
@@ -152,7 +152,7 @@ def random_oversample(train: TabularDataset, spec: SamplerSpec) -> TabularDatase
 
     def copies(min_idx, n_new, rng):
         sources = rng.choice(min_idx, size=n_new, replace=True)
-        return train.features[sources], [RowProvenance.duplicate(int(s)) for s in sources]
+        return train.features[sources], ProvenanceColumns.duplicates(sources)
 
     return _oversample(train, spec, SamplerKind.RANDOM_OVER, 1, copies)
 
@@ -288,7 +288,7 @@ def smote(train: TabularDataset, spec: SamplerSpec) -> TabularDataset:
         u = rng.random(n_new)
         a = points[base]
         b = points[neighbors[base, picks]]
-        return a + u[:, None] * (b - a), [RowProvenance.synthetic("smote")] * n_new
+        return a + u[:, None] * (b - a), ProvenanceColumns.synthetic("smote", n_new)
 
     return _oversample(train, spec, SamplerKind.SMOTE, spec.k_neighbors + 1, interpolations)
 
@@ -306,7 +306,7 @@ def gaussian_synthesize(train: TabularDataset, spec: SamplerSpec) -> TabularData
         mean = points.mean(axis=0)
         std = points.std(axis=0, ddof=0)
         draws = mean + rng.standard_normal((n_new, points.shape[1])) * std
-        return draws, [RowProvenance.synthetic("gaussian")] * n_new
+        return draws, ProvenanceColumns.synthetic("gaussian", n_new)
 
     return _oversample(train, spec, SamplerKind.GAUSSIAN_SYNTH, 2, gaussian_draws)
 

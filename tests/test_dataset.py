@@ -77,6 +77,18 @@ class TestTabularDataset:
             RowProvenance("duplicate")
         assert RowProvenance.original(3).source_index == 3
 
+    def test_select_rows_takes_integer_indices_only(self):
+        data = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1])
+        with pytest.raises(ValueError, match="integers"):
+            data.select_rows(np.array([False, False, True, True]))
+        with pytest.raises(ValueError, match="integers"):
+            data.select_rows([0.0, 2.0])
+        picked = data.select_rows(np.flatnonzero([False, False, True, True]))
+        assert picked.features[:, 0].tolist() == [2.0, 3.0]
+        assert [p.source_index for p in picked.provenance] == [2, 3]
+        assert data.select_rows(np.array([3, 0], dtype=np.uint8)).features[:, 0].tolist() == [3.0, 0.0]
+        assert data.select_rows([]).n_rows == 0
+
 
 class TestLoadCsv:
     def creditcard_rows(self, n):
@@ -159,6 +171,49 @@ class TestLoadCsv:
         save_csv(data, path)
         loaded = load_csv(path)
         assert loaded.equals(data)
+
+
+def row_by_row_save_csv(dataset, path, label_column="Class"):
+    """save_csv as it was before it wrote blocks: the byte oracle."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(list(dataset.feature_names) + [label_column])
+        for i in range(dataset.n_rows):
+            writer.writerow(
+                [repr(v) for v in dataset.features[i].tolist()] + [int(dataset.labels[i])]
+            )
+
+
+class TestSaveCsvBytes:
+    SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, -1e16, 0.1 + 0.2, 1e-300, 123.0]
+
+    @pytest.mark.parametrize(
+        "n_rows, n_features",
+        [(0, 3), (0, 0), (3, 0), (1, 1), (11, 2), (dataset_module._CSV_BLOCK_ROWS + 5, 2)],
+    )
+    def test_matches_the_row_loop(self, tmp_path, n_rows, n_features):
+        rng = np.random.default_rng(n_rows * 7 + n_features)
+        features = rng.choice(self.SPECIAL, size=(n_rows, n_features))
+        if n_rows and n_features:
+            features[:, 0] = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-20, 20, n_rows)
+        names = ("plain", 'has "quotes", and a comma', "with space")[:n_features]
+        names += tuple(f"c{i}" for i in range(len(names), n_features))
+        data = TabularDataset(
+            features=features.reshape(n_rows, n_features),
+            feature_names=names,
+            labels=rng.integers(0, 2, n_rows),
+            provenance=tuple(RowProvenance.original(i) for i in range(n_rows)),
+        )
+        save_csv(data, tmp_path / "blocks.csv")
+        row_by_row_save_csv(data, tmp_path / "rows.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_quoted_label_column_name(self, tmp_path):
+        data = make_dataset([[1.5, -0.0], [np.inf, 5e-324]], [1, 0])
+        save_csv(data, tmp_path / "blocks.csv", label_column="class, label")
+        row_by_row_save_csv(data, tmp_path / "rows.csv", label_column="class, label")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert (tmp_path / "blocks.csv").read_text().startswith('c0,c1,"class, label"\n')
 
 
 SEVENTEEN_DIGITS = (

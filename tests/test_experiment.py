@@ -1,6 +1,10 @@
+import dataclasses
 import hashlib
+import itertools
 import json
+import math
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,10 +14,12 @@ from leakguard.dataset import (
     RowProvenance,
     SplitSpec,
     TabularDataset,
+    class_distribution,
     generate_synthetic_imbalanced,
     stratified_split,
 )
 from leakguard.experiment import (
+    CLASS_COUNT_TAIL,
     LeakageReport,
     Placement,
     Preprocessing,
@@ -21,9 +27,11 @@ from leakguard.experiment import (
     ScenarioResult,
     ScenarioSpec,
     Verdict,
+    class_count_shift,
     compare_scenarios,
     dataset_fingerprint,
     detect_leakage,
+    hypergeometric_interval,
     run_scenario,
 )
 from leakguard.metrics import ConfusionMatrix
@@ -65,22 +73,24 @@ def brute_force_duplicate_pairs(train, test):
 class TestDetectLeakage:
     def test_disjoint_original_partitions_are_clean(self):
         data = small_data()
-        train, test = stratified_split(data, SplitSpec(0.2, 1, True))
-        report = detect_leakage(train, test, False)
+        split = SplitSpec(0.2, 1, True)
+        train, test = stratified_split(data, split)
+        report = detect_leakage(train, test, False, class_distribution(data)[0], split)
         assert report.verdict == Verdict.CLEAN
         assert report.synthetic_rows_in_test == 0
         assert report.duplicate_pairs_across_split == 0
 
     def test_planted_duplicate_detected(self):
         data = small_data()
-        train, test = stratified_split(data, SplitSpec(0.2, 1, True))
+        split = SplitSpec(0.2, 1, True)
+        train, test = stratified_split(data, split)
         polluted = TabularDataset(
             features=np.vstack([test.features, train.features[:1]]),
             feature_names=test.feature_names,
             labels=np.concatenate([test.labels, train.labels[:1]]),
             provenance=test.provenance + (RowProvenance.original(0),),
         )
-        report = detect_leakage(train, polluted, False)
+        report = detect_leakage(train, polluted, False, class_distribution(data)[0], split)
         assert report.duplicate_pairs_across_split >= 1
         assert report.verdict == Verdict.LEAKY
 
@@ -93,27 +103,31 @@ class TestDetectLeakage:
         data = TabularDataset(pool, ("a", "b"), labels, prov)
         train = data.select_rows(range(25))
         test = data.select_rows(range(25, 40))
-        report = detect_leakage(train, test, False)
+        report = detect_leakage(
+            train, test, False, class_distribution(data)[0], SplitSpec(0.375, 0, False)
+        )
         assert report.duplicate_pairs_across_split == brute_force_duplicate_pairs(train, test)
         assert report.duplicate_pairs_across_split > 0
 
     def test_synthetic_provenance_in_test_counted(self):
         data = small_data()
-        train, test = stratified_split(data, SplitSpec(0.2, 1, True))
+        split = SplitSpec(0.2, 1, True)
+        train, test = stratified_split(data, split)
         tainted = TabularDataset(
             features=test.features,
             feature_names=test.feature_names,
             labels=test.labels,
             provenance=(RowProvenance.synthetic("smote"),) + test.provenance[1:],
         )
-        report = detect_leakage(train, tainted, False)
+        report = detect_leakage(train, tainted, False, class_distribution(data)[0], split)
         assert report.synthetic_rows_in_test == 1
         assert report.verdict == Verdict.LEAKY
 
     def test_full_data_scaler_flag_forces_leaky(self):
         data = small_data()
-        train, test = stratified_split(data, SplitSpec(0.2, 1, True))
-        report = detect_leakage(train, test, True)
+        split = SplitSpec(0.2, 1, True)
+        train, test = stratified_split(data, split)
+        report = detect_leakage(train, test, True, class_distribution(data)[0], split)
         assert report.scaler_fitted_on_full_data
         assert report.verdict == Verdict.LEAKY
 
@@ -121,6 +135,7 @@ class TestDetectLeakage:
         "synthetic_rows_in_test": 1,
         "duplicate_pairs_across_split": 0,
         "scaler_fitted_on_full_data": False,
+        "test_class_count_shift": 0,
         "verdict": "leaky",
     }
 
@@ -139,11 +154,78 @@ class TestDetectLeakage:
             ("duplicate_pairs_across_split", True),
             ("scaler_fitted_on_full_data", "no"),
             ("scaler_fitted_on_full_data", 0),
+            ("test_class_count_shift", -1),
+            ("test_class_count_shift", "0"),
         ],
     )
     def test_stored_field_types_checked(self, key, value):
         with pytest.raises(ValueError, match=key):
             LeakageReport.from_dict({**self.STORED, key: value})
+
+
+def brute_force_interval(population, successes, draws, tail):
+    """hypergeometric_interval from exact rational tail sums."""
+    total = math.comb(population, draws)
+    support = range(max(0, draws + successes - population), min(draws, successes) + 1)
+    ways = [math.comb(successes, k) * math.comb(population - successes, draws - k) for k in support]
+    at_most = list(itertools.accumulate(ways))
+    at_least = list(itertools.accumulate(ways[::-1]))[::-1]
+    lo = min(k for k, w in zip(support, at_most) if Fraction(w, total) > tail)
+    hi = max(k for k, w in zip(support, at_least) if Fraction(w, total) > tail)
+    return lo, hi
+
+
+class TestClassCountShift:
+    @pytest.mark.parametrize(
+        "population, successes, draws",
+        [(60, 6, 12), (150, 75, 30), (40, 39, 10), (30, 0, 6), (25, 25, 5), (500, 5, 499),
+         (80, 10, 1), (2000, 200, 400), (1000, 500, 300), (5000, 50, 1000), (4000, 3990, 3000)],
+    )
+    def test_interval_matches_exact_tails(self, population, successes, draws):
+        got = hypergeometric_interval(population, successes, draws)
+        if population in (1000, 2000, 5000):
+            support = (max(0, draws + successes - population), min(draws, successes))
+            assert got != support  # the tails are cut
+        assert got == brute_force_interval(population, successes, draws, Fraction(CLASS_COUNT_TAIL))
+
+    def test_stratified_shift_is_the_distance_to_the_exact_counts(self):
+        split = SplitSpec(0.2, 0, True)
+        loaded = {0: 396, 1: 4}  # 79.2 -> 79 and 0.8 -> 1 test rows
+        labels = np.array([0] * 79 + [1])
+        assert class_count_shift(loaded, labels, split) == 0
+        assert class_count_shift(loaded, labels[1:], split) == 1
+        assert class_count_shift(loaded, np.array([0] * 78 + [1, 1]), split) == 2
+
+    def test_unstratified_shift_counts_size_and_interval(self):
+        split = SplitSpec(0.2, 0, False)
+        loaded = {0: 19800, 1: 200}
+        lo, hi = hypergeometric_interval(20000, 200, 4000)
+        assert lo < 40 < hi
+        for positives in (lo, 40, hi):
+            labels = np.array([0] * (4000 - positives) + [1] * positives)
+            assert class_count_shift(loaded, labels, split) == 0
+        assert class_count_shift(loaded, np.array([0] * (4000 - hi - 3) + [1] * (hi + 3)), split) == 3
+        assert class_count_shift(loaded, np.array([0] * (3999 - lo) + [1] * lo), split) == 1
+
+    @pytest.mark.parametrize("stratified", [True, False])
+    def test_pre_split_undersampling_is_leaky(self, stratified):
+        # The demo data: undersampled to 0.5 before the split, the test set
+        # holds 120 rows instead of 4,000, with a third of them positive.
+        data = generate_synthetic_imbalanced(20000, 0.01, 10, 1.2, 42)
+        pipeline = SamplerPipeline(steps=(SamplerSpec(SamplerKind.RANDOM_UNDER, 0.5, seed=7),))
+        spec = dataclasses.replace(
+            scenario("under-pre", Placement.SAMPLING_BEFORE_SPLIT, pipeline),
+            split=SplitSpec(0.2, 42, stratified),
+        )
+        result = run_scenario(data, spec)
+        assert len(result.test_labels) == 120
+        assert result.leakage.synthetic_rows_in_test == 0
+        assert result.leakage.duplicate_pairs_across_split == 0
+        assert result.leakage.test_class_count_shift >= 3880
+        assert result.leakage.verdict == Verdict.LEAKY
+        spec = dataclasses.replace(spec, placement=Placement.SAMPLING_AFTER_SPLIT)
+        clean = run_scenario(data, spec).leakage
+        assert (clean.test_class_count_shift, clean.verdict) == (0, Verdict.CLEAN)
 
 
 class TestRunScenario:
@@ -472,7 +554,7 @@ class TestScenarioSpecRoundTrip:
         (GbdtParams(learning_rate=0.1, n_estimators=3, n_bins=32), GbdtParams.from_dict, []),
         (SplitSpec(0.25, 9, False), SplitSpec.from_dict, []),
         (SamplerSpec(SamplerKind.SMOTE, 0.8, 3, 11), SamplerSpec.from_dict, []),
-        (LeakageReport(2, 0, False), LeakageReport.from_dict, ["verdict"]),
+        (LeakageReport(2, 0, False, 0), LeakageReport.from_dict, ["verdict"]),
         (ConfusionMatrix(tp=1, fp=2, tn=3, fn=4), lambda d: ConfusionMatrix(**d), []),
     ],
     ids=["GbdtParams", "SplitSpec", "SamplerSpec", "LeakageReport", "ConfusionMatrix"],
