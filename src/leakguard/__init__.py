@@ -38,7 +38,7 @@ from .experiment import (
     detect_leakage,
     run_scenario,
 )
-from .metrics import ConfusionMatrix, MetricsReport, auc, compute_report, confusion, roc_curve
+from .metrics import ConfusionMatrix, MetricsReport, auc, compute_report, confusion
 from .sampling import (
     SamplerKind,
     SamplerPipeline,
@@ -95,7 +95,6 @@ __all__ = [
     "random_oversample",
     "random_undersample",
     "resample",
-    "roc_curve",
     "run_scenario",
     "save_csv",
     "smote",

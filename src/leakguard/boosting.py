@@ -118,12 +118,16 @@ class TreeNode:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreeNode":
+        """The node a to_dict document describes; a field of the wrong type
+        is a ValueError that names it, never a silent coercion."""
         if "weight" in d:
-            return cls.leaf(float(d["weight"]))
+            return cls.leaf(as_real("weight", d["weight"]))
+        if not isinstance(d["missing_left"], bool):
+            raise ValueError(f"missing_left must be true or false, got {d['missing_left']!r}")
         return cls.split(
-            feature_index=int(d["feature"]),
-            threshold=float(d["threshold"]),
-            missing_goes_left=bool(d["missing_left"]),
+            feature_index=as_int("feature", d["feature"]),
+            threshold=as_real("threshold", d["threshold"]),
+            missing_goes_left=d["missing_left"],
             left=cls.from_dict(d["left"]),
             right=cls.from_dict(d["right"]),
         )
@@ -165,10 +169,10 @@ class GbdtModel:
             raise ValueError(f"unsupported model format version {version!r}")
         return cls(
             trees=tuple(TreeNode.from_dict(t) for t in doc["trees"]),
-            base_score=float(doc["base_score"]),
+            base_score=as_real("base_score", doc["base_score"]),
             params=GbdtParams.from_dict(doc["params"]),
-            feature_count=int(doc["feature_count"]),
-            train_loss=tuple(doc.get("train_loss", ())),
+            feature_count=as_int("feature_count", doc["feature_count"]),
+            train_loss=tuple(as_real("train_loss", v) for v in doc.get("train_loss", ())),
         )
 
 

@@ -4,6 +4,13 @@ Every row of a :class:`TabularDataset` knows where it came from: loaded
 from a file, duplicated from another row, or synthesized by a sampler.
 Provenance is what makes train/test contamination detectable after the
 fact, so all loading, splitting, and preprocessing operations preserve it.
+
+A dataset holds its provenance in one form, :class:`ProvenanceColumns`:
+three parallel arrays of kind code, source row and method code, where a
+method code indexes the fixed table ``SYNTHETIC_METHODS``. A
+:class:`RowProvenance` describes one row; it is only for building
+provenance by hand, and a dataset given a sequence of them stores their
+columns.
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ import functools
 import hashlib
 import math
 import warnings
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
@@ -72,13 +78,20 @@ def as_real(name: str, value) -> float:
     return float(value)
 
 
+# The only methods that make synthetic rows; a synthetic row's method code
+# is its index here.
+SYNTHETIC_METHODS = ("smote", "gaussian")
+
+
 @dataclass(frozen=True)
 class RowProvenance:
-    """Origin of one dataset row.
+    """Origin of one dataset row, for building provenance by hand.
 
     kind is one of "original", "duplicate", "synthetic". Duplicates and
     originals point back at a source row index in the dataset they were
-    created from; synthetic rows record the generating method instead.
+    created from; synthetic rows record the generating method instead, one
+    of SYNTHETIC_METHODS. Datasets store provenance as ProvenanceColumns;
+    ``ProvenanceColumns.from_rows`` turns a sequence of these into one.
     """
 
     kind: str
@@ -93,10 +106,15 @@ class RowProvenance:
         if self.kind in ("original", "duplicate"):
             if self.source_index is None or self.source_index < 0:
                 raise ValueError(f"{self.kind} provenance needs a valid source_index")
-        elif self.source_index is not None and self.source_index < 0:
+            if self.method is not None:
+                raise ValueError(f"{self.kind} provenance cannot name a method, got {self.method!r}")
+            return
+        if self.source_index is not None and self.source_index < 0:
             raise ValueError("source_index cannot be negative")
-        if self.kind == "synthetic" and not self.method:
-            raise ValueError("synthetic provenance needs a non-empty method name")
+        if self.method not in SYNTHETIC_METHODS:
+            raise ValueError(
+                f"synthetic provenance needs a method from {SYNTHETIC_METHODS}, got {self.method!r}"
+            )
 
     @classmethod
     def original(cls, source_index: int) -> "RowProvenance":
@@ -110,46 +128,34 @@ class RowProvenance:
     def synthetic(cls, method: str) -> "RowProvenance":
         return cls("synthetic", method=method)
 
-    @property
-    def is_original(self) -> bool:
-        return self.kind == "original"
-
 
 _KIND_CODES = {kind: code for code, kind in enumerate(RowProvenance.KINDS)}
+_METHOD_CODES = {method: code for code, method in enumerate(SYNTHETIC_METHODS)}
 ORIGINAL, DUPLICATE, SYNTHETIC = range(len(RowProvenance.KINDS))
 
 
 @dataclass(frozen=True, eq=False)
-class ProvenanceColumns(Sequence):
+class ProvenanceColumns:
     """Per-row provenance as three parallel read-only arrays.
 
     ``kinds`` (int8) is each row's index into ``RowProvenance.KINDS``,
     ``sources`` (int64) its source row index, -1 where it has none, and
-    ``methods`` (int8) its index into ``method_names``, -1 where it has
-    none. The rules are RowProvenance's. Read as a sequence it yields
-    RowProvenance objects made on demand; a slice is a ProvenanceColumns,
-    ``+`` joins it with another or with a tuple of RowProvenance on either
-    side, and it equals any such tuple holding the same rows.
+    ``methods`` (int8) its index into ``SYNTHETIC_METHODS`` on a synthetic
+    row and -1 on every other row. The rules are RowProvenance's. ``+``
+    joins two of them row after row, and two are equal when their arrays
+    are.
     """
 
     kinds: np.ndarray
     sources: np.ndarray
     methods: np.ndarray
-    method_names: tuple[str, ...] = ()
-
-    __hash__ = None
 
     def __post_init__(self):
-        names = tuple(self.method_names)
-        if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
-            raise ValueError("method names must be distinct strings")
-        if len(names) > np.iinfo(np.int8).max:
-            raise ValueError(f"at most {np.iinfo(np.int8).max} method names")
         columns = {}
         for name, low, high, dtype in (
             ("kinds", 0, len(RowProvenance.KINDS) - 1, np.int8),
             ("sources", -1, np.iinfo(np.int64).max, np.int64),
-            ("methods", -1, len(names) - 1, np.int8),
+            ("methods", -1, len(SYNTHETIC_METHODS) - 1, np.int8),
         ):
             values = np.asarray(getattr(self, name))
             if values.ndim != 1 or (values.size and values.dtype.kind not in "iu"):
@@ -161,15 +167,15 @@ class ProvenanceColumns(Sequence):
         kinds, sources, methods = columns.values()
         if not kinds.size == sources.size == methods.size:
             raise ValueError("provenance columns must have one entry per row")
-        if (sources[kinds != SYNTHETIC] < 0).any():
+        synthetic = kinds == SYNTHETIC
+        if (sources[~synthetic] < 0).any():
             raise ValueError("original and duplicate provenance need a valid source_index")
-        blank = [code for code, name in enumerate(names) if not name]
-        synthetic_methods = methods[kinds == SYNTHETIC]
-        if (synthetic_methods < 0).any() or np.isin(synthetic_methods, blank).any():
-            raise ValueError("synthetic provenance needs a non-empty method name")
+        if (methods[synthetic] < 0).any():
+            raise ValueError("synthetic provenance needs a method code")
+        if (methods[~synthetic] >= 0).any():
+            raise ValueError("original and duplicate provenance cannot name a method")
         for name, values in columns.items():
             object.__setattr__(self, name, values)
-        object.__setattr__(self, "method_names", names)
 
     @classmethod
     def original(cls, n_rows: int) -> "ProvenanceColumns":
@@ -184,12 +190,11 @@ class ProvenanceColumns(Sequence):
 
     @classmethod
     def synthetic(cls, method: str, n_rows: int) -> "ProvenanceColumns":
-        """n_rows rows made by the named method."""
+        """n_rows rows made by the named method, one of SYNTHETIC_METHODS."""
         return cls(
             np.full(n_rows, SYNTHETIC, np.int8),
             np.full(n_rows, -1, np.int64),
-            np.zeros(n_rows, np.int8),
-            (method,),
+            np.full(n_rows, _METHOD_CODES[method], np.int8),
         )
 
     @classmethod
@@ -198,83 +203,38 @@ class ProvenanceColumns(Sequence):
         rows = tuple(rows)
         if not all(isinstance(p, RowProvenance) for p in rows):
             raise TypeError("provenance entries must be RowProvenance")
-        names = tuple(dict.fromkeys(p.method for p in rows if p.method is not None))
-        codes = {name: code for code, name in enumerate(names)}
         n = len(rows)
         sources = (-1 if p.source_index is None else p.source_index for p in rows)
+        methods = (-1 if p.method is None else _METHOD_CODES[p.method] for p in rows)
         return cls(
             np.fromiter((_KIND_CODES[p.kind] for p in rows), np.int8, n),
             np.fromiter(sources, np.int64, n),
-            np.fromiter((-1 if p.method is None else codes[p.method] for p in rows), np.int64, n),
-            names,
+            np.fromiter(methods, np.int8, n),
         )
 
     def take(self, indices: np.ndarray) -> "ProvenanceColumns":
         """The rows at the given integer indices, in that order."""
-        return ProvenanceColumns(
-            self.kinds[indices], self.sources[indices], self.methods[indices], self.method_names
-        )
-
-    def _joined_names(self, other: "ProvenanceColumns") -> tuple[str, ...]:
-        extra = tuple(n for n in other.method_names if n not in self.method_names)
-        return self.method_names + extra
-
-    def _methods_in(self, names: tuple[str, ...]) -> np.ndarray:
-        """This container's method codes re-expressed in another name table
-        that holds every name used here."""
-        lookup = np.array([names.index(n) for n in self.method_names] + [-1], dtype=np.int8)
-        return lookup[self.methods]
+        return ProvenanceColumns(self.kinds[indices], self.sources[indices], self.methods[indices])
 
     def __len__(self) -> int:
         return self.kinds.size
 
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            return self.take(np.arange(len(self))[item])
-        (row,) = self.take([range(len(self))[item]])  # IndexError, TypeError
-        return row
-
-    def __iter__(self):
-        names = self.method_names
-        for kind, source, method in zip(
-            self.kinds.tolist(), self.sources.tolist(), self.methods.tolist()
-        ):
-            yield RowProvenance(
-                RowProvenance.KINDS[kind],
-                None if source < 0 else source,
-                None if method < 0 else names[method],
-            )
-
     def __add__(self, other):
-        if isinstance(other, tuple):
-            other = ProvenanceColumns.from_rows(other)
         if not isinstance(other, ProvenanceColumns):
             return NotImplemented
-        names = self._joined_names(other)
         return ProvenanceColumns(
             np.concatenate([self.kinds, other.kinds]),
             np.concatenate([self.sources, other.sources]),
-            np.concatenate([self.methods, other._methods_in(names)]),
-            names,
+            np.concatenate([self.methods, other.methods]),
         )
 
-    def __radd__(self, other):
-        if isinstance(other, tuple):
-            return ProvenanceColumns.from_rows(other) + self
-        return NotImplemented
-
     def __eq__(self, other):
-        if isinstance(other, tuple):
-            if len(other) != len(self) or not all(isinstance(p, RowProvenance) for p in other):
-                return False
-            other = ProvenanceColumns.from_rows(other)
         if not isinstance(other, ProvenanceColumns):
             return NotImplemented
-        names = self._joined_names(other)
         return (
             np.array_equal(self.kinds, other.kinds)
             and np.array_equal(self.sources, other.sources)
-            and np.array_equal(self._methods_in(names), other._methods_in(names))
+            and np.array_equal(self.methods, other.methods)
         )
 
 
@@ -288,7 +248,7 @@ class TabularDataset:
     feature_names : unique column labels, one per feature column
     labels : per-row class, 0 (negative) or 1 (positive)
     provenance : per-row origin, a ProvenanceColumns or a sequence of
-        RowProvenance (stored as ProvenanceColumns)
+        RowProvenance (stored as ProvenanceColumns.from_rows of it)
     """
 
     features: np.ndarray
@@ -300,7 +260,7 @@ class TabularDataset:
         feats = np.array(self.features, dtype=np.float64, copy=True)
         if feats.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
-        labels = np.array(self.labels, dtype=np.int64, copy=True)
+        raw_labels = np.asarray(self.labels)
         names = tuple(self.feature_names)
         prov = self.provenance
         if not isinstance(prov, ProvenanceColumns):
@@ -311,12 +271,14 @@ class TabularDataset:
             )
         if len(set(names)) != len(names):
             raise ValueError("feature names must be unique")
-        if labels.shape != (feats.shape[0],):
+        if raw_labels.shape != (feats.shape[0],):
             raise ValueError("labels length must equal the row count")
         if len(prov) != feats.shape[0]:
             raise ValueError("provenance length must equal the row count")
-        if labels.size and not np.isin(labels, (0, 1)).all():
+        # Checked before the int64 cast, which would truncate 0.5 to 0.
+        if raw_labels.size and not np.isin(raw_labels, (0, 1)).all():
             raise ValueError("labels must be exactly 0 or 1")
+        labels = raw_labels.astype(np.int64)
         feats.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", feats)

@@ -158,22 +158,6 @@ def _tie_bounds(sorted_values: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], starts, [sorted_values.size]))
 
 
-def roc_curve(labels, scores) -> list[tuple[float, float]]:
-    """(fpr, tpr) points swept over all distinct score thresholds.
-
-    Starts at (0, 0), ends at (1, 1); tied scores move as one block, so
-    ties show up as diagonal segments.
-    """
-    y, s = _check_scored_input(labels, scores)
-    n_pos = int((y == 1).sum())
-    n_neg = y.size - n_pos
-    order = np.argsort(-s, kind="stable")
-    ends = _tie_bounds(s[order])[1:]
-    tp = np.cumsum(y[order] == 1)[ends - 1]
-    fp = ends - tp
-    return [(0.0, 0.0)] + list(zip((fp / n_neg).tolist(), (tp / n_pos).tolist()))
-
-
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks, ties given the mean rank of their block."""
     order = np.argsort(values, kind="stable")

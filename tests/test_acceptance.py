@@ -29,8 +29,9 @@ from leakguard.experiment import (
     Verdict,
     run_scenario,
 )
-from leakguard.metrics import ConfusionMatrix, auc, compute_report, confusion, mcc, roc_curve
+from leakguard.metrics import ConfusionMatrix, auc, compute_report, confusion, mcc
 from leakguard.sampling import SamplerKind, SamplerPipeline, SamplerSpec, apply_pipeline, smote
+from roc_oracle import roc_curve
 
 ACCEPTANCE_DATA_ARGS = dict(
     n_rows=20000, positive_fraction=0.01, n_features=10, class_separation=1.2, seed=42

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import dataclass
 
@@ -636,6 +637,33 @@ class TestSerialization:
     def test_version_checked(self):
         with pytest.raises(ValueError, match="version"):
             GbdtModel.from_json('{"format_version": 99, "trees": []}')
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("missing_left", "false"),
+            ("missing_left", 0),
+            ("feature", 0.9),
+            ("feature", True),
+            ("feature", "0"),
+            ("threshold", "0.5"),
+            ("threshold", None),
+            ("weight", "1.0"),
+            ("weight", False),
+            ("base_score", "0.5"),
+            ("feature_count", 1.0),
+            ("train_loss", "0.5"),
+        ],
+    )
+    def test_mistyped_field_refused(self, field, value):
+        data = make_dataset(np.arange(20, dtype=float), np.array([0, 1] * 10))
+        doc = json.loads(train(data, GbdtParams(n_estimators=1, max_depth=1)).to_json())
+        root = doc["trees"][0]
+        assert "feature" in root
+        holder = {"weight": root["left"], "base_score": doc, "feature_count": doc, "train_loss": doc}
+        holder.get(field, root)[field] = value
+        with pytest.raises(ValueError, match=field):
+            GbdtModel.from_json(json.dumps(doc))
 
     def test_feature_index_validation(self):
         for feature in (5, -1):

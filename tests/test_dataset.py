@@ -13,6 +13,7 @@ from leakguard import dataset as dataset_module
 from leakguard.dataset import (
     CREDITCARD_SCHEMA,
     CsvParseError,
+    ORIGINAL,
     HourMode,
     RowProvenance,
     SchemaError,
@@ -45,8 +46,9 @@ def make_dataset(features, labels):
 
 class TestTabularDataset:
     def test_rejects_label_outside_binary(self):
-        with pytest.raises(ValueError, match="labels"):
-            make_dataset([[1.0], [2.0]], [0, 2])
+        for labels in ([0, 2], [0.5, 1.0]):
+            with pytest.raises(ValueError, match="labels"):
+                make_dataset([[1.0], [2.0]], labels)
 
     def test_rejects_duplicate_feature_names(self):
         with pytest.raises(ValueError, match="unique"):
@@ -85,7 +87,7 @@ class TestTabularDataset:
             data.select_rows([0.0, 2.0])
         picked = data.select_rows(np.flatnonzero([False, False, True, True]))
         assert picked.features[:, 0].tolist() == [2.0, 3.0]
-        assert [p.source_index for p in picked.provenance] == [2, 3]
+        assert picked.provenance.sources.tolist() == [2, 3]
         assert data.select_rows(np.array([3, 0], dtype=np.uint8)).features[:, 0].tolist() == [3.0, 0.0]
         assert data.select_rows([]).n_rows == 0
 
@@ -110,8 +112,8 @@ class TestLoadCsv:
         assert data.n_rows == 10
         assert data.n_features == 30
         assert "Class" not in data.feature_names
-        assert all(p.is_original for p in data.provenance)
-        assert data.provenance[4].source_index == 4
+        assert (data.provenance.kinds == ORIGINAL).all()
+        assert data.provenance.sources[4] == 4
 
     def test_column_order_resolved_by_name(self, tmp_path):
         path = tmp_path / "shuffled.csv"
@@ -422,8 +424,8 @@ class TestStratifiedSplit:
         data = generate_synthetic_imbalanced(200, 0.1, 2, 1.0, 11)
         train, test = stratified_split(data, SplitSpec(frac, seed, True))
         assert train.n_rows + test.n_rows == data.n_rows
-        train_src = {p.source_index for p in train.provenance}
-        test_src = {p.source_index for p in test.provenance}
+        train_src = set(train.provenance.sources.tolist())
+        test_src = set(test.provenance.sources.tolist())
         assert train_src.isdisjoint(test_src)
         assert train_src | test_src == set(range(data.n_rows))
 

@@ -11,6 +11,7 @@ import pytest
 
 from leakguard.boosting import GbdtParams
 from leakguard.dataset import (
+    ProvenanceColumns,
     RowProvenance,
     SplitSpec,
     TabularDataset,
@@ -88,7 +89,7 @@ class TestDetectLeakage:
             features=np.vstack([test.features, train.features[:1]]),
             feature_names=test.feature_names,
             labels=np.concatenate([test.labels, train.labels[:1]]),
-            provenance=test.provenance + (RowProvenance.original(0),),
+            provenance=test.provenance + ProvenanceColumns.from_rows([RowProvenance.original(0)]),
         )
         report = detect_leakage(train, polluted, False, class_distribution(data)[0], split)
         assert report.duplicate_pairs_across_split >= 1
@@ -117,7 +118,8 @@ class TestDetectLeakage:
             features=test.features,
             feature_names=test.feature_names,
             labels=test.labels,
-            provenance=(RowProvenance.synthetic("smote"),) + test.provenance[1:],
+            provenance=ProvenanceColumns.synthetic("smote", 1)
+            + test.provenance.take(np.arange(1, test.n_rows)),
         )
         report = detect_leakage(train, tainted, False, class_distribution(data)[0], split)
         assert report.synthetic_rows_in_test == 1
@@ -253,7 +255,7 @@ class TestRunScenario:
         # model (and hence the persisted scores on the same rows) only
         # changes through leakage, which the guarded path must not have.
         train, test = stratified_split(data, spec.split)
-        test_rows = {p.source_index for p in test.provenance}
+        test_rows = set(test.provenance.sources.tolist())
         mutated_features = data.features.copy()
         for i in range(data.n_rows):
             if i in test_rows:
@@ -377,7 +379,7 @@ class TestFingerprint:
             features=np.vstack([data.features, data.features[:1]]),
             feature_names=data.feature_names,
             labels=np.concatenate([data.labels, data.labels[:1]]),
-            provenance=data.provenance + (RowProvenance.original(0),),
+            provenance=data.provenance + ProvenanceColumns.from_rows([RowProvenance.original(0)]),
         )
         assert dataset_fingerprint(data) != dataset_fingerprint(bumped)
 

@@ -14,8 +14,8 @@ from leakguard.metrics import (
     mcc,
     precision,
     recall,
-    roc_curve,
 )
+from roc_oracle import roc_curve
 
 
 def tally_oracle(labels, predictions):

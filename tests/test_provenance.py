@@ -1,8 +1,8 @@
-"""ProvenanceColumns: the sequence it presents, and an oracle per producer.
+"""ProvenanceColumns: its rules, and an oracle per producer.
 
 The oracle functions below build provenance the way the package did when
 each row was a RowProvenance object in a tuple. Every producer's columns
-must read back as exactly that tuple.
+must equal the columns of exactly that tuple.
 """
 
 import dataclasses
@@ -14,6 +14,7 @@ import pytest
 from leakguard.boosting import GbdtParams
 from leakguard.dataset import (
     HourMode,
+    SYNTHETIC_METHODS,
     ProvenanceColumns,
     RowProvenance,
     SplitSpec,
@@ -78,6 +79,10 @@ def old_resample(prov, labels, spec):
     return prov + (RowProvenance.synthetic(method),) * n_new
 
 
+def columns(oracle):
+    return ProvenanceColumns.from_rows(oracle)
+
+
 # --- the producers against the oracle --------------------------------------
 
 
@@ -96,9 +101,9 @@ ALL_SAMPLERS = [
 def test_generate_and_load_give_originals(tmp_path):
     generated = data()
     assert isinstance(generated.provenance, ProvenanceColumns)
-    assert generated.provenance == old_original(300)
+    assert generated.provenance == columns(old_original(300))
     save_csv(generated, tmp_path / "d.csv")
-    assert load_csv(tmp_path / "d.csv").provenance == old_original(300)
+    assert load_csv(tmp_path / "d.csv").provenance == columns(old_original(300))
 
 
 @pytest.mark.parametrize("stratified", [True, False])
@@ -107,25 +112,28 @@ def test_split_and_select_rows_match_the_oracle(stratified):
     spec = SplitSpec(0.25, 9, stratified)
     train, test = stratified_split(d, spec)
     train_idx, test_idx = old_split_indices(d.labels, spec)
-    assert train.provenance == old_select(old_original(300), train_idx)
-    assert test.provenance == old_select(old_original(300), test_idx)
+    assert train.provenance == columns(old_select(old_original(300), train_idx))
+    assert test.provenance == columns(old_select(old_original(300), test_idx))
     picks = [5, 0, 5, 299, 17]
-    assert d.select_rows(picks).provenance == old_select(old_original(300), picks)
+    assert d.select_rows(picks).provenance == columns(old_select(old_original(300), picks))
     twice = train.select_rows([3, 1, 1])
-    assert twice.provenance == old_select(old_select(old_original(300), train_idx), [3, 1, 1])
+    assert twice.provenance == columns(old_select(old_select(old_original(300), train_idx), [3, 1, 1]))
 
 
 @pytest.mark.parametrize("spec", ALL_SAMPLERS, ids=lambda s: s.kind.value)
 def test_each_sampler_matches_the_oracle(spec):
     d = data()
     # Run on a split partition, so sources are not just row numbers.
-    train, _ = stratified_split(d, SplitSpec(0.25, 9, True))
+    split = SplitSpec(0.25, 9, True)
+    train, _ = stratified_split(d, split)
+    train_oracle = old_select(old_original(300), old_split_indices(d.labels, split)[0])
+    oracle = old_resample(train_oracle, train.labels, spec)
     out = resample(train, spec)
-    assert out.provenance == old_resample(tuple(train.provenance), train.labels, spec)
+    assert out.provenance == columns(oracle)
     # Resampling a resampled dataset duplicates created rows too.
     again_spec = SamplerSpec(SamplerKind.RANDOM_OVER, 1.0, seed=5)
     again = resample(out, again_spec)
-    assert again.provenance == old_resample(tuple(out.provenance), out.labels, again_spec)
+    assert again.provenance == columns(old_resample(oracle, out.labels, again_spec))
 
 
 def test_pipeline_of_mixed_methods_matches_the_oracle():
@@ -140,14 +148,14 @@ def test_pipeline_of_mixed_methods_matches_the_oracle():
     for spec in steps:
         oracle = old_resample(oracle, current.labels, spec)
         current = resample(current, spec)
-    assert out.provenance == oracle
-    assert out.provenance.method_names == ("smote", "gaussian")
+    assert out.provenance == columns(oracle)
+    assert set(out.provenance.methods.tolist()) == {-1, 0, 1}
 
 
 def test_preprocessing_carries_provenance_through():
     d = data()
     train, _ = stratified_split(d, SplitSpec(0.25, 9, True))
-    prov = tuple(train.provenance)
+    prov = train.provenance
     scaled = apply_standardizer(train, fit_standardizer(train, train.feature_names))
     assert scaled.provenance == prov
     timed = TabularDataset(
@@ -171,7 +179,7 @@ def test_placements_count_the_oracle_kinds(placement, spec):
         oracle = old_resample(old_original(300), d.labels, spec)
         _, test_idx = old_split_indices(sampled.labels, split)
         oracle_test = old_select(oracle, test_idx)
-        assert stratified_split(sampled, split)[1].provenance == oracle_test
+        assert stratified_split(sampled, split)[1].provenance == columns(oracle_test)
     else:
         _, test_idx = old_split_indices(d.labels, split)
         oracle_test = old_select(old_original(300), test_idx)
@@ -189,7 +197,7 @@ def test_placements_count_the_oracle_kinds(placement, spec):
     assert result.test_provenance_counts == {k: kinds[k] for k in RowProvenance.KINDS}
 
 
-# --- the sequence it presents ----------------------------------------------
+# --- the columns themselves ------------------------------------------------
 
 
 MIXED = (
@@ -198,55 +206,32 @@ MIXED = (
     RowProvenance.duplicate(0),
     RowProvenance.synthetic("gaussian"),
     RowProvenance("synthetic", source_index=2, method="smote"),
-    RowProvenance("original", source_index=7, method="tagged"),
+    RowProvenance.original(7),
 )
 
 
-def test_sequence_reads_back_the_rows():
-    cols = ProvenanceColumns.from_rows(MIXED)
-    assert len(cols) == 6
-    assert tuple(cols) == MIXED
-    assert [cols[i] for i in range(-6, 6)] == list(MIXED + MIXED)
-    assert cols[np.int64(2)] == MIXED[2]
-    with pytest.raises(IndexError):
-        cols[6]
-    with pytest.raises(TypeError):
-        cols["1"]
-    for item in (slice(1, 4), slice(None, None, -2), slice(10, 20), slice(None)):
-        part = cols[item]
-        assert isinstance(part, ProvenanceColumns)
-        assert part == MIXED[item]
-    assert MIXED[1] in cols and cols.count(MIXED[1]) == 1 and cols.index(MIXED[2]) == 2
-
-
-def test_concatenation_with_tuples_and_columns():
-    cols = ProvenanceColumns.from_rows(MIXED)
-    extra = (RowProvenance.synthetic("new"), RowProvenance.original(1))
-    for joined, expected in (
-        (cols + extra, MIXED + extra),
-        (extra + cols, extra + MIXED),
-        (cols[3:] + cols[:3], MIXED[3:] + MIXED[:3]),
-        (ProvenanceColumns.from_rows(extra) + cols, extra + MIXED),
-        (cols + (), MIXED),
-        (() + cols, MIXED),
-    ):
-        assert isinstance(joined, ProvenanceColumns)
-        assert tuple(joined) == expected
-    with pytest.raises(TypeError):
-        cols + [RowProvenance.original(0)]
+def test_concatenation_joins_columns_only():
+    cols = columns(MIXED)
+    head, tail = columns(MIXED[:2]), columns(MIXED[2:])
+    assert head + tail == cols
+    assert len(cols + cols) == 12 and (cols + cols).take(np.arange(6, 12)) == cols
+    assert cols + columns(()) == cols
+    for other in ((RowProvenance.original(0),), [RowProvenance.original(0)], ()):
+        with pytest.raises(TypeError):
+            cols + other
+        with pytest.raises(TypeError):
+            other + cols
 
 
 def test_equality():
-    cols = ProvenanceColumns.from_rows(MIXED)
-    assert cols == MIXED and MIXED == cols
-    assert cols != MIXED[:-1]
-    assert cols != MIXED[:-1] + (RowProvenance.original(8),)
-    assert cols != MIXED[:-1] + ("not a row",)
-    assert cols != list(MIXED)
-    # Same rows under a different method table order are equal.
-    reordered = ProvenanceColumns.from_rows(MIXED[3:]) + ProvenanceColumns.from_rows(MIXED[:3])
-    assert reordered.method_names != cols.method_names
-    assert reordered[3:] + reordered[:3] == cols
+    cols = columns(MIXED)
+    assert cols == columns(MIXED) and cols.take(np.arange(6)) == cols
+    assert cols != columns(MIXED[:-1])
+    assert cols != columns(MIXED[:-1] + (RowProvenance.original(8),))
+    assert cols != columns(MIXED[:-1] + (RowProvenance.duplicate(7),))
+    assert cols != columns(MIXED[:3] + (RowProvenance.synthetic("smote"),) + MIXED[4:])
+    # Columns equal only columns, never the rows they were built from.
+    assert cols != MIXED and cols != list(MIXED)
     with pytest.raises(TypeError):
         hash(cols)
 
@@ -261,34 +246,37 @@ def test_columns_are_immutable():
 
 
 def test_dtypes_and_codes():
-    cols = ProvenanceColumns.from_rows(MIXED)
+    cols = columns(MIXED)
     assert (cols.kinds.dtype, cols.sources.dtype, cols.methods.dtype) == (np.int8, np.int64, np.int8)
     assert cols.kinds.tolist() == [0, 2, 1, 2, 2, 0]
     assert cols.sources.tolist() == [4, -1, 0, -1, 2, 7]
-    assert cols.method_names == ("smote", "gaussian", "tagged")
-    assert cols.methods.tolist() == [-1, 0, -1, 1, 0, 2]
+    assert SYNTHETIC_METHODS == ("smote", "gaussian")
+    assert cols.methods.tolist() == [-1, 0, -1, 1, 0, -1]
 
 
 @pytest.mark.parametrize(
-    "kinds, sources, methods, names, message",
+    "kinds, sources, methods, message",
     [
-        ([3], [0], [-1], (), "kinds"),
-        ([0], [-2], [-1], (), "sources"),
-        ([0], [-1], [-1], (), "source_index"),
-        ([1], [-1], [-1], (), "source_index"),
-        ([2], [-1], [-1], (), "method name"),
-        ([2], [-1], [0], ("",), "method name"),
-        ([0], [0], [1], ("a",), "methods"),
-        ([0, 0], [0], [-1], (), "one entry per row"),
-        ([True], [0], [-1], (), "integer"),
-        ([0.0], [0], [-1], (), "integer"),
-        ([[0]], [0], [-1], (), "1-D"),
-        ([2], [-1], [0], ("a", "a"), "distinct"),
+        ([3], [0], [-1], "kinds"),
+        ([0], [-2], [-1], "sources"),
+        ([0], [-1], [-1], "source_index"),
+        ([1], [-1], [-1], "source_index"),
+        ([2], [-1], [-1], "method code"),
+        ([0], [0], [0], "cannot name a method"),
+        ([2], [-1], [len(SYNTHETIC_METHODS)], "methods"),
+        ([0, 0], [0], [-1], "one entry per row"),
+        ([True], [0], [-1], "integer"),
+        ([0.0], [0], [-1], "integer"),
+        ([[0]], [0], [-1], "1-D"),
+    ],
+    ids=[
+        "kind-range", "source-range", "original-source", "duplicate-source", "synthetic-method",
+        "original-method", "method-range", "lengths", "bool", "float", "2-D",
     ],
 )
-def test_invalid_columns_refused(kinds, sources, methods, names, message):
+def test_invalid_columns_refused(kinds, sources, methods, message):
     with pytest.raises(ValueError, match=message):
-        ProvenanceColumns(np.array(kinds), np.array(sources), np.array(methods), names)
+        ProvenanceColumns(np.array(kinds), np.array(sources), np.array(methods))
 
 
 def test_tuple_provenance_validates_as_before():
@@ -301,3 +289,9 @@ def test_tuple_provenance_validates_as_before():
         TabularDataset(features, ("a",), labels, (RowProvenance.original(0), "original"))
     with pytest.raises(ValueError, match="source_index cannot be negative"):
         RowProvenance("synthetic", source_index=-1, method="smote")
+    for method in ("tagged", "", None):
+        with pytest.raises(ValueError, match="synthetic provenance needs a method from"):
+            RowProvenance("synthetic", method=method)
+    for kind in ("original", "duplicate"):
+        with pytest.raises(ValueError, match=f"{kind} provenance cannot name a method"):
+            RowProvenance(kind, source_index=0, method="smote")

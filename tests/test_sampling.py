@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakguard import sampling
-from leakguard.dataset import RowProvenance, TabularDataset, round_half_up
+from leakguard.dataset import (
+    DUPLICATE,
+    ORIGINAL,
+    SYNTHETIC_METHODS,
+    RowProvenance,
+    TabularDataset,
+    round_half_up,
+)
 from leakguard.sampling import (
     SamplerKind,
     SamplerPipeline,
@@ -58,8 +65,7 @@ class TestRandomOversample:
         out = random_oversample(data, SamplerSpec(SamplerKind.RANDOM_OVER, 0.8, seed=1))
         n_min, n_maj = counts(out)
         assert (n_min, n_maj) == (800, 1000)
-        duplicates = [p for p in out.provenance if p.kind == "duplicate"]
-        assert len(duplicates) == 750
+        assert np.count_nonzero(out.provenance.kinds == DUPLICATE) == 750
 
     def test_fixed_point(self):
         data = imbalanced(80, 100)
@@ -89,10 +95,10 @@ class TestRandomOversample:
         if round_half_up(strategy * n_maj) < n_min:
             return
         out = random_oversample(data, SamplerSpec(SamplerKind.RANDOM_OVER, strategy, seed=seed))
-        for i, p in enumerate(out.provenance):
-            if p.kind == "duplicate":
-                assert np.array_equal(out.features[i], data.features[p.source_index])
-                assert data.labels[p.source_index] == out.labels[i] == 1
+        for i in np.flatnonzero(out.provenance.kinds == DUPLICATE):
+            source = out.provenance.sources[i]
+            assert np.array_equal(out.features[i], data.features[source])
+            assert data.labels[source] == out.labels[i] == 1
 
     def test_majority_rows_untouched(self):
         data = imbalanced(10, 50)
@@ -140,7 +146,7 @@ class TestRandomUndersample:
         for i in range(out.n_rows):
             if out.labels[i] == 0:
                 assert out.features[i].tobytes() in input_maj
-            assert out.provenance[i].is_original
+            assert out.provenance.kinds[i] == ORIGINAL
 
     def test_minority_rows_never_altered(self):
         data = imbalanced(40, 100)
@@ -187,10 +193,10 @@ class TestSmote:
     def test_provenance_and_labels(self):
         data = imbalanced(20, 100)
         out = smote(data, SamplerSpec(SamplerKind.SMOTE, 0.5, seed=9))
-        created = [i for i, p in enumerate(out.provenance) if not p.is_original]
+        created = np.flatnonzero(out.provenance.kinds != ORIGINAL)
         assert len(created) == 30
         for i in created:
-            assert out.provenance[i].method == "smote"
+            assert SYNTHETIC_METHODS[out.provenance.methods[i]] == "smote"
             assert out.labels[i] == 1
 
     @settings(deadline=None, max_examples=20)
@@ -410,7 +416,7 @@ class TestGaussianSynthesize:
             provenance=tuple(RowProvenance.original(i) for i in range(23)),
         )
         out = gaussian_synthesize(data, SamplerSpec(SamplerKind.GAUSSIAN_SYNTH, 1.0, seed=2))
-        created = out.features[np.array([not p.is_original for p in out.provenance])]
+        created = out.features[out.provenance.kinds != ORIGINAL]
         assert np.array_equal(created, np.full_like(created, 7.0))
 
     def test_sample_mean_within_standard_error_bound(self):
@@ -419,7 +425,7 @@ class TestGaussianSynthesize:
         minority = data.features[data.labels == 1]
         fitted_mean = minority.mean(axis=0)
         fitted_std = minority.std(axis=0, ddof=0)
-        created = out.features[np.array([not p.is_original for p in out.provenance])]
+        created = out.features[out.provenance.kinds != ORIGINAL]
         assert created.shape[0] == 9800
         n = created.shape[0]
         bound = 4.0 * fitted_std / np.sqrt(n)
