@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import TabularDataset, as_int, as_real
+from .dataset import TabularDataset, as_int, as_object, as_real
 
 MODEL_FORMAT_VERSION = 2
 
@@ -117,19 +117,22 @@ class TreeNode:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TreeNode":
-        """The node a to_dict document describes; a field of the wrong type
-        is a ValueError that names it, never a silent coercion."""
+    def from_dict(cls, d: dict, path: str = "tree") -> "TreeNode":
+        """The node a to_dict document at ``path`` describes; a field of the
+        wrong type is a ValueError that names it, never a silent coercion."""
+        d = as_object(path, d)
         if "weight" in d:
-            return cls.leaf(as_real("weight", d["weight"]))
+            return cls.leaf(as_real(f"{path}.weight", d["weight"]))
         if not isinstance(d["missing_left"], bool):
-            raise ValueError(f"missing_left must be true or false, got {d['missing_left']!r}")
+            raise ValueError(
+                f"{path}.missing_left must be true or false, got {d['missing_left']!r}"
+            )
         return cls.split(
-            feature_index=as_int("feature", d["feature"]),
-            threshold=as_real("threshold", d["threshold"]),
+            feature_index=as_int(f"{path}.feature", d["feature"]),
+            threshold=as_real(f"{path}.threshold", d["threshold"]),
             missing_goes_left=d["missing_left"],
-            left=cls.from_dict(d["left"]),
-            right=cls.from_dict(d["right"]),
+            left=cls.from_dict(d["left"], f"{path}.left"),
+            right=cls.from_dict(d["right"], f"{path}.right"),
         )
 
 
@@ -163,17 +166,24 @@ class GbdtModel:
 
     @classmethod
     def from_json(cls, text: str) -> "GbdtModel":
-        doc = json.loads(text)
+        """The model a to_json document describes; a missing key or a field
+        of the wrong type is a ValueError that names it."""
+        doc = as_object("model", json.loads(text))
         version = doc.get("format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {version!r}")
-        return cls(
-            trees=tuple(TreeNode.from_dict(t) for t in doc["trees"]),
-            base_score=as_real("base_score", doc["base_score"]),
-            params=GbdtParams.from_dict(doc["params"]),
-            feature_count=as_int("feature_count", doc["feature_count"]),
-            train_loss=tuple(as_real("train_loss", v) for v in doc.get("train_loss", ())),
-        )
+        try:
+            return cls(
+                trees=tuple(
+                    TreeNode.from_dict(t, f"trees.{i}") for i, t in enumerate(doc["trees"])
+                ),
+                base_score=as_real("base_score", doc["base_score"]),
+                params=GbdtParams.from_dict(as_object("params", doc["params"])),
+                feature_count=as_int("feature_count", doc["feature_count"]),
+                train_loss=tuple(as_real("train_loss", v) for v in doc.get("train_loss", ())),
+            )
+        except KeyError as exc:
+            raise ValueError(f"model file is missing key {exc}") from exc
 
 
 def _walk(node: TreeNode):

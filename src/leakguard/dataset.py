@@ -78,6 +78,14 @@ def as_real(name: str, value) -> float:
     return float(value)
 
 
+def as_object(name: str, value) -> dict:
+    """Return a JSON object field's value; anything else is a ValueError
+    that names the field."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 # The only methods that make synthetic rows; a synthetic row's method code
 # is its index here.
 SYNTHETIC_METHODS = ("smote", "gaussian")

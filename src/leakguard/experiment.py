@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import json
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
@@ -85,6 +86,9 @@ class ScenarioSpec:
         object.__setattr__(self, "preprocessing", Preprocessing(self.preprocessing))
         if not self.name:
             raise ValueError("scenario needs a name")
+        if not isinstance(self.name, str) or "/" in self.name or "\\" in self.name:
+            # run writes <name>-<seed>.result.json, which must stay in out_dir
+            raise ValueError(f"scenario name must be a string without / or \\, got {self.name!r}")
         if self.placement == Placement.NO_SAMPLING:
             if self.pipeline is not None:
                 raise ValueError("no_sampling scenarios cannot carry a pipeline")
@@ -133,10 +137,9 @@ class LeakageReport:
     duplicate_pairs_across_split counts exact feature-vector matches
     between the partitions; test_class_count_shift counts how far the test
     partition's size and class counts lie from what the split spec allows
-    for the loaded data (see class_count_shift). The verdict is derived
-    from these facts, never stored: Leaky exactly when any count is
-    positive or the scaler saw the full dataset.
-    """
+    for the loaded data (see class_count_shift). The verdict is derived,
+    never read: Leaky exactly when any count is positive or the scaler saw
+    the full dataset. A result file supplies only the two measured counts."""
 
     synthetic_rows_in_test: int
     duplicate_pairs_across_split: int
@@ -166,21 +169,12 @@ class LeakageReport:
     def to_dict(self) -> dict:
         return {**asdict(self), "verdict": self.verdict.value}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LeakageReport":
-        """Read a stored report; a stored verdict that its counts do not
-        produce is refused."""
-        report = cls(**{f.name: d[f.name] for f in fields(cls)})
-        if Verdict(d["verdict"]) != report.verdict:
-            raise ValueError("verdict inconsistent with the leakage counts")
-        return report
-
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """One scenario's outcome. The test labels, scores, the scenario's
-    threshold and the test provenance counts are the stored facts; the
-    metrics and test class counts are derived from them, never stored."""
+    """One scenario's outcome. The scenario, fingerprint, train class counts,
+    test provenance counts, wall time, test labels and scores and the two
+    measured audit counts are its primary facts; to_dict derives the rest."""
 
     scenario: ScenarioSpec
     leakage: LeakageReport
@@ -222,8 +216,8 @@ class ScenarioResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioResult":
-        """Read a stored result; a file that contradicts itself is refused
-        with a ValueError that names the field."""
+        """Rebuild a stored result from its primary facts; a file that is not
+        exactly its to_dict() is refused, naming the first path that differs."""
         version = d.get("format_version")
         if version != RESULT_FORMAT_VERSION:
             raise ValueError(f"unsupported result format version {version!r}")
@@ -235,15 +229,16 @@ class ScenarioResult:
         wall_time = as_real("wall_time", d["wall_time"])
         if wall_time < 0:
             raise ValueError("wall_time cannot be negative")
-        # Checked before the stored verdict, so a count edited together with
-        # the verdict is named as the contradiction it is.
         prov = _read_counts(d, "test_provenance_counts", RowProvenance.KINDS)
-        created = as_int("leakage.synthetic_rows_in_test", d["leakage"]["synthetic_rows_in_test"])
-        if created != prov["duplicate"] + prov["synthetic"]:
-            raise ValueError("leakage.synthetic_rows_in_test disagrees with test_provenance_counts")
+        scenario = ScenarioSpec.from_dict(d["scenario"])
         result = cls(
-            scenario=ScenarioSpec.from_dict(d["scenario"]),
-            leakage=LeakageReport.from_dict(d["leakage"]),
+            scenario=scenario,
+            leakage=LeakageReport(
+                synthetic_rows_in_test=prov["duplicate"] + prov["synthetic"],
+                duplicate_pairs_across_split=d["leakage"]["duplicate_pairs_across_split"],
+                scaler_fitted_on_full_data=scenario.preprocessing == Preprocessing.PAPER_FAITHFUL,
+                test_class_count_shift=d["leakage"]["test_class_count_shift"],
+            ),
             train_class_counts={int(k): v for k, v in train_counts.items()},
             test_provenance_counts=prov,
             wall_time=wall_time,
@@ -251,16 +246,24 @@ class ScenarioResult:
             test_labels=tuple(d["test_labels"]),
             test_scores=tuple(d["test_scores"]),
         )
-        derived = result.to_dict()
-        for key in ("metrics", "test_class_counts"):
-            stored = d[key] if isinstance(d[key], dict) else {}
-            wrong = [f"{key}.{k}" for k, v in derived[key].items() if stored.get(k) != v]
-            if wrong or stored.keys() != derived[key].keys():
-                bad = ", ".join(wrong) or key
-                raise ValueError(f"{bad}: stored value contradicts the test labels and scores")
         if sum(prov.values()) != len(result.test_labels):
             raise ValueError("test_provenance_counts do not add up to the number of test labels")
+        rebuilt = result.to_dict()
+        if json.dumps(d, sort_keys=True) != json.dumps(rebuilt, sort_keys=True):
+            stored, wanted = dict(_json_leaves(d)), dict(_json_leaves(rebuilt))
+            first = next(p for p in {**wanted, **stored} if stored.get(p) != wanted.get(p))
+            field = ".".join(map(str, first))
+            raise ValueError(f"{field}: stored value is not what the result's primary facts give")
         return result
+
+
+def _json_leaves(doc, path: tuple = ()):
+    """(key path, JSON text) of each leaf, so 1, 1.0 and true differ."""
+    if isinstance(doc, (dict, list)) and doc:
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _json_leaves(value, (*path, key))
+    else:
+        yield path, json.dumps(doc)
 
 
 def _read_counts(d: dict, field: str, keys: tuple[str, ...]) -> dict[str, int]:

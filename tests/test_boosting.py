@@ -665,6 +665,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match=field):
             GbdtModel.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["trees"][0].pop("left"), "missing key 'left'"),
+            (lambda doc: doc["trees"].__setitem__(0, [1]), "trees.0 must be a JSON object"),
+            (lambda doc: doc.pop("trees"), "missing key 'trees'"),
+            (lambda doc: doc.update(params=[0.3]), "params must be a JSON object"),
+        ],
+        ids=["missing-node-key", "list-tree", "missing-trees", "list-params"],
+    )
+    def test_malformed_model_file_names_the_field(self, edit, message):
+        data = make_dataset(np.arange(20, dtype=float), np.array([0, 1] * 10))
+        doc = json.loads(train(data, GbdtParams(n_estimators=1, max_depth=1)).to_json())
+        assert "left" in doc["trees"][0]
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            GbdtModel.from_json(json.dumps(doc))
+
     def test_feature_index_validation(self):
         for feature in (5, -1):
             bad = TreeNode.split(feature, 0.1, True, TreeNode.leaf(0.0), TreeNode.leaf(0.0))

@@ -407,6 +407,16 @@ class TestRun:
         assert run_cli("run", str(bad)) == 2
         assert "scenarios" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b"])
+    def test_scenario_name_cannot_leave_out_dir(self, tmp_path, capsys, name):
+        config_path, config = base_config(tmp_path, out_dir="out/results")
+        config["scenarios"][0]["name"] = name
+        config_path.write_text(json.dumps(config))
+        assert run_cli("run", str(config_path)) == 2
+        err = capsys.readouterr().err
+        assert "config:" in err and "name" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_duplicate_scenario_names_rejected(self, tmp_path, capsys):
         config_path, config = base_config(tmp_path)
         config["scenarios"][1]["name"] = "baseline"
@@ -448,7 +458,7 @@ class TestCompare:
         assert run_cli("compare", *paths, "--out-dir", str(tmp_path / "cmp")) == 2
         err = capsys.readouterr().err
         assert "compare:" in err and str(pre) in err
-        assert "verdict inconsistent with the leakage counts" in err
+        assert "leakage.verdict: stored value is not what the result's primary facts give" in err
         assert not (tmp_path / "cmp").exists()
 
     @pytest.mark.parametrize(
@@ -484,6 +494,10 @@ class TestCompare:
             (lambda d: d["test_provenance_counts"].update(
                 duplicate=True, synthetic=d["test_provenance_counts"]["synthetic"] - 1),
              "test_provenance_counts.duplicate"),
+            (lambda d: d["scenario"].update(preprocessing="paper_faithful"),
+             "leakage.scaler_fitted_on_full_data"),
+            (lambda d: d["seeds"].update(split=43), "seeds.split"),
+            (lambda d: d.update(note="hand-edited"), "note"),
         ],
         ids=["f1", "class-counts", "zeroed-synthetic", "string-threshold", "negative-count",
              "bool-strategy", "list-train-counts", "null-labels", "list-fingerprint",
@@ -491,7 +505,7 @@ class TestCompare:
              "string-train-count", "extra-train-class", "missing-train-class",
              "string-wall-time", "negative-wall-time", "negative-provenance-count",
              "extra-provenance-kind", "missing-provenance-kind", "float-provenance-count",
-             "bool-provenance-count"],
+             "bool-provenance-count", "unfaithful-scaler-flag", "split-seed", "unknown-key"],
     )
     def test_malformed_result_file_refused(self, tmp_path, capsys, edit, message):
         paths = self.make_results(tmp_path)
@@ -502,6 +516,27 @@ class TestCompare:
         assert run_cli("compare", *paths, "--out-dir", str(tmp_path / "cmp")) == 2
         err = capsys.readouterr().err
         assert f"compare: {pre}: " in err and message in err
+        assert not (tmp_path / "cmp").exists()
+
+    def test_paper_faithful_result_relabelled_clean_refused(self, tmp_path, capsys):
+        config_path, config = base_config(tmp_path)
+        config["scenarios"][0]["preprocessing"] = "paper_faithful"
+        config_path.write_text(json.dumps(config))
+        assert run_cli("run", str(config_path)) == 0
+        out = tmp_path / "results"
+        faithful = out / "baseline-42.result.json"
+        doc = json.loads(faithful.read_text())
+        leakage = doc["leakage"]
+        assert leakage.pop("scaler_fitted_on_full_data") is True
+        # The scaler saw the test rows, and nothing else tripped the verdict.
+        assert leakage == {"synthetic_rows_in_test": 0, "duplicate_pairs_across_split": 0,
+                           "test_class_count_shift": 0, "verdict": "leaky"}
+        leakage.update(scaler_fitted_on_full_data=False, verdict="clean")
+        faithful.write_text(json.dumps(doc))
+        paths = [str(faithful), str(out / "smote-post-42.result.json")]
+        assert run_cli("compare", *paths, "--out-dir", str(tmp_path / "cmp")) == 2
+        err = capsys.readouterr().err
+        assert f"compare: {faithful}: leakage.scaler_fitted_on_full_data: " in err
         assert not (tmp_path / "cmp").exists()
 
     def test_existing_later_output_leaves_nothing_written(self, tmp_path, capsys):

@@ -21,7 +21,6 @@ from leakguard.dataset import (
 )
 from leakguard.experiment import (
     CLASS_COUNT_TAIL,
-    LeakageReport,
     Placement,
     Preprocessing,
     ScenarioError,
@@ -132,37 +131,6 @@ class TestDetectLeakage:
         report = detect_leakage(train, test, True, class_distribution(data)[0], split)
         assert report.scaler_fitted_on_full_data
         assert report.verdict == Verdict.LEAKY
-
-    STORED = {
-        "synthetic_rows_in_test": 1,
-        "duplicate_pairs_across_split": 0,
-        "scaler_fitted_on_full_data": False,
-        "test_class_count_shift": 0,
-        "verdict": "leaky",
-    }
-
-    def test_verdict_invariant_enforced(self):
-        assert LeakageReport.from_dict(self.STORED).verdict == Verdict.LEAKY
-        with pytest.raises(ValueError, match="verdict inconsistent with the leakage counts"):
-            LeakageReport.from_dict({**self.STORED, "verdict": "clean"})
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("synthetic_rows_in_test", -5),
-            ("synthetic_rows_in_test", "1"),
-            ("synthetic_rows_in_test", 1.0),
-            ("duplicate_pairs_across_split", -1),
-            ("duplicate_pairs_across_split", True),
-            ("scaler_fitted_on_full_data", "no"),
-            ("scaler_fitted_on_full_data", 0),
-            ("test_class_count_shift", -1),
-            ("test_class_count_shift", "0"),
-        ],
-    )
-    def test_stored_field_types_checked(self, key, value):
-        with pytest.raises(ValueError, match=key):
-            LeakageReport.from_dict({**self.STORED, key: value})
 
 
 def brute_force_interval(population, successes, draws, tail):
@@ -497,6 +465,9 @@ class TestResultFileChecks:
 
     def test_untampered_files_read(self, docs):
         clean, leaky = (ScenarioResult.from_dict(json.loads(t)) for t in docs)
+        assert (clean.leakage.verdict, leaky.leakage.verdict) == (Verdict.CLEAN, Verdict.LEAKY)
+        reordered = json.loads(json.dumps(json.loads(docs[1]), sort_keys=True))
+        assert ScenarioResult.from_dict(reordered).to_dict() == leaky.to_dict()
         report = compare_scenarios([clean, leaky])
         assert leaky.metrics.f1 > clean.metrics.f1
         assert report.leaky_outperforming_clean == ("pre",)
@@ -525,6 +496,47 @@ class TestResultFileChecks:
         with pytest.raises(ValueError, match="synthetic_rows_in_test"):
             ScenarioResult.from_dict(self.tamper(docs[1], edit))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("synthetic_rows_in_test", -5),
+            ("synthetic_rows_in_test", "1"),
+            ("synthetic_rows_in_test", float),  # the stored count, as a JSON real
+            ("duplicate_pairs_across_split", -1),
+            ("duplicate_pairs_across_split", True),
+            ("scaler_fitted_on_full_data", "no"),
+            ("scaler_fitted_on_full_data", 0),
+            ("test_class_count_shift", -1),
+            ("test_class_count_shift", "0"),
+            ("verdict", "clean"),
+        ],
+    )
+    def test_stored_leakage_field_refused(self, docs, key, value):
+        def edit(d):
+            old = d["leakage"][key]
+            d["leakage"][key] = value(old) if callable(value) else value
+
+        with pytest.raises(ValueError, match=key):
+            ScenarioResult.from_dict(self.tamper(docs[1], edit))
+
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            (lambda d: d["seeds"].update(split=43), "seeds.split"),
+            (lambda d: d["seeds"].update(samplers=[8]), "seeds.samplers.0"),
+            (lambda d: d.update(note="hand-edited"), "note"),
+            (lambda d: d["scenario"].update(preprocessing="paper_faithful"),
+             "leakage.scaler_fitted_on_full_data"),
+            (lambda d: d["scenario"]["split"].pop("stratified"), "scenario.split.stratified"),
+            (lambda d: d.update({"metrics.f1": d["metrics"].pop("f1")}), "metrics.f1"),
+        ],
+        ids=["split-seed", "sampler-seed", "unknown-key", "preprocessing", "missing-split-key",
+             "dotted-key"],
+    )
+    def test_first_differing_path_named(self, docs, edit, path):
+        with pytest.raises(ValueError, match=f"^{path}: "):
+            ScenarioResult.from_dict(self.tamper(docs[1], edit))
+
     def test_string_threshold_refused(self, docs):
         def edit(d):
             d["scenario"]["threshold"] = "0.5"
@@ -551,17 +563,16 @@ class TestScenarioSpecRoundTrip:
 
 
 @pytest.mark.parametrize(
-    "obj, from_dict, derived",
+    "obj, from_dict",
     [
-        (GbdtParams(learning_rate=0.1, n_estimators=3, n_bins=32), GbdtParams.from_dict, []),
-        (SplitSpec(0.25, 9, False), SplitSpec.from_dict, []),
-        (SamplerSpec(SamplerKind.SMOTE, 0.8, 3, 11), SamplerSpec.from_dict, []),
-        (LeakageReport(2, 0, False, 0), LeakageReport.from_dict, ["verdict"]),
-        (ConfusionMatrix(tp=1, fp=2, tn=3, fn=4), lambda d: ConfusionMatrix(**d), []),
+        (GbdtParams(learning_rate=0.1, n_estimators=3, n_bins=32), GbdtParams.from_dict),
+        (SplitSpec(0.25, 9, False), SplitSpec.from_dict),
+        (SamplerSpec(SamplerKind.SMOTE, 0.8, 3, 11), SamplerSpec.from_dict),
+        (ConfusionMatrix(tp=1, fp=2, tn=3, fn=4), lambda d: ConfusionMatrix(**d)),
     ],
-    ids=["GbdtParams", "SplitSpec", "SamplerSpec", "LeakageReport", "ConfusionMatrix"],
+    ids=["GbdtParams", "SplitSpec", "SamplerSpec", "ConfusionMatrix"],
 )
-def test_to_dict_keys_are_the_declared_fields_in_order(obj, from_dict, derived):
+def test_to_dict_keys_are_the_declared_fields_in_order(obj, from_dict):
     d = obj.to_dict()
-    assert list(d) == [f.name for f in fields(obj)] + derived
+    assert list(d) == [f.name for f in fields(obj)]
     assert from_dict(json.loads(json.dumps(d))) == obj

@@ -7,11 +7,20 @@ audit must measure that verdict from the data, and the count that trips it
 must be the one the cell's leak feeds.
 """
 
+import json
+
 import pytest
 
 from leakguard.boosting import GbdtParams
 from leakguard.dataset import SplitSpec, generate_synthetic_imbalanced
-from leakguard.experiment import Placement, Preprocessing, ScenarioSpec, Verdict, run_scenario
+from leakguard.experiment import (
+    Placement,
+    Preprocessing,
+    ScenarioResult,
+    ScenarioSpec,
+    Verdict,
+    run_scenario,
+)
 from leakguard.sampling import SamplerKind, SamplerPipeline, SamplerSpec
 
 MODEL = GbdtParams(learning_rate=0.3, n_estimators=3, max_depth=2)
@@ -62,7 +71,12 @@ def test_audit_measures_the_configured_verdict(cell, preprocessing, stratified):
             split=SplitSpec(0.2, seed, stratified),
             model=MODEL,
         )
-        leakage = run_scenario(data, spec).leakage
+        result = run_scenario(data, spec)
+        # A result file is read by rebuilding it from its primary facts, so
+        # every cell's own output must read back as exactly itself.
+        doc = result.to_dict()
+        assert ScenarioResult.from_dict(json.loads(json.dumps(doc))).to_dict() == doc
+        leakage = result.leakage
 
         assert leakage.verdict == expected, (seed, leakage)
         assert leakage.scaler_fitted_on_full_data == faithful
