@@ -86,6 +86,9 @@ def as_object(name: str, value) -> dict:
     return value
 
 
+# Rows that TabularDataset.fingerprint lays out and hashes per block.
+_FINGERPRINT_BLOCK_ROWS = 4096
+
 # The only methods that make synthetic rows; a synthetic row's method code
 # is its index here.
 SYNTHETIC_METHODS = ("smote", "gaussian")
@@ -246,13 +249,40 @@ class ProvenanceColumns:
         )
 
 
+def frozen(features: np.ndarray) -> np.ndarray:
+    """Mark a fresh float64 matrix read-only and return it.
+
+    Only for a matrix its caller has just made and hands straight to a
+    TabularDataset: the dataset then keeps it as it is rather than copying
+    it (see TabularDataset).
+    """
+    features.setflags(write=False)
+    return features
+
+
+def _owned_frozen(features) -> bool:
+    """True for an array no one can write through: a read-only, C-contiguous
+    float64 ndarray that owns its data, so no writable view of it exists."""
+    return (
+        type(features) is np.ndarray
+        and features.dtype == np.float64
+        and features.flags.c_contiguous
+        and features.flags.owndata
+        and not features.flags.writeable
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class TabularDataset:
     """Immutable feature matrix with binary labels and row provenance.
 
     Parameters
     ----------
-    features : (n_rows, n_features) float64 array
+    features : (n_rows, n_features) float64 array. A read-only,
+        C-contiguous float64 ndarray that owns its data, as ``frozen``
+        makes, is kept as it is; anything else (a list, a writable array, a
+        view, another dtype) is copied, so the caller cannot change the
+        dataset through it.
     feature_names : unique column labels, one per feature column
     labels : per-row class, 0 (negative) or 1 (positive)
     provenance : per-row origin, a ProvenanceColumns or a sequence of
@@ -265,7 +295,9 @@ class TabularDataset:
     provenance: ProvenanceColumns
 
     def __post_init__(self):
-        feats = np.array(self.features, dtype=np.float64, copy=True)
+        feats = self.features
+        if not _owned_frozen(feats):
+            feats = np.array(feats, dtype=np.float64, copy=True)
         if feats.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         raw_labels = np.asarray(self.labels)
@@ -307,18 +339,27 @@ class TabularDataset:
         """Order-independent hash of all (features, label) rows.
 
         The sum, mod 2**256, of the big-endian sha256 digest of each row's
-        feature bytes followed by its label byte. The dataset is immutable,
-        so the hash is computed at most once per object.
+        feature bytes followed by its label byte. The rows are laid out
+        _FINGERPRINT_BLOCK_ROWS at a time, and each block's digests are
+        summed in numpy as eight big-endian 32-bit words, whose carries are
+        joined in Python. The dataset is immutable, so the hash is computed
+        at most once per object.
         """
-        n, width = self.n_rows, self.n_features * 8 + 1
-        rows = np.empty((n, width), dtype=np.uint8)
-        rows[:, :-1] = np.ascontiguousarray(self.features).view(np.uint8).reshape(n, width - 1)
-        rows[:, -1] = self.labels
-        buf = memoryview(rows.reshape(-1))
-        total = sum(
-            int.from_bytes(hashlib.sha256(buf[start : start + width]).digest(), "big")
-            for start in range(0, n * width, width)
-        )
+        width = self.n_features * 8 + 1
+        total = 0
+        for start in range(0, self.n_rows, _FINGERPRINT_BLOCK_ROWS):
+            stop = start + _FINGERPRINT_BLOCK_ROWS
+            feats = np.ascontiguousarray(self.features[start:stop])
+            rows = np.empty((feats.shape[0], width), dtype=np.uint8)
+            rows[:, :-1] = feats.view(np.uint8).reshape(feats.shape[0], width - 1)
+            rows[:, -1] = self.labels[start:stop]
+            buf = memoryview(rows.reshape(-1))
+            digests = b"".join(
+                hashlib.sha256(buf[at : at + width]).digest() for at in range(0, len(buf), width)
+            )
+            # Each column sum stays below 2**44 for a block, so uint64 is exact.
+            words = np.frombuffer(digests, dtype=">u4").reshape(-1, 8).sum(axis=0, dtype=np.uint64)
+            total += sum(word << (224 - 32 * j) for j, word in enumerate(words.tolist()))
         return f"{total % (1 << 256):064x}"
 
     def column_index(self, name: str) -> int:
@@ -339,7 +380,7 @@ class TabularDataset:
             raise ValueError(f"row indices must be integers, got a {idx.dtype} array")
         idx = idx.astype(np.int64)
         return TabularDataset(
-            features=self.features[idx],
+            features=frozen(self.features[idx]),
             feature_names=self.feature_names,
             labels=self.labels[idx],
             provenance=self.provenance.take(idx),
@@ -482,7 +523,7 @@ def load_csv(
     features, labels = parsed
 
     return TabularDataset(
-        features=features,
+        features=frozen(features),
         feature_names=feature_names,
         labels=labels,
         provenance=ProvenanceColumns.original(labels.size),
@@ -659,7 +700,7 @@ def generate_synthetic_imbalanced(
     )
     order = rng.permutation(n_rows)
     return TabularDataset(
-        features=features[order],
+        features=frozen(features[order]),
         feature_names=tuple(f"f{i + 1}" for i in range(n_features)),
         labels=labels[order],
         provenance=ProvenanceColumns.original(n_rows),
@@ -753,7 +794,7 @@ def apply_standardizer(
     for name, values in _scaled_columns(dataset, params):
         features[:, dataset.column_index(name)] = values
     return TabularDataset(
-        features=features,
+        features=frozen(features),
         feature_names=dataset.feature_names,
         labels=dataset.labels,
         provenance=dataset.provenance,
@@ -810,7 +851,7 @@ def engineer_time_features(
         new_cols = [new_cols[i] for i in keep]
 
     return TabularDataset(
-        features=np.column_stack(new_cols),
+        features=frozen(np.column_stack(new_cols)),
         feature_names=tuple(new_names),
         labels=dataset.labels,
         provenance=dataset.provenance,

@@ -14,7 +14,6 @@ import contextlib
 import functools
 import json
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
@@ -29,6 +28,7 @@ from .dataset import (
     TabularDataset,
     apply_standardizer,
     as_int,
+    as_object,
     as_real,
     class_distribution,
     engineer_time_features,
@@ -230,21 +230,26 @@ class ScenarioResult:
         if wall_time < 0:
             raise ValueError("wall_time cannot be negative")
         prov = _read_counts(d, "test_provenance_counts", RowProvenance.KINDS)
-        scenario = ScenarioSpec.from_dict(d["scenario"])
+        scenario = ScenarioSpec.from_dict(as_object("scenario", d["scenario"]))
+        leakage = as_object("leakage", d["leakage"])
         result = cls(
             scenario=scenario,
             leakage=LeakageReport(
                 synthetic_rows_in_test=prov["duplicate"] + prov["synthetic"],
-                duplicate_pairs_across_split=d["leakage"]["duplicate_pairs_across_split"],
+                duplicate_pairs_across_split=leakage["duplicate_pairs_across_split"],
                 scaler_fitted_on_full_data=scenario.preprocessing == Preprocessing.PAPER_FAITHFUL,
-                test_class_count_shift=d["leakage"]["test_class_count_shift"],
+                test_class_count_shift=leakage["test_class_count_shift"],
             ),
             train_class_counts={int(k): v for k, v in train_counts.items()},
             test_provenance_counts=prov,
             wall_time=wall_time,
             data_fingerprint=fingerprint,
-            test_labels=tuple(d["test_labels"]),
-            test_scores=tuple(d["test_scores"]),
+            test_labels=_read_entries(
+                d, "test_labels", {int}, lambda v: (v == 0) | (v == 1), "the integer 0 or 1"
+            ),
+            test_scores=_read_entries(
+                d, "test_scores", {float, int}, np.isfinite, "a finite real number"
+            ),
         )
         if sum(prov.values()) != len(result.test_labels):
             raise ValueError("test_provenance_counts do not add up to the number of test labels")
@@ -269,13 +274,36 @@ def _json_leaves(doc, path: tuple = ()):
 def _read_counts(d: dict, field: str, keys: tuple[str, ...]) -> dict[str, int]:
     """A stored count table with exactly the given keys, each a non-negative
     integer; anything else is a ValueError that names the field."""
-    counts = {k: as_int(f"{field}.{k}", v) for k, v in d[field].items()}
+    counts = {k: as_int(f"{field}.{k}", v) for k, v in as_object(field, d[field]).items()}
     if counts.keys() != set(keys):
         raise ValueError(f"{field} must have exactly the keys {', '.join(map(repr, keys))}")
     negative = [f"{field}.{k}" for k, v in counts.items() if v < 0]
     if negative:
         raise ValueError(f"{', '.join(negative)} cannot be negative")
     return counts
+
+
+def _read_entries(d: dict, field: str, types: set, valid, what: str) -> tuple:
+    """A stored per-row JSON array whose entries all have a type in ``types``
+    and float64 values that pass ``valid``; anything else is a ValueError
+    that names the first bad entry. Types are checked once per distinct
+    type and values in numpy, not one Python call per entry."""
+    values = d[field]
+    if not isinstance(values, list):
+        raise ValueError(f"{field} must be a JSON array, got {values!r}")
+
+    def good(entries: list) -> bool:
+        if not set(map(type, entries)) <= types:
+            return False
+        try:
+            return bool(valid(np.array(entries, dtype=np.float64)).all())
+        except OverflowError:  # an integer too large for a float64
+            return False
+
+    if not good(values):
+        i = next(i for i, v in enumerate(values) if not good([v]))
+        raise ValueError(f"{field}.{i} must be {what}, got {values[i]!r}")
+    return tuple(values)
 
 
 def dataset_fingerprint(dataset: TabularDataset) -> str:
@@ -333,6 +361,40 @@ def class_count_shift(
     return abs(int(counts.sum()) - n_test) + max(lo - positives, positives - hi, 0)
 
 
+# Query rows that matching_row_pairs gathers and searches at a time.
+_MATCH_BLOCK_ROWS = 4096
+
+
+def matching_row_pairs(reference: np.ndarray, queries: np.ndarray) -> int:
+    """Number of (reference row, query row) pairs whose float64 rows are
+    byte-identical, so 0.0 and -0.0 differ and so do NaNs with different
+    payloads; with zero columns every pair matches.
+
+    Each row is viewed as one unstructured void item of 8·d bytes and the
+    reference rows are argsorted. The query rows are argsorted too and
+    searched _MATCH_BLOCK_ROWS at a time in that order, so successive
+    binary searches walk nearly the same path through the reference rows.
+    A query row's matches are the width of its equal range, found by two
+    searchsorted calls. Extra memory is two sort orders and one block of
+    query rows, with no per-row object.
+    """
+    width = reference.shape[1]
+    if width == 0:
+        return reference.shape[0] * queries.shape[0]
+    row = np.dtype((np.void, 8 * width))
+    ref = np.ascontiguousarray(reference, dtype=np.float64).view(row).ravel()
+    qry = np.ascontiguousarray(queries, dtype=np.float64).view(row).ravel()
+    order = np.argsort(ref, kind="stable")
+    qry_order = np.argsort(qry, kind="stable")
+    pairs = 0
+    for start in range(0, qry.size, _MATCH_BLOCK_ROWS):
+        block = qry[qry_order[start : start + _MATCH_BLOCK_ROWS]]
+        matches = np.searchsorted(ref, block, side="right", sorter=order)
+        matches -= np.searchsorted(ref, block, side="left", sorter=order)
+        pairs += int(matches.sum())
+    return pairs
+
+
 def detect_leakage(
     train: TabularDataset,
     test: TabularDataset,
@@ -343,23 +405,17 @@ def detect_leakage(
     """Audit a train/test pair for evaluation contamination.
 
     Counts non-Original provenance rows in the test partition, exact
-    feature-vector matches across the partitions (hash-based) and the test
-    class count shift against the loaded data's class counts under
-    ``split``, and records whether the standardizer saw the full dataset;
-    the report derives its verdict from those four facts.
+    feature-vector matches across the partitions (matching_row_pairs) and
+    the test class count shift against the loaded data's class counts
+    under ``split``, and records whether the standardizer saw the full
+    dataset; the report derives its verdict from those four facts.
     """
     if train.n_rows == 0 or test.n_rows == 0:
         raise ValueError("both partitions must be non-empty")
     created = np.count_nonzero(test.provenance.kinds != ORIGINAL)
-    train_counts = Counter(
-        train.features[i].tobytes() for i in range(train.n_rows)
-    )
-    duplicate_pairs = sum(
-        train_counts[test.features[i].tobytes()] for i in range(test.n_rows)
-    )
     return LeakageReport(
         synthetic_rows_in_test=created,
-        duplicate_pairs_across_split=duplicate_pairs,
+        duplicate_pairs_across_split=matching_row_pairs(train.features, test.features),
         scaler_fitted_on_full_data=scaler_fitted_on_full_data,
         test_class_count_shift=class_count_shift(loaded_class_counts, test.labels, split),
     )

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import ProvenanceColumns, TabularDataset, as_int, as_real, round_half_up
+from .dataset import ProvenanceColumns, TabularDataset, as_int, as_real, frozen, round_half_up
 
 
 class SamplingError(ValueError):
@@ -136,7 +136,7 @@ def _oversample(
         return train
     new_features, new_provenance = make_rows(min_idx, n_new, np.random.default_rng(spec.seed))
     return TabularDataset(
-        features=np.vstack([train.features, new_features]),
+        features=frozen(np.vstack([train.features, new_features])),
         feature_names=train.feature_names,
         labels=np.concatenate([train.labels, np.full(n_new, minority_label, dtype=np.int64)]),
         provenance=train.provenance + new_provenance,

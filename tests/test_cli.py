@@ -472,8 +472,16 @@ class TestCompare:
             (lambda d: d["leakage"].update(synthetic_rows_in_test=-5), "synthetic_rows_in_test"),
             (lambda d: d["scenario"]["pipeline"][0].update(sampling_strategy=True),
              "sampling_strategy"),
-            (lambda d: d.update(train_class_counts=[]), "items"),  # an AttributeError
-            (lambda d: d.update(test_labels=None), "NoneType"),  # a TypeError
+            (lambda d: d.update(train_class_counts=[]), "train_class_counts must be a JSON object"),
+            (lambda d: d.update(test_labels=None), "test_labels must be a JSON array"),
+            (lambda d: d["test_labels"].__setitem__(0, True), "test_labels.0"),
+            (lambda d: d["test_labels"].__setitem__(0, 0.0), "test_labels.0"),
+            (lambda d: d["test_scores"].__setitem__(1, "0.5"), "test_scores.1"),
+            (lambda d: d["test_scores"].__setitem__(1, float("inf")), "test_scores.1"),
+            (lambda d: d.update(scenario=[]), "scenario must be a JSON object"),
+            (lambda d: d.update(leakage=[]), "leakage must be a JSON object"),
+            (lambda d: d.update(test_provenance_counts=[]),
+             "test_provenance_counts must be a JSON object"),
             (lambda d: d.update(data_fingerprint=[1]), "data_fingerprint"),
             (lambda d: d.update(data_fingerprint="AB" * 32), "data_fingerprint"),
             (lambda d: d.update(data_fingerprint="ab"), "data_fingerprint"),
@@ -500,7 +508,9 @@ class TestCompare:
             (lambda d: d.update(note="hand-edited"), "note"),
         ],
         ids=["f1", "class-counts", "zeroed-synthetic", "string-threshold", "negative-count",
-             "bool-strategy", "list-train-counts", "null-labels", "list-fingerprint",
+             "bool-strategy", "list-train-counts", "null-labels", "bool-label", "float-label",
+             "string-score", "infinite-score", "list-scenario", "list-leakage",
+             "list-provenance-counts", "list-fingerprint",
              "upper-hex-fingerprint", "short-fingerprint", "negative-train-count",
              "string-train-count", "extra-train-class", "missing-train-class",
              "string-wall-time", "negative-wall-time", "negative-provenance-count",

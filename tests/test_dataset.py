@@ -2,6 +2,7 @@ import csv
 import os
 import re
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakguard import dataset as dataset_module
+from leakguard import sampling
 from leakguard.dataset import (
     CREDITCARD_SCHEMA,
     CsvParseError,
@@ -90,6 +92,92 @@ class TestTabularDataset:
         assert picked.provenance.sources.tolist() == [2, 3]
         assert data.select_rows(np.array([3, 0], dtype=np.uint8)).features[:, 0].tolist() == [3.0, 0.0]
         assert data.select_rows([]).n_rows == 0
+
+
+class TestNoSecondCopy:
+    """A dataset keeps the fresh read-only matrix its producer hands it and
+    copies anything a caller could still write to."""
+
+    @staticmethod
+    def source(n_rows=400):
+        rng = np.random.default_rng(3)
+        features = np.column_stack(
+            [rng.uniform(0, 2 * 86400, n_rows), rng.standard_normal((n_rows, 3)),
+             rng.lognormal(3.0, 1.0, n_rows)]
+        )
+        labels = (np.arange(n_rows) % 10 == 0).astype(np.int64)
+        return TabularDataset(
+            features, ("Time", "V1", "V2", "V3", "Amount"), labels,
+            dataset_module.ProvenanceColumns.original(n_rows),
+        )
+
+    def derived(self, data):
+        train, test = stratified_split(data, SplitSpec(0.25, 0, True))
+        params = fit_standardizer(train, ["Time", "Amount"])
+        out = {
+            "select_rows": data.select_rows(np.arange(data.n_rows)[::-1]),
+            "split-train": train,
+            "split-test": test,
+            "apply_standardizer": apply_standardizer(train, params),
+            "engineer_time_features": engineer_time_features(train, HourMode.CORRECTED, params),
+        }
+        for kind in sampling.SamplerKind:
+            spec = sampling.SamplerSpec(kind, 0.5, 3, 1)
+            out[kind.value] = sampling.resample(train, spec)
+        return out
+
+    def test_derived_datasets_own_their_features(self):
+        data = self.source()
+        before = data.features.copy()
+        for name, derived in self.derived(data).items():
+            feats = derived.features
+            assert not np.shares_memory(feats, data.features), name
+            assert feats.flags.owndata and not feats.flags.writeable, name
+            with pytest.raises(ValueError):
+                feats[0, 0] = 1.0
+        assert np.array_equal(data.features, before)
+
+    def test_frozen_owned_matrix_kept_as_is(self):
+        features = dataset_module.frozen(np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]))
+        assert make_dataset(features, [0, 1, 0]).features is features
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda base: base,
+            lambda base: dataset_module.frozen(base[:, :]),
+            lambda base: dataset_module.frozen(base.view()),
+            lambda base: dataset_module.frozen(np.asfortranarray(base)),
+            lambda base: dataset_module.frozen(base.astype(np.float32)),
+            lambda base: base.tolist(),
+        ],
+        ids=["writable", "read-only-view", "read-only-whole-view", "fortran-order", "float32",
+             "list"],
+    )
+    def test_anything_else_is_copied(self, make):
+        base = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        given = make(base)
+        data = TabularDataset(given, ("a", "b"), [0, 1, 0], dataset_module.ProvenanceColumns.original(3))
+        assert data.features is not given and data.features.dtype == np.float64
+        assert not np.shares_memory(data.features, base)
+        base[0, 0] = 99.0
+        if isinstance(given, np.ndarray) and given.flags.writeable:
+            given[1, 1] = 99.0
+        assert data.features.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+
+    def test_select_rows_allocates_one_output_matrix(self):
+        data = generate_synthetic_imbalanced(20_000, 0.05, 30, 1.0, 0)
+        order = np.random.default_rng(0).permutation(data.n_rows)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            picked = data.select_rows(order)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # Features are 4.8 MB; the index, labels and provenance add 0.5 MB.
+        assert peak < 1.3 * picked.features.nbytes, peak / picked.features.nbytes
 
 
 class TestLoadCsv:

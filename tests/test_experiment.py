@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import json
 import math
+import struct
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 
@@ -32,10 +34,11 @@ from leakguard.experiment import (
     dataset_fingerprint,
     detect_leakage,
     hypergeometric_interval,
+    matching_row_pairs,
     run_scenario,
 )
 from leakguard.metrics import ConfusionMatrix
-from leakguard.sampling import SamplerKind, SamplerPipeline, SamplerSpec, apply_pipeline
+from leakguard.sampling import SamplerKind, SamplerPipeline, SamplerSpec, apply_pipeline, resample
 
 FAST_MODEL = GbdtParams(learning_rate=0.3, n_estimators=8, max_depth=3)
 
@@ -68,6 +71,69 @@ def brute_force_duplicate_pairs(train, test):
             if np.array_equal(test.features[i], train.features[j]):
                 count += 1
     return count
+
+
+def counter_duplicate_pairs(train_features, test_features):
+    """The audit's former count: a Counter keyed by each train row's bytes."""
+    train_counts = Counter(row.tobytes() for row in train_features)
+    return sum(train_counts[row.tobytes()] for row in test_features)
+
+
+def nan_with_payload(payload):
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000 | payload))[0]
+
+
+def pre_split_random_over():
+    """A pre-split random_over sample's partitions: copies of one minority
+    row on both sides, so each test copy matches many train rows."""
+    data = resample(small_data(), SamplerSpec(SamplerKind.RANDOM_OVER, 1.0, 5, 3))
+    train, test = stratified_split(data, SplitSpec(0.2, 1, True))
+    return train.features, test.features
+
+
+def matching_cases():
+    rng = np.random.default_rng(17)
+    signed = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -1.0]])
+    nans = np.array([[nan_with_payload(1), 2.0], [nan_with_payload(2), 2.0], [np.nan, 2.0]])
+    small_ints = rng.integers(0, 3, size=(300, 3)).astype(float)
+    one_column = rng.integers(0, 5, size=(200, 1)).astype(float)
+    distinct = rng.standard_normal((500, 4))
+    return {
+        "signed-zeros": (signed, signed[[1, 1, 2]]),
+        "nan-payloads": (nans, nans[[0, 2, 2, 1]]),
+        "pre-split-random-over": pre_split_random_over(),
+        "all-identical": (np.full((40, 3), 0.25), np.full((15, 3), 0.25)),
+        "one-column": (one_column[:150], one_column[150:]),
+        "zero-columns": (np.empty((7, 0)), np.empty((3, 0))),
+        "small-integers": (small_ints[:220], small_ints[220:]),
+        "no-matches": (distinct[:400], distinct[400:]),
+        "several-query-blocks": (small_ints[:100, :2], rng.integers(0, 4, (9000, 2)).astype(float)),
+    }
+
+
+class TestMatchingRowPairs:
+    """matching_row_pairs against the Counter over row bytes it replaced."""
+
+    @pytest.mark.parametrize("case", list(matching_cases()))
+    def test_matches_the_counter_over_row_bytes(self, case):
+        reference, queries = matching_cases()[case]
+        expected = counter_duplicate_pairs(reference, queries)
+        assert matching_row_pairs(reference, queries) == expected
+        assert matching_row_pairs(queries, reference) == expected
+        if case in ("pre-split-random-over", "all-identical", "small-integers",
+                    "several-query-blocks"):
+            assert expected > queries.shape[0]
+        if case == "no-matches":
+            assert expected == 0
+
+    def test_bytes_not_values_decide(self):
+        signed, nans = matching_cases()["signed-zeros"][0], matching_cases()["nan-payloads"][0]
+        assert matching_row_pairs(signed[:1], signed[1:2]) == 0  # 0.0 == -0.0 as values
+        assert matching_row_pairs(nans[:1], nans[:1]) == 1  # nan != nan as values
+        assert matching_row_pairs(nans[:1], nans[1:]) == 0
+
+    def test_zero_columns_match_every_pair(self):
+        assert matching_row_pairs(np.empty((7, 0)), np.empty((3, 0))) == 21
 
 
 class TestDetectLeakage:
@@ -371,7 +437,9 @@ class TestFingerprint:
             total = (total + int.from_bytes(digest, "big")) % (1 << 256)
         return f"{total:064x}"
 
-    @pytest.mark.parametrize("n_rows,n_features", [(0, 3), (1, 1), (3, 0), (300, 5), (2000, 30)])
+    @pytest.mark.parametrize(
+        "n_rows,n_features", [(0, 3), (1, 1), (3, 0), (300, 5), (2000, 30), (9000, 2)]
+    )
     def test_matches_per_row_sum(self, n_rows, n_features):
         rng = np.random.default_rng(n_rows + n_features)
         unique = rng.standard_normal((max(n_rows // 3, 1), n_features))
@@ -536,6 +604,34 @@ class TestResultFileChecks:
     def test_first_differing_path_named(self, docs, edit, path):
         with pytest.raises(ValueError, match=f"^{path}: "):
             ScenarioResult.from_dict(self.tamper(docs[1], edit))
+
+    @pytest.mark.parametrize(
+        "field, index, value",
+        [
+            ("test_labels", 0, True),
+            ("test_labels", 3, 1.0),
+            ("test_labels", 2, 2),
+            ("test_labels", 1, "0"),
+            ("test_labels", 4, None),
+            ("test_scores", 0, False),
+            ("test_scores", 5, float("nan")),
+            ("test_scores", 2, float("-inf")),
+            ("test_scores", 1, 10**400),
+            ("test_scores", 3, [0.5]),
+        ],
+    )
+    def test_stored_label_and_score_types_checked(self, docs, field, index, value):
+        with pytest.raises(ValueError, match=rf"^{field}\.{index} must be "):
+            ScenarioResult.from_dict(self.tamper(docs[1], lambda d: d[field].__setitem__(index, value)))
+
+    @pytest.mark.parametrize(
+        "field, wrong",
+        [("scenario", []), ("leakage", []), ("train_class_counts", []),
+         ("test_provenance_counts", []), ("test_labels", {}), ("test_scores", "0.5")],
+    )
+    def test_wrong_json_container_names_the_field(self, docs, field, wrong):
+        with pytest.raises(ValueError, match=f"^{field} must be a JSON "):
+            ScenarioResult.from_dict(self.tamper(docs[0], lambda d: d.update({field: wrong})))
 
     def test_string_threshold_refused(self, docs):
         def edit(d):
