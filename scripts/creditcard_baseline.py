@@ -7,7 +7,7 @@ it from kaggle.com/datasets/mlg-ulb/creditcardfraud and point --csv at it,
 or place it at data/creditcard.csv.
 
 Expect 1000 boosting rounds on 227,845 training rows to take roughly
-seven minutes: one round takes about 0.4 s on the benchmark's
+five minutes: one round takes about 0.29 s on the benchmark's
 creditcard-shaped stand-in on a 2-vCPU host (unverified on the real file).
 
 Usage: python scripts/creditcard_baseline.py [--csv PATH] [--rounds N]

@@ -3,9 +3,11 @@
 Trees are grown greedily, one level at a time, on first- and second-order
 derivatives of the weighted logistic loss. Split candidates come from
 per-feature quantile histograms (exact midpoints when a feature has few
-distinct values). Each level's histograms are built exactly, with no
-sibling subtraction, so the trees are identical to those of growing one
-node at a time. Leaf values solve the L1/L2-regularized Newton step in
+distinct values), each feature binned from one argsort. Each level's
+gradient and hessian histograms are built together, as the real and
+imaginary parts of one complex scatter-add per feature, exactly and with
+no sibling subtraction, so the trees are identical to those of growing
+one node at a time. Leaf values solve the L1/L2-regularized Newton step in
 closed form, and each split learns which way rows with missing values
 (NaN) should go.
 
@@ -25,9 +27,12 @@ from .dataset import TabularDataset, as_int, as_object, as_real
 
 MODEL_FORMAT_VERSION = 2
 
-# Nodes whose histograms are built and scored together. It bounds each of a
-# pass's histogram and gain arrays to _NODES_PER_PASS * features * bins cells.
-_NODES_PER_PASS = 32
+# Histogram cells (node, feature, bin) built and scored together: a pass
+# takes as many of a level's nodes as fit, and at least one. It bounds each
+# of a pass's histogram and gain arrays, whatever n_bins is. Depth 6 at 256
+# bins on 34 features fills 279,616 cells, so a level of any shipped config
+# is one pass.
+_CELLS_PER_PASS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -222,14 +227,8 @@ def weighted_log_loss(labels: np.ndarray, margins: np.ndarray, weights: np.ndarr
     return float((weights * losses).sum() / weights.sum())
 
 
-def candidate_thresholds(values: np.ndarray, n_bins: int) -> np.ndarray:
-    """Split candidates for one feature column (NaN ignored).
-
-    Features with at most n_bins distinct values get exact midpoints
-    between consecutive distinct values; denser features get n_bins - 1
-    interior quantiles, deduplicated.
-    """
-    ordered = np.sort(values[~np.isnan(values)])
+def _thresholds_of_sorted(ordered: np.ndarray, n_bins: int) -> np.ndarray:
+    """candidate_thresholds' rule, given a column's NaN-free values sorted."""
     first = np.ones(ordered.size, dtype=bool)
     first[1:] = ordered[1:] != ordered[:-1]
     distinct = ordered[first]
@@ -241,25 +240,55 @@ def candidate_thresholds(values: np.ndarray, n_bins: int) -> np.ndarray:
     return np.unique(np.quantile(ordered, qs))
 
 
-def _bin_features(X: np.ndarray, thresholds: list[np.ndarray]) -> np.ndarray:
-    """Bin index per cell, feature-major: count of thresholds <= value;
-    -1 marks missing.
+def candidate_thresholds(values: np.ndarray, n_bins: int) -> np.ndarray:
+    """Split candidates for one feature column (NaN ignored).
 
-    A row goes left at threshold t exactly when its value < t, i.e. when
-    its bin index is <= the threshold's position.
+    Features with at most n_bins distinct values get exact midpoints
+    between consecutive distinct values; denser features get n_bins - 1
+    interior quantiles, deduplicated.
+    """
+    return _thresholds_of_sorted(np.sort(values[~np.isnan(values)]), n_bins)
+
+
+def _bin_features(X: np.ndarray, n_bins: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Each feature's candidate thresholds, the bin index per cell
+    (feature-major), and which features have missing cells.
+
+    A cell's bin is the count of thresholds <= its value, -1 when it is
+    missing: searchsorted(thresholds, column, "right"). A row goes left at
+    threshold t exactly when its value < t, i.e. when its bin index is <=
+    the threshold's position.
+
+    One argsort per column serves both: the sorted present values give the
+    thresholds, and searchsorted(sorted values, thresholds, "left") gives
+    where each bin's run of sorted values starts, which the order scatters
+    back to the rows. Temporaries are one column's worth.
     """
     n, n_feat = X.shape
     binned = np.empty((n_feat, n), dtype=np.int32)
+    thresholds = []
+    has_missing = np.empty(n_feat, dtype=bool)
     for f in range(n_feat):
-        col = X[:, f]
-        missing = np.isnan(col)
-        binned[f] = np.searchsorted(thresholds[f], col, side="right")
-        binned[f, missing] = -1
-    return binned
+        col = np.ascontiguousarray(X[:, f])
+        order = np.argsort(col)  # NaN sorts last
+        n_present = n - np.count_nonzero(np.isnan(col))
+        ordered = col[order[:n_present]]
+        cand = _thresholds_of_sorted(ordered, n_bins)
+        starts = np.searchsorted(ordered, cand, side="left")
+        runs = np.diff(starts, prepend=0, append=n_present)
+        binned[f, order[:n_present]] = np.repeat(np.arange(cand.size + 1, dtype=np.int32), runs)
+        binned[f, order[n_present:]] = -1
+        thresholds.append(cand)
+        has_missing[f] = n_present < n
+    return thresholds, binned, has_missing
 
 
 def _score(G: np.ndarray, H: np.ndarray, lam: float, alpha: float) -> np.ndarray:
-    s = soft_threshold(G, alpha)
+    """Newton score soft_threshold(G)**2 / (H + lambda), 0 where the
+    denominator is not positive. The sign soft_threshold restores squares
+    away, so max(|G| - alpha, 0) alone gives the same bits (a NaN stays
+    NaN)."""
+    s = np.maximum(np.abs(G) - alpha, 0.0)
     denom = H + lam
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(denom > 0, s * s / denom, 0.0)
@@ -277,12 +306,14 @@ def _grow_tree(
     """Grow one tree level by level; returns the root and each row's raw leaf value.
 
     Each level's gradient and hessian histograms come from one keyed
-    bincount per feature (key: node slot * width + bin + 1, so missing
-    values fall in column 0), and every (node, feature, threshold) of the
-    level is scored at once. A node's rows stay in ascending order, so
-    each histogram cell adds the same values in the same order as a
-    bincount over that node alone would: the trees are exactly those of
-    greedy per-node growth.
+    scatter-add per feature of the complex values g + i*h (key: node slot
+    * width + bin + 1, so missing values fall in column 0): complex addition
+    adds the real and imaginary parts apart, so the real part of a cell is
+    its gradient sum and the imaginary part its hessian sum. Every (node,
+    feature, threshold) of the level is then scored at once. A node's rows
+    stay in ascending order, so each histogram cell adds the same values
+    in the same order as a bincount over that node alone would: the trees
+    are exactly those of greedy per-node growth.
 
     A node splits on the highest positive Newton gain whose children both
     meet min_child_weight. Gain ties break toward the lower feature index,
@@ -294,6 +325,9 @@ def _grow_tree(
     width = int(sizes.max(initial=0)) + 2
     valid = np.arange(width - 2) < sizes[:, None]
     with_missing = [j for j, f in enumerate(feats) if feature_has_missing[f]]
+    nodes_per_pass = max(1, _CELLS_PER_PASS // (len(feats) * width or 1))
+    gh = np.empty(g.size, dtype=np.complex128)
+    gh.real, gh.imag = g, h
     leaf_values = np.empty(g.size, dtype=np.float64)
     # Breadth-first: a leaf, or (feature, threshold, missing_left, left child's index).
     nodes: list = []
@@ -303,20 +337,19 @@ def _grow_tree(
         g_tot = np.array([g[idx].sum() for idx in level])
         h_tot = np.array([h[idx].sum() for idx in level])
         splits = [None] * k
-        for lo in range(0, k if depth < params.max_depth and feats else 0, _NODES_PER_PASS):
-            part = level[lo : lo + _NODES_PER_PASS]
+        for lo in range(0, k if depth < params.max_depth and feats else 0, nodes_per_pass):
+            part = level[lo : lo + nodes_per_pass]
             m = len(part)
             # Rows keep their original order; rows outside this pass's nodes
             # fill a spare slot m that is never read.
             base = np.full(g.size, m * width + 1)
             for slot, idx in enumerate(part):
                 base[idx] = slot * width + 1
-            G = np.empty((m, len(feats), width))
-            H = np.empty_like(G)
+            C = np.zeros((len(feats), (m + 1) * width), dtype=np.complex128)
             for j, f in enumerate(feats):
-                key = binned[f] + base
-                G[:, j] = np.bincount(key, g, (m + 1) * width).reshape(m + 1, width)[:m]
-                H[:, j] = np.bincount(key, h, (m + 1) * width).reshape(m + 1, width)[:m]
+                np.add.at(C[j], binned[f] + base, gh)
+            C = C.reshape(len(feats), m + 1, width)[:, :m].transpose(1, 0, 2)
+            G, H = C.real, C.imag
             gt, ht = g_tot[lo : lo + m, None, None], h_tot[lo : lo + m, None, None]
             parent = _score(gt, ht, lam, alpha)
 
@@ -357,7 +390,9 @@ def _grow_tree(
                 continue
             f, pos, missing_left = split
             bins = binned[f][idx]
-            left = (bins <= pos) & (missing_left | (bins >= 0))
+            left = bins <= pos
+            if not missing_left:
+                left &= bins >= 0
             nodes.append((f, float(thresholds[f][pos]), missing_left, first_child + len(next_level)))
             next_level += [idx[left], idx[~left]]
         level, depth = next_level, depth + 1
@@ -392,9 +427,7 @@ def train(train_data: TabularDataset, params: GbdtParams) -> GbdtModel:
     p_bar = float((w * y).sum() / w.sum())
     base_score = math.log(p_bar / (1.0 - p_bar))
 
-    thresholds = [candidate_thresholds(X[:, f], params.n_bins) for f in range(X.shape[1])]
-    binned = _bin_features(X, thresholds)
-    feature_has_missing = np.isnan(X).any(axis=0)
+    thresholds, binned, feature_has_missing = _bin_features(X, params.n_bins)
 
     margins = np.full(y.size, base_score, dtype=np.float64)
     losses = [weighted_log_loss(y, margins, w)]

@@ -152,9 +152,11 @@ class ProvenanceColumns:
     ``kinds`` (int8) is each row's index into ``RowProvenance.KINDS``,
     ``sources`` (int64) its source row index, -1 where it has none, and
     ``methods`` (int8) its index into ``SYNTHETIC_METHODS`` on a synthetic
-    row and -1 on every other row. The rules are RowProvenance's. ``+``
-    joins two of them row after row, and two are equal when their arrays
-    are.
+    row and -1 on every other row. The rules are RowProvenance's. A
+    column that is a read-only, C-contiguous array of its dtype owning its
+    data, as ``frozen`` makes, is kept as it is; any other is copied.
+    ``+`` joins two of them row after row, and two are equal when their
+    arrays are.
     """
 
     kinds: np.ndarray
@@ -173,8 +175,10 @@ class ProvenanceColumns:
                 raise ValueError(f"provenance {name} must be a 1-D integer array")
             if values.size and not low <= values.min() <= values.max() <= high:
                 raise ValueError(f"provenance {name} must lie in [{low}, {high}]")
-            columns[name] = values.astype(dtype)
-            columns[name].setflags(write=False)
+            if not _owned_frozen(values, dtype):
+                values = values.astype(dtype)
+                values.setflags(write=False)
+            columns[name] = values
         kinds, sources, methods = columns.values()
         if not kinds.size == sources.size == methods.size:
             raise ValueError("provenance columns must have one entry per row")
@@ -191,7 +195,11 @@ class ProvenanceColumns:
     @classmethod
     def original(cls, n_rows: int) -> "ProvenanceColumns":
         """Rows 0..n_rows-1 of a loaded dataset, each its own source."""
-        return cls(np.zeros(n_rows, np.int8), np.arange(n_rows), np.full(n_rows, -1, np.int8))
+        return cls(
+            frozen(np.zeros(n_rows, np.int8)),
+            frozen(np.arange(n_rows, dtype=np.int64)),
+            frozen(np.full(n_rows, -1, np.int8)),
+        )
 
     @classmethod
     def duplicates(cls, sources: np.ndarray) -> "ProvenanceColumns":
@@ -225,7 +233,11 @@ class ProvenanceColumns:
 
     def take(self, indices: np.ndarray) -> "ProvenanceColumns":
         """The rows at the given integer indices, in that order."""
-        return ProvenanceColumns(self.kinds[indices], self.sources[indices], self.methods[indices])
+        return ProvenanceColumns(
+            frozen(self.kinds[indices]),
+            frozen(self.sources[indices]),
+            frozen(self.methods[indices]),
+        )
 
     def __len__(self) -> int:
         return self.kinds.size
@@ -234,9 +246,9 @@ class ProvenanceColumns:
         if not isinstance(other, ProvenanceColumns):
             return NotImplemented
         return ProvenanceColumns(
-            np.concatenate([self.kinds, other.kinds]),
-            np.concatenate([self.sources, other.sources]),
-            np.concatenate([self.methods, other.methods]),
+            frozen(np.concatenate([self.kinds, other.kinds])),
+            frozen(np.concatenate([self.sources, other.sources])),
+            frozen(np.concatenate([self.methods, other.methods])),
         )
 
     def __eq__(self, other):
@@ -249,26 +261,28 @@ class ProvenanceColumns:
         )
 
 
-def frozen(features: np.ndarray) -> np.ndarray:
-    """Mark a fresh float64 matrix read-only and return it.
+def frozen(array: np.ndarray) -> np.ndarray:
+    """Mark a fresh array read-only and return it.
 
-    Only for a matrix its caller has just made and hands straight to a
-    TabularDataset: the dataset then keeps it as it is rather than copying
-    it (see TabularDataset).
+    Only for an array its caller has just made and hands straight to a
+    TabularDataset (features or labels) or a ProvenanceColumns: they keep
+    such an array of their dtype as it is rather than copying it (see
+    TabularDataset).
     """
-    features.setflags(write=False)
-    return features
+    array.setflags(write=False)
+    return array
 
 
-def _owned_frozen(features) -> bool:
+def _owned_frozen(array, dtype) -> bool:
     """True for an array no one can write through: a read-only, C-contiguous
-    float64 ndarray that owns its data, so no writable view of it exists."""
+    ndarray of the given dtype that owns its data, so no writable view of it
+    exists."""
     return (
-        type(features) is np.ndarray
-        and features.dtype == np.float64
-        and features.flags.c_contiguous
-        and features.flags.owndata
-        and not features.flags.writeable
+        type(array) is np.ndarray
+        and array.dtype == dtype
+        and array.flags.c_contiguous
+        and array.flags.owndata
+        and not array.flags.writeable
     )
 
 
@@ -284,7 +298,8 @@ class TabularDataset:
         view, another dtype) is copied, so the caller cannot change the
         dataset through it.
     feature_names : unique column labels, one per feature column
-    labels : per-row class, 0 (negative) or 1 (positive)
+    labels : per-row class, 0 (negative) or 1 (positive); kept or copied
+        by the rule for features, with int64 as the kept dtype
     provenance : per-row origin, a ProvenanceColumns or a sequence of
         RowProvenance (stored as ProvenanceColumns.from_rows of it)
     """
@@ -296,7 +311,7 @@ class TabularDataset:
 
     def __post_init__(self):
         feats = self.features
-        if not _owned_frozen(feats):
+        if not _owned_frozen(feats, np.float64):
             feats = np.array(feats, dtype=np.float64, copy=True)
         if feats.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
@@ -318,9 +333,11 @@ class TabularDataset:
         # Checked before the int64 cast, which would truncate 0.5 to 0.
         if raw_labels.size and not np.isin(raw_labels, (0, 1)).all():
             raise ValueError("labels must be exactly 0 or 1")
-        labels = raw_labels.astype(np.int64)
+        labels = raw_labels
+        if not _owned_frozen(labels, np.int64):
+            labels = raw_labels.astype(np.int64)
+            labels.setflags(write=False)
         feats.setflags(write=False)
-        labels.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "labels", labels)
@@ -378,11 +395,11 @@ class TabularDataset:
         idx = np.asarray(indices)
         if idx.size and idx.dtype.kind not in "iu":
             raise ValueError(f"row indices must be integers, got a {idx.dtype} array")
-        idx = idx.astype(np.int64)
+        idx = idx.astype(np.int64, copy=False)
         return TabularDataset(
             features=frozen(self.features[idx]),
             feature_names=self.feature_names,
-            labels=self.labels[idx],
+            labels=frozen(self.labels[idx]),
             provenance=self.provenance.take(idx),
         )
 
@@ -525,7 +542,7 @@ def load_csv(
     return TabularDataset(
         features=frozen(features),
         feature_names=feature_names,
-        labels=labels,
+        labels=frozen(labels),
         provenance=ProvenanceColumns.original(labels.size),
     )
 
@@ -702,7 +719,7 @@ def generate_synthetic_imbalanced(
     return TabularDataset(
         features=frozen(features[order]),
         feature_names=tuple(f"f{i + 1}" for i in range(n_features)),
-        labels=labels[order],
+        labels=frozen(labels[order]),
         provenance=ProvenanceColumns.original(n_rows),
     )
 

@@ -138,7 +138,9 @@ def _oversample(
     return TabularDataset(
         features=frozen(np.vstack([train.features, new_features])),
         feature_names=train.feature_names,
-        labels=np.concatenate([train.labels, np.full(n_new, minority_label, dtype=np.int64)]),
+        labels=frozen(
+            np.concatenate([train.labels, np.full(n_new, minority_label, dtype=np.int64)])
+        ),
         provenance=train.provenance + new_provenance,
     )
 

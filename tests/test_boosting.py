@@ -227,10 +227,58 @@ class TestSplitFinding:
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from([np.nan, 0.0, -0.0, 1.0, 2.5, -3.0]),
+                st.floats(-1e6, 1e6, allow_nan=False),
+            ),
+            max_size=120,
+        ),
+        n_bins=st.integers(2, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_binning_matches_searchsorted_oracle(self, values, n_bins):
+        """One argsort per column gives the thresholds candidate_thresholds
+        gives and the bins searchsorted(thresholds, column, "right") gives,
+        -1 for NaN. Columns: the drawn values (ties, +-0.0, NaN, 0 or 1
+        rows), few distinct values, constant, and all NaN."""
+        col = np.array(values, dtype=np.float64)
+        X = np.column_stack(
+            [col, np.round(col / 1e6), np.full(col.size, 2.5), np.full(col.size, np.nan)]
+        )
+        thresholds, binned, has_missing = boosting._bin_features(X, n_bins)
+        assert binned.shape == (4, col.size) and binned.dtype == np.int32
+        for f in range(4):
+            want = candidate_thresholds(X[:, f], n_bins)
+            # +0.0 and -0.0 compare equal, and so bin every value alike.
+            np.testing.assert_array_equal(thresholds[f], want)
+            missing = np.isnan(X[:, f])
+            bins = np.where(missing, -1, np.searchsorted(want, X[:, f], side="right"))
+            np.testing.assert_array_equal(binned[f], bins)
+            assert has_missing[f] == missing.any()
+
     def test_constant_feature_never_split(self):
         data = make_dataset(np.ones((30, 1)), np.array([0, 1] * 15))
         model = train(data, GbdtParams(n_estimators=2, max_depth=3))
         assert all(t.is_leaf for t in model.trees)
+
+
+class TestScore:
+    def test_matches_the_sign_form(self):
+        """max(|G| - alpha, 0) squared equals soft_threshold(G) squared bit
+        for bit; a NaN stays NaN (its sign bit may differ)."""
+        G = np.array([np.nan, -np.nan, 0.0, -0.0, 1.0, -1.0, 0.3, -0.3, 0.5, -0.5, 2.0, -7.25])
+        H = np.array([1.0, 1.0, 0.5, 0.5, -1.0, 2.0, 0.0, 3.0, 1.0, 1.0, np.nan, 4.0])
+        for alpha in (0.0, 0.5, 3.0):
+            for lam in (0.0, 1.0):
+                s = soft_threshold(G, alpha)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    want = np.where(H + lam > 0, s * s / (H + lam), 0.0)
+                got = _score(G, H, lam, alpha)
+                nan = np.isnan(want)
+                assert np.array_equal(np.isnan(got), nan)
+                assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
 class TestMissingValues:
@@ -514,7 +562,7 @@ ORACLE_CASES = [
     (300, 0.2, dict(n_estimators=3, max_depth=1, positive_class_weight=7.0)),
     (100, 0.1, dict(n_estimators=0)),
     (2, 0.0, dict(n_estimators=2, max_depth=7, min_child_weight=0.0)),
-    # 42 open nodes at depth 6: more than one pass of _NODES_PER_PASS.
+    # 42 open nodes at depth 6 (TestCellBudget splits such levels into passes).
     (1000, 0.1, dict(n_estimators=1, max_depth=7, min_child_weight=0.0)),
 ]
 
@@ -549,6 +597,18 @@ class TestLevelwiseMatchesPerNodeGrowth:
         monkeypatch.setattr(boosting, "_grow_tree", reference_grow_tree)
         for data, params, levelwise in configs:
             assert train(data, params).to_json() == levelwise, params
+
+
+class TestCellBudget:
+    @pytest.mark.parametrize("budget", [1, 700, 2000])
+    def test_several_passes_give_the_one_pass_model(self, monkeypatch, budget):
+        """A level whose nodes do not fit the cell budget is built over
+        several passes, down to one node per pass, with the same trees."""
+        data = _oracle_dataset(np.random.default_rng(1000), 1000, 0.1)
+        params = GbdtParams(n_estimators=2, max_depth=7, min_child_weight=0.0, n_bins=16)
+        one_pass = train(data, params).to_json()
+        monkeypatch.setattr(boosting, "_CELLS_PER_PASS", budget)
+        assert train(data, params).to_json() == one_pass
 
 
 def _walk_nodes(node):
