@@ -1,7 +1,8 @@
 """Leakage-guarded experiments for imbalanced binary classification.
 
-The package ties together four pieces: tabular datasets with per-row
-provenance, class-rebalancing samplers that tag every row they create,
+The package ties together four pieces: tabular datasets that tag each
+row with its provenance kind (original, duplicate or synthetic),
+class-rebalancing samplers that tag every row they create,
 a Newton-boosted tree classifier, and an experiment runner that makes the
 placement of resampling relative to the train/test split explicit and
 audits the outcome for evaluation contamination.
@@ -11,7 +12,6 @@ from .boosting import GbdtModel, GbdtParams, predict, predict_margin, predict_pr
 from .dataset import (
     CREDITCARD_SCHEMA,
     HourMode,
-    ProvenanceColumns,
     RowProvenance,
     SplitSpec,
     StandardizerParams,
@@ -63,7 +63,6 @@ __all__ = [
     "MetricsReport",
     "Placement",
     "Preprocessing",
-    "ProvenanceColumns",
     "RowProvenance",
     "SamplerKind",
     "SamplerPipeline",

@@ -1,16 +1,15 @@
 """In-memory tabular datasets with per-row provenance.
 
-Every row of a :class:`TabularDataset` knows where it came from: loaded
-from a file, duplicated from another row, or synthesized by a sampler.
-Provenance is what makes train/test contamination detectable after the
-fact, so all loading, splitting, and preprocessing operations preserve it.
+Every row of a :class:`TabularDataset` knows what kind of row it is:
+loaded from a file, duplicated from another row, or synthesized by a
+sampler. Provenance is what makes train/test contamination detectable
+after the fact, so all loading, splitting, and preprocessing operations
+preserve it.
 
-A dataset holds its provenance in one form, :class:`ProvenanceColumns`:
-three parallel arrays of kind code, source row and method code, where a
-method code indexes the fixed table ``SYNTHETIC_METHODS``. A
-:class:`RowProvenance` describes one row; it is only for building
-provenance by hand, and a dataset given a sequence of them stores their
-columns.
+A dataset holds its provenance as one read-only int8 array of kind codes,
+each an index into ``RowProvenance.KINDS``. A :class:`RowProvenance`
+describes one row; it is only for building provenance by hand, and a
+dataset given a sequence of them stores their kinds.
 """
 
 from __future__ import annotations
@@ -89,43 +88,29 @@ def as_object(name: str, value) -> dict:
 # Rows that TabularDataset.fingerprint lays out and hashes per block.
 _FINGERPRINT_BLOCK_ROWS = 4096
 
-# The only methods that make synthetic rows; a synthetic row's method code
-# is its index here.
-SYNTHETIC_METHODS = ("smote", "gaussian")
-
 
 @dataclass(frozen=True)
 class RowProvenance:
     """Origin of one dataset row, for building provenance by hand.
 
-    kind is one of "original", "duplicate", "synthetic". Duplicates and
-    originals point back at a source row index in the dataset they were
-    created from; synthetic rows record the generating method instead, one
-    of SYNTHETIC_METHODS. Datasets store provenance as ProvenanceColumns;
-    ``ProvenanceColumns.from_rows`` turns a sequence of these into one.
+    kind is one of KINDS: "original", "duplicate", "synthetic". Originals
+    and duplicates name a source row index; a dataset given a sequence of
+    these stores only their kind codes, so the index is checked but not
+    kept.
     """
 
     kind: str
     source_index: int | None = None
-    method: str | None = None
 
     KINDS = ("original", "duplicate", "synthetic")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown provenance kind {self.kind!r}")
-        if self.kind in ("original", "duplicate"):
-            if self.source_index is None or self.source_index < 0:
-                raise ValueError(f"{self.kind} provenance needs a valid source_index")
-            if self.method is not None:
-                raise ValueError(f"{self.kind} provenance cannot name a method, got {self.method!r}")
-            return
         if self.source_index is not None and self.source_index < 0:
             raise ValueError("source_index cannot be negative")
-        if self.method not in SYNTHETIC_METHODS:
-            raise ValueError(
-                f"synthetic provenance needs a method from {SYNTHETIC_METHODS}, got {self.method!r}"
-            )
+        if self.kind != "synthetic" and self.source_index is None:
+            raise ValueError(f"{self.kind} provenance needs a valid source_index")
 
     @classmethod
     def original(cls, source_index: int) -> "RowProvenance":
@@ -136,138 +121,21 @@ class RowProvenance:
         return cls("duplicate", source_index=source_index)
 
     @classmethod
-    def synthetic(cls, method: str) -> "RowProvenance":
-        return cls("synthetic", method=method)
+    def synthetic(cls) -> "RowProvenance":
+        return cls("synthetic")
 
 
+# A row's kind code is its kind's index in RowProvenance.KINDS.
 _KIND_CODES = {kind: code for code, kind in enumerate(RowProvenance.KINDS)}
-_METHOD_CODES = {method: code for code, method in enumerate(SYNTHETIC_METHODS)}
 ORIGINAL, DUPLICATE, SYNTHETIC = range(len(RowProvenance.KINDS))
-
-
-@dataclass(frozen=True, eq=False)
-class ProvenanceColumns:
-    """Per-row provenance as three parallel read-only arrays.
-
-    ``kinds`` (int8) is each row's index into ``RowProvenance.KINDS``,
-    ``sources`` (int64) its source row index, -1 where it has none, and
-    ``methods`` (int8) its index into ``SYNTHETIC_METHODS`` on a synthetic
-    row and -1 on every other row. The rules are RowProvenance's. A
-    column that is a read-only, C-contiguous array of its dtype owning its
-    data, as ``frozen`` makes, is kept as it is; any other is copied.
-    ``+`` joins two of them row after row, and two are equal when their
-    arrays are.
-    """
-
-    kinds: np.ndarray
-    sources: np.ndarray
-    methods: np.ndarray
-
-    def __post_init__(self):
-        columns = {}
-        for name, low, high, dtype in (
-            ("kinds", 0, len(RowProvenance.KINDS) - 1, np.int8),
-            ("sources", -1, np.iinfo(np.int64).max, np.int64),
-            ("methods", -1, len(SYNTHETIC_METHODS) - 1, np.int8),
-        ):
-            values = np.asarray(getattr(self, name))
-            if values.ndim != 1 or (values.size and values.dtype.kind not in "iu"):
-                raise ValueError(f"provenance {name} must be a 1-D integer array")
-            if values.size and not low <= values.min() <= values.max() <= high:
-                raise ValueError(f"provenance {name} must lie in [{low}, {high}]")
-            if not _owned_frozen(values, dtype):
-                values = values.astype(dtype)
-                values.setflags(write=False)
-            columns[name] = values
-        kinds, sources, methods = columns.values()
-        if not kinds.size == sources.size == methods.size:
-            raise ValueError("provenance columns must have one entry per row")
-        synthetic = kinds == SYNTHETIC
-        if (sources[~synthetic] < 0).any():
-            raise ValueError("original and duplicate provenance need a valid source_index")
-        if (methods[synthetic] < 0).any():
-            raise ValueError("synthetic provenance needs a method code")
-        if (methods[~synthetic] >= 0).any():
-            raise ValueError("original and duplicate provenance cannot name a method")
-        for name, values in columns.items():
-            object.__setattr__(self, name, values)
-
-    @classmethod
-    def original(cls, n_rows: int) -> "ProvenanceColumns":
-        """Rows 0..n_rows-1 of a loaded dataset, each its own source."""
-        return cls(
-            frozen(np.zeros(n_rows, np.int8)),
-            frozen(np.arange(n_rows, dtype=np.int64)),
-            frozen(np.full(n_rows, -1, np.int8)),
-        )
-
-    @classmethod
-    def duplicates(cls, sources: np.ndarray) -> "ProvenanceColumns":
-        """Exact copies of the given source rows."""
-        n = len(sources)
-        return cls(np.full(n, DUPLICATE, np.int8), sources, np.full(n, -1, np.int8))
-
-    @classmethod
-    def synthetic(cls, method: str, n_rows: int) -> "ProvenanceColumns":
-        """n_rows rows made by the named method, one of SYNTHETIC_METHODS."""
-        return cls(
-            np.full(n_rows, SYNTHETIC, np.int8),
-            np.full(n_rows, -1, np.int64),
-            np.full(n_rows, _METHOD_CODES[method], np.int8),
-        )
-
-    @classmethod
-    def from_rows(cls, rows) -> "ProvenanceColumns":
-        """The columns of a sequence of RowProvenance."""
-        rows = tuple(rows)
-        if not all(isinstance(p, RowProvenance) for p in rows):
-            raise TypeError("provenance entries must be RowProvenance")
-        n = len(rows)
-        sources = (-1 if p.source_index is None else p.source_index for p in rows)
-        methods = (-1 if p.method is None else _METHOD_CODES[p.method] for p in rows)
-        return cls(
-            np.fromiter((_KIND_CODES[p.kind] for p in rows), np.int8, n),
-            np.fromiter(sources, np.int64, n),
-            np.fromiter(methods, np.int8, n),
-        )
-
-    def take(self, indices: np.ndarray) -> "ProvenanceColumns":
-        """The rows at the given integer indices, in that order."""
-        return ProvenanceColumns(
-            frozen(self.kinds[indices]),
-            frozen(self.sources[indices]),
-            frozen(self.methods[indices]),
-        )
-
-    def __len__(self) -> int:
-        return self.kinds.size
-
-    def __add__(self, other):
-        if not isinstance(other, ProvenanceColumns):
-            return NotImplemented
-        return ProvenanceColumns(
-            frozen(np.concatenate([self.kinds, other.kinds])),
-            frozen(np.concatenate([self.sources, other.sources])),
-            frozen(np.concatenate([self.methods, other.methods])),
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, ProvenanceColumns):
-            return NotImplemented
-        return (
-            np.array_equal(self.kinds, other.kinds)
-            and np.array_equal(self.sources, other.sources)
-            and np.array_equal(self.methods, other.methods)
-        )
 
 
 def frozen(array: np.ndarray) -> np.ndarray:
     """Mark a fresh array read-only and return it.
 
     Only for an array its caller has just made and hands straight to a
-    TabularDataset (features or labels) or a ProvenanceColumns: they keep
-    such an array of their dtype as it is rather than copying it (see
-    TabularDataset).
+    TabularDataset (features, labels or provenance kinds): it keeps such an
+    array of its dtype as it is rather than copying it (see TabularDataset).
     """
     array.setflags(write=False)
     return array
@@ -300,14 +168,16 @@ class TabularDataset:
     feature_names : unique column labels, one per feature column
     labels : per-row class, 0 (negative) or 1 (positive); kept or copied
         by the rule for features, with int64 as the kept dtype
-    provenance : per-row origin, a ProvenanceColumns or a sequence of
-        RowProvenance (stored as ProvenanceColumns.from_rows of it)
+    provenance : per-row kind code, an integer array whose values index
+        RowProvenance.KINDS, kept or copied by the rule for features with
+        int8 as the kept dtype; or a sequence of RowProvenance, of which
+        only the kinds are stored
     """
 
     features: np.ndarray
     feature_names: tuple[str, ...]
     labels: np.ndarray
-    provenance: ProvenanceColumns
+    provenance: np.ndarray
 
     def __post_init__(self):
         feats = self.features
@@ -317,9 +187,12 @@ class TabularDataset:
             raise ValueError("features must be a 2-D matrix")
         raw_labels = np.asarray(self.labels)
         names = tuple(self.feature_names)
-        prov = self.provenance
-        if not isinstance(prov, ProvenanceColumns):
-            prov = ProvenanceColumns.from_rows(prov)
+        kinds = self.provenance
+        if not isinstance(kinds, np.ndarray):
+            rows = tuple(kinds)
+            if not all(isinstance(p, RowProvenance) for p in rows):
+                raise TypeError("provenance entries must be RowProvenance")
+            kinds = frozen(np.fromiter((_KIND_CODES[p.kind] for p in rows), np.int8, len(rows)))
         if len(names) != feats.shape[1]:
             raise ValueError(
                 f"{len(names)} feature names for {feats.shape[1]} columns"
@@ -328,20 +201,26 @@ class TabularDataset:
             raise ValueError("feature names must be unique")
         if raw_labels.shape != (feats.shape[0],):
             raise ValueError("labels length must equal the row count")
-        if len(prov) != feats.shape[0]:
+        if kinds.shape != (feats.shape[0],):
             raise ValueError("provenance length must equal the row count")
-        # Checked before the int64 cast, which would truncate 0.5 to 0.
+        # Checked before the casts, which would truncate 0.5 to 0 and wrap
+        # a kind code of 256 to 0.
         if raw_labels.size and not np.isin(raw_labels, (0, 1)).all():
             raise ValueError("labels must be exactly 0 or 1")
+        if kinds.size and (
+            kinds.dtype.kind not in "iu" or not 0 <= kinds.min() <= kinds.max() <= SYNTHETIC
+        ):
+            raise ValueError(f"provenance must be integer kind codes in [0, {SYNTHETIC}]")
         labels = raw_labels
         if not _owned_frozen(labels, np.int64):
-            labels = raw_labels.astype(np.int64)
-            labels.setflags(write=False)
+            labels = frozen(raw_labels.astype(np.int64))
+        if not _owned_frozen(kinds, np.int8):
+            kinds = frozen(kinds.astype(np.int8))
         feats.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "provenance", prov)
+        object.__setattr__(self, "provenance", kinds)
 
     @property
     def n_rows(self) -> int:
@@ -390,17 +269,26 @@ class TabularDataset:
 
     def select_rows(self, indices) -> "TabularDataset":
         """New dataset holding the rows at the given integer indices, in
-        that order, provenance carried through. Any other index array, a
-        boolean mask included, is a ValueError."""
+        that order, provenance carried through. Anything but a 1-D integer
+        array (a boolean mask or a scalar included), or an index outside
+        [0, n_rows), is a ValueError."""
         idx = np.asarray(indices)
-        if idx.size and idx.dtype.kind not in "iu":
-            raise ValueError(f"row indices must be integers, got a {idx.dtype} array")
+        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+            raise ValueError(
+                f"row indices must be a 1-D array of integers, got a {idx.dtype} "
+                f"array of shape {idx.shape}"
+            )
+        outside = (idx < 0) | (idx >= self.n_rows)
+        if outside.any():
+            raise ValueError(
+                f"row index {idx[outside][0]} is outside [0, {self.n_rows})"
+            )
         idx = idx.astype(np.int64, copy=False)
         return TabularDataset(
             features=frozen(self.features[idx]),
             feature_names=self.feature_names,
             labels=frozen(self.labels[idx]),
-            provenance=self.provenance.take(idx),
+            provenance=frozen(self.provenance[idx]),
         )
 
     def equals(self, other: "TabularDataset") -> bool:
@@ -410,7 +298,7 @@ class TabularDataset:
             and self.labels.shape == other.labels.shape
             and np.array_equal(self.features, other.features, equal_nan=True)
             and np.array_equal(self.labels, other.labels)
-            and self.provenance == other.provenance
+            and np.array_equal(self.provenance, other.provenance)
         )
 
 
@@ -446,7 +334,7 @@ class StandardizerParams:
 
     Uses the population (divide-by-n) standard deviation. Columns that are
     constant on the fitting data are recorded with std_dev 0 and passed
-    through unscaled when applied.
+    through unscaled when applied. Missing (NaN) values stay NaN.
     """
 
     columns: tuple[str, ...]
@@ -543,7 +431,7 @@ def load_csv(
         features=frozen(features),
         feature_names=feature_names,
         labels=frozen(labels),
-        provenance=ProvenanceColumns.original(labels.size),
+        provenance=frozen(np.zeros(labels.size, np.int8)),
     )
 
 
@@ -720,7 +608,7 @@ def generate_synthetic_imbalanced(
         features=frozen(features[order]),
         feature_names=tuple(f"f{i + 1}" for i in range(n_features)),
         labels=frozen(labels[order]),
-        provenance=ProvenanceColumns.original(n_rows),
+        provenance=frozen(np.zeros(n_rows, np.int8)),
     )
 
 
@@ -772,12 +660,23 @@ def fit_standardizer(
     dataset: TabularDataset,
     columns: list[str] | tuple[str, ...],
 ) -> StandardizerParams:
-    """Fit per-column mean and population std on the given dataset."""
+    """Fit per-column mean and population std on the given dataset.
+
+    NaN marks a missing value: a column's parameters come from its present
+    values, and a column with none is recorded as mean 0, std_dev 0.
+    """
     if dataset.n_rows == 0:
         raise ValueError("cannot fit a standardizer on an empty dataset")
     means, stds = [], []
     for name in columns:
         values = dataset.column(name)
+        missing = np.isnan(values)
+        if missing.any():
+            values = values[~missing]
+        if values.size == 0:
+            means.append(0.0)
+            stds.append(0.0)
+            continue
         means.append(float(values.mean()))
         stds.append(float(values.std(ddof=0)))
     return StandardizerParams(

@@ -412,7 +412,7 @@ def detect_leakage(
     """
     if train.n_rows == 0 or test.n_rows == 0:
         raise ValueError("both partitions must be non-empty")
-    created = np.count_nonzero(test.provenance.kinds != ORIGINAL)
+    created = np.count_nonzero(test.provenance != ORIGINAL)
     return LeakageReport(
         synthetic_rows_in_test=created,
         duplicate_pairs_across_split=matching_row_pairs(train.features, test.features),
@@ -500,7 +500,7 @@ def run_scenario(data: TabularDataset, spec: ScenarioSpec) -> ScenarioResult:
             train_ready, test_ready, not guarded, class_distribution(data)[0], spec.split
         )
 
-    kinds = np.bincount(test_ready.provenance.kinds, minlength=len(RowProvenance.KINDS))
+    kinds = np.bincount(test_ready.provenance, minlength=len(RowProvenance.KINDS))
     with _stage("evaluation"):
         scores = boosting.predict_proba(model, test_ready.features)
         result = ScenarioResult(

@@ -1,9 +1,10 @@
 """Class-rebalancing samplers with provenance tagging.
 
 All samplers target a post-step minority/majority count ratio given by
-``sampling_strategy`` and tag every row they create, so downstream leakage
-checks can tell created rows from loaded ones. Samplers never touch the
-partitioning of data; they transform exactly the dataset they are handed.
+``sampling_strategy`` and tag every row they create with its kind, a
+duplicate or a synthetic row, so downstream leakage checks can tell
+created rows from loaded ones. Samplers never touch the partitioning of
+data; they transform exactly the dataset they are handed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import ProvenanceColumns, TabularDataset, as_int, as_real, frozen, round_half_up
+from .dataset import DUPLICATE, SYNTHETIC, TabularDataset, as_int, as_real, frozen, round_half_up
 
 
 class SamplingError(ValueError):
@@ -113,9 +114,10 @@ def _oversample(
     """Append new minority rows until minority/majority reaches the target.
 
     The steps every oversampler shares. Only ``make_rows(min_idx, n_new,
-    rng)`` differs between them: it returns the n_new new feature rows and
-    their ProvenanceColumns, drawing from the rng seeded with
-    ``spec.seed``. A dataset already at the target ratio is returned as is.
+    rng)`` differs between them: it returns the n_new new feature rows,
+    drawing from the rng seeded with ``spec.seed``. The new rows are
+    duplicates for random_over and synthetic for every other kind. A
+    dataset already at the target ratio is returned as is.
     """
     if spec.kind != kind:
         raise SamplingError(f"spec kind {spec.kind.value} is not {kind.value}")
@@ -134,27 +136,27 @@ def _oversample(
     n_new = target - min_idx.size
     if n_new == 0:
         return train
-    new_features, new_provenance = make_rows(min_idx, n_new, np.random.default_rng(spec.seed))
+    new_features = make_rows(min_idx, n_new, np.random.default_rng(spec.seed))
+    new_kind = DUPLICATE if kind == SamplerKind.RANDOM_OVER else SYNTHETIC
     return TabularDataset(
         features=frozen(np.vstack([train.features, new_features])),
         feature_names=train.feature_names,
         labels=frozen(
             np.concatenate([train.labels, np.full(n_new, minority_label, dtype=np.int64)])
         ),
-        provenance=train.provenance + new_provenance,
+        provenance=frozen(np.concatenate([train.provenance, np.full(n_new, new_kind, np.int8)])),
     )
 
 
 def random_oversample(train: TabularDataset, spec: SamplerSpec) -> TabularDataset:
     """Duplicate minority rows uniformly at random until the target ratio.
 
-    New rows are exact copies tagged Duplicate(source row index); majority
-    rows are untouched.
+    New rows are exact copies tagged duplicate; majority rows are
+    untouched.
     """
 
     def copies(min_idx, n_new, rng):
-        sources = rng.choice(min_idx, size=n_new, replace=True)
-        return train.features[sources], ProvenanceColumns.duplicates(sources)
+        return train.features[rng.choice(min_idx, size=n_new, replace=True)]
 
     return _oversample(train, spec, SamplerKind.RANDOM_OVER, 1, copies)
 
@@ -290,7 +292,7 @@ def smote(train: TabularDataset, spec: SamplerSpec) -> TabularDataset:
         u = rng.random(n_new)
         a = points[base]
         b = points[neighbors[base, picks]]
-        return a + u[:, None] * (b - a), ProvenanceColumns.synthetic("smote", n_new)
+        return a + u[:, None] * (b - a)
 
     return _oversample(train, spec, SamplerKind.SMOTE, spec.k_neighbors + 1, interpolations)
 
@@ -307,8 +309,7 @@ def gaussian_synthesize(train: TabularDataset, spec: SamplerSpec) -> TabularData
         points = train.features[min_idx]
         mean = points.mean(axis=0)
         std = points.std(axis=0, ddof=0)
-        draws = mean + rng.standard_normal((n_new, points.shape[1])) * std
-        return draws, ProvenanceColumns.synthetic("gaussian", n_new)
+        return mean + rng.standard_normal((n_new, points.shape[1])) * std
 
     return _oversample(train, spec, SamplerKind.GAUSSIAN_SYNTH, 2, gaussian_draws)
 

@@ -76,7 +76,7 @@ class TestTabularDataset:
 
     def test_provenance_validation(self):
         with pytest.raises(ValueError):
-            RowProvenance("synthetic", method="")
+            RowProvenance("tagged")
         with pytest.raises(ValueError):
             RowProvenance("duplicate")
         assert RowProvenance.original(3).source_index == 3
@@ -87,9 +87,15 @@ class TestTabularDataset:
             data.select_rows(np.array([False, False, True, True]))
         with pytest.raises(ValueError, match="integers"):
             data.select_rows([0.0, 2.0])
+        for indices in (3, [[0, 1]]):
+            with pytest.raises(ValueError, match="1-D"):
+                data.select_rows(indices)
+        for indices, bad in (([-1], -1), ([4], 4), ([0, 9, -2], 9), (np.array([2, 200], np.uint8), 200)):
+            with pytest.raises(ValueError, match=rf"row index {bad} is outside \[0, 4\)"):
+                data.select_rows(indices)
         picked = data.select_rows(np.flatnonzero([False, False, True, True]))
         assert picked.features[:, 0].tolist() == [2.0, 3.0]
-        assert picked.provenance.sources.tolist() == [2, 3]
+        assert picked.labels.tolist() == [0, 1]
         assert data.select_rows(np.array([3, 0], dtype=np.uint8)).features[:, 0].tolist() == [3.0, 0.0]
         assert data.select_rows([]).n_rows == 0
 
@@ -107,8 +113,7 @@ class TestNoSecondCopy:
         )
         labels = (np.arange(n_rows) % 10 == 0).astype(np.int64)
         return TabularDataset(
-            features, ("Time", "V1", "V2", "V3", "Amount"), labels,
-            dataset_module.ProvenanceColumns.original(n_rows),
+            features, ("Time", "V1", "V2", "V3", "Amount"), labels, np.zeros(n_rows, np.int8)
         )
 
     def derived(self, data):
@@ -157,7 +162,7 @@ class TestNoSecondCopy:
     def test_anything_else_is_copied(self, make):
         base = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
         given = make(base)
-        data = TabularDataset(given, ("a", "b"), [0, 1, 0], dataset_module.ProvenanceColumns.original(3))
+        data = TabularDataset(given, ("a", "b"), [0, 1, 0], np.zeros(3, np.int8))
         assert data.features is not given and data.features.dtype == np.float64
         assert not np.shares_memory(data.features, base)
         base[0, 0] = 99.0
@@ -168,22 +173,16 @@ class TestNoSecondCopy:
     def test_derived_labels_and_provenance_are_read_only(self):
         data = self.source()
         for name, derived in self.derived(data).items():
-            prov = derived.provenance
-            for array in (derived.labels, prov.kinds, prov.sources, prov.methods):
+            for array in (derived.labels, derived.provenance):
                 assert array.flags.owndata and not array.flags.writeable, name
                 with pytest.raises(ValueError):
                     array[0] = 0
 
     def test_frozen_owned_labels_and_provenance_kept_as_is(self):
         labels = dataset_module.frozen(np.array([0, 1, 0], dtype=np.int64))
-        kinds = dataset_module.frozen(np.zeros(3, np.int8))
-        sources = dataset_module.frozen(np.arange(3, dtype=np.int64))
-        methods = dataset_module.frozen(np.full(3, -1, np.int8))
-        prov = dataset_module.ProvenanceColumns(kinds, sources, methods)
-        assert (prov.kinds, prov.sources, prov.methods) == (kinds, sources, methods)
-        assert prov.kinds is kinds and prov.sources is sources and prov.methods is methods
-        data = TabularDataset(np.zeros((3, 1)), ("a",), labels, prov)
-        assert data.labels is labels and data.provenance is prov
+        kinds = dataset_module.frozen(np.array([0, 2, 1], np.int8))
+        data = TabularDataset(np.zeros((3, 1)), ("a",), labels, kinds)
+        assert data.labels is labels and data.provenance is kinds
 
     @pytest.mark.parametrize(
         "make",
@@ -197,14 +196,20 @@ class TestNoSecondCopy:
     )
     def test_other_labels_and_provenance_are_copied(self, make):
         base = np.array([0, 1, 0], dtype=np.int64)
-        given = make(base)
-        prov = dataset_module.ProvenanceColumns(np.zeros(3, np.int8), given, np.full(3, -1, np.int8))
-        data = TabularDataset(np.zeros((3, 1)), ("a",), given, prov)
-        for kept in (data.labels, prov.sources):
-            assert kept is not given and kept.dtype == np.int64
-            assert not np.shares_memory(kept, base) and not kept.flags.writeable
-        base[0] = 1
-        assert data.labels.tolist() == prov.sources.tolist() == [0, 1, 0]
+        kinds_base = np.array([0, 1, 0], dtype=np.int8)
+        given, given_kinds = make(base), make(kinds_base)
+        if isinstance(given_kinds, list):
+            # Provenance is an array of kind codes or a sequence of
+            # RowProvenance, never a list of codes.
+            with pytest.raises(TypeError, match="RowProvenance"):
+                TabularDataset(np.zeros((3, 1)), ("a",), given, given_kinds)
+            given_kinds = kinds_base
+        data = TabularDataset(np.zeros((3, 1)), ("a",), given, given_kinds)
+        for kept, source, dtype in ((data.labels, base, np.int64), (data.provenance, kinds_base, np.int8)):
+            assert kept.dtype == dtype and not kept.flags.writeable
+            assert not np.shares_memory(kept, source)
+        base[0] = kinds_base[0] = 1
+        assert data.labels.tolist() == data.provenance.tolist() == [0, 1, 0]
 
     def test_select_rows_allocates_one_output_matrix(self):
         data = generate_synthetic_imbalanced(20_000, 0.05, 30, 1.0, 0)
@@ -217,10 +222,11 @@ class TestNoSecondCopy:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # Features are 4.8 MB; labels and provenance add 0.36 MB, each made
-        # once, and validation temporaries about 0.38 MB: 1.155 in all, against
-        # 1.192 when labels and provenance were copied a second time.
-        assert peak < 1.17 * picked.features.nbytes, peak / picked.features.nbytes
+        # Features are 4.8 MB; labels and provenance kinds add 0.18 MB, each
+        # made once, and index checks and validation temporaries about 0.4 MB:
+        # 1.121 in all, against 1.155 with three provenance columns and 1.192
+        # when labels and provenance were copied a second time.
+        assert peak < 1.14 * picked.features.nbytes, peak / picked.features.nbytes
 
 
 class TestLoadCsv:
@@ -243,8 +249,7 @@ class TestLoadCsv:
         assert data.n_rows == 10
         assert data.n_features == 30
         assert "Class" not in data.feature_names
-        assert (data.provenance.kinds == ORIGINAL).all()
-        assert data.provenance.sources[4] == 4
+        assert data.provenance.dtype == np.int8 and (data.provenance == ORIGINAL).all()
 
     def test_column_order_resolved_by_name(self, tmp_path):
         path = tmp_path / "shuffled.csv"
@@ -552,13 +557,22 @@ class TestStratifiedSplit:
     @settings(deadline=None, max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1), frac=st.floats(0.1, 0.9))
     def test_split_is_a_partition(self, seed, frac):
-        data = generate_synthetic_imbalanced(200, 0.1, 2, 1.0, 11)
+        base = generate_synthetic_imbalanced(200, 0.1, 2, 1.0, 11)
+        # A row-id column tells the rows apart on each side.
+        data = TabularDataset(
+            np.column_stack([np.arange(200.0), base.features]),
+            ("row",) + base.feature_names,
+            base.labels,
+            base.provenance,
+        )
         train, test = stratified_split(data, SplitSpec(frac, seed, True))
         assert train.n_rows + test.n_rows == data.n_rows
-        train_src = set(train.provenance.sources.tolist())
-        test_src = set(test.provenance.sources.tolist())
-        assert train_src.isdisjoint(test_src)
-        assert train_src | test_src == set(range(data.n_rows))
+        train_rows = set(train.column("row").tolist())
+        test_rows = set(test.column("row").tolist())
+        assert train_rows.isdisjoint(test_rows)
+        assert train_rows | test_rows == set(range(data.n_rows))
+        for part, rows in ((train, train_rows), (test, test_rows)):
+            assert np.array_equal(part.labels, data.labels[sorted(int(r) for r in rows)])
 
     @settings(deadline=None, max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -622,6 +636,32 @@ class TestStandardizer:
         assert params.std_devs == (0.0,)
         out = apply_standardizer(data, params)
         assert out.column("c0").tolist() == [5.0, 5.0, 5.0]
+
+    def test_missing_values_stay_missing_and_the_rest_is_scaled(self):
+        data = generate_synthetic_imbalanced(200, 0.1, 3, 1.0, 0)
+        feats = data.features.copy()
+        feats[:, 1] += 1000.0
+        feats[7, 1] = np.nan
+        shifted = TabularDataset(feats, data.feature_names, data.labels, data.provenance)
+        params = fit_standardizer(shifted, list(shifted.feature_names))
+        present = np.delete(feats[:, 1], 7)
+        assert params.means[1] == float(present.mean())
+        assert params.std_devs[1] == float(present.std(ddof=0))
+        scaled = apply_standardizer(shifted, params).column("f2")
+        assert np.isnan(scaled[7])
+        rest = np.delete(scaled, 7)
+        assert abs(rest.mean()) < 1e-9 and abs(rest.std(ddof=0) - 1.0) < 1e-9
+        # Columns without NaN are fitted exactly as before.
+        clean = fit_standardizer(data, ["f1", "f3"])
+        assert clean.means == params.means[::2] and clean.std_devs == params.std_devs[::2]
+
+    def test_all_missing_column_passes_through_like_a_constant_one(self):
+        data = make_dataset([[np.nan, 1.0], [np.nan, 3.0]], [0, 1])
+        params = fit_standardizer(data, ["c0", "c1"])
+        assert (params.means[0], params.std_devs[0]) == (0.0, 0.0)
+        out = apply_standardizer(data, params)
+        assert np.isnan(out.column("c0")).all()
+        assert out.column("c1").tolist() == [-1.0, 1.0]
 
     def test_test_column_mean_not_centered(self):
         train = make_dataset([[1.0], [2.0], [3.0]], [0, 0, 1])
@@ -753,6 +793,14 @@ class TestEngineerTimeFeatures:
         assert "Amount_Scaled" in out.feature_names
         assert "Hour" in out.feature_names
         assert abs(out.column("Amount_Scaled").mean()) < 1e-12
+
+    def test_missing_amount_stays_missing_in_its_scaled_column(self):
+        data = time_dataset([1.0, 7.0, 13.0, 19.0], amounts=[10.0, np.nan, 30.0, 50.0])
+        params = fit_standardizer(data, ["Amount"])
+        assert params.means == (30.0,)
+        scaled = engineer_time_features(data, HourMode.CORRECTED, params).column("Amount_Scaled")
+        assert np.isnan(scaled[1])
+        assert np.allclose(scaled[[0, 2, 3]], np.array([-20.0, 0.0, 20.0]) / params.std_devs[0])
 
     def test_without_standardizer_raw_columns_kept(self):
         data = time_dataset([30.0, 2.0])

@@ -13,12 +13,14 @@ import pytest
 
 from leakguard.boosting import GbdtParams
 from leakguard.dataset import (
-    ProvenanceColumns,
+    ORIGINAL,
+    SYNTHETIC,
     RowProvenance,
     SplitSpec,
     TabularDataset,
     class_distribution,
     generate_synthetic_imbalanced,
+    round_half_up,
     stratified_split,
 )
 from leakguard.experiment import (
@@ -154,7 +156,7 @@ class TestDetectLeakage:
             features=np.vstack([test.features, train.features[:1]]),
             feature_names=test.feature_names,
             labels=np.concatenate([test.labels, train.labels[:1]]),
-            provenance=test.provenance + ProvenanceColumns.from_rows([RowProvenance.original(0)]),
+            provenance=np.append(test.provenance, ORIGINAL),
         )
         report = detect_leakage(train, polluted, False, class_distribution(data)[0], split)
         assert report.duplicate_pairs_across_split >= 1
@@ -183,8 +185,7 @@ class TestDetectLeakage:
             features=test.features,
             feature_names=test.feature_names,
             labels=test.labels,
-            provenance=ProvenanceColumns.synthetic("smote", 1)
-            + test.provenance.take(np.arange(1, test.n_rows)),
+            provenance=np.append(SYNTHETIC, test.provenance[1:]),
         )
         report = detect_leakage(train, tainted, False, class_distribution(data)[0], split)
         assert report.synthetic_rows_in_test == 1
@@ -288,8 +289,15 @@ class TestRunScenario:
         # Identify the test rows, then corrupt their features: the trained
         # model (and hence the persisted scores on the same rows) only
         # changes through leakage, which the guarded path must not have.
-        train, test = stratified_split(data, spec.split)
-        test_rows = set(test.provenance.sources.tolist())
+        # Replay the stratified split's draws to find the test rows.
+        rng = np.random.default_rng(spec.split.seed)
+        test_rows = set()
+        for cls in (0, 1):
+            cls_idx = np.flatnonzero(data.labels == cls)
+            n_test = round_half_up(cls_idx.size * spec.split.test_fraction)
+            test_rows.update(rng.permutation(cls_idx)[:n_test].tolist())
+        _, test = stratified_split(data, spec.split)
+        assert np.array_equal(test.features, data.features[sorted(test_rows)])
         mutated_features = data.features.copy()
         for i in range(data.n_rows):
             if i in test_rows:
@@ -413,7 +421,7 @@ class TestFingerprint:
             features=np.vstack([data.features, data.features[:1]]),
             feature_names=data.feature_names,
             labels=np.concatenate([data.labels, data.labels[:1]]),
-            provenance=data.provenance + ProvenanceColumns.from_rows([RowProvenance.original(0)]),
+            provenance=np.append(data.provenance, ORIGINAL),
         )
         assert dataset_fingerprint(data) != dataset_fingerprint(bumped)
 

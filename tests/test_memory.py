@@ -31,7 +31,7 @@ def creditcard_like(n_rows, n_positive, seed=0):
         features=np.column_stack([time_s, v, amount]),
         feature_names=dataset.CREDITCARD_SCHEMA[:-1],
         labels=labels,
-        provenance=dataset.ProvenanceColumns.original(n_rows),
+        provenance=np.zeros(n_rows, np.int8),
     )
 
 

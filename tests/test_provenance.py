@@ -1,8 +1,8 @@
-"""ProvenanceColumns: its rules, and an oracle per producer.
+"""Row provenance kinds: the array's rules, and an oracle per producer.
 
 The oracle functions below build provenance the way the package did when
-each row was a RowProvenance object in a tuple. Every producer's columns
-must equal the columns of exactly that tuple.
+each row was a RowProvenance object in a tuple, as a tuple of kind names.
+Every producer's kind codes must equal the codes of exactly that tuple.
 """
 
 import dataclasses
@@ -14,14 +14,13 @@ import pytest
 from leakguard.boosting import GbdtParams
 from leakguard.dataset import (
     HourMode,
-    SYNTHETIC_METHODS,
-    ProvenanceColumns,
     RowProvenance,
     SplitSpec,
     TabularDataset,
     apply_standardizer,
     engineer_time_features,
     fit_standardizer,
+    frozen,
     generate_synthetic_imbalanced,
     load_csv,
     round_half_up,
@@ -35,7 +34,7 @@ from leakguard.sampling import SamplerKind, SamplerPipeline, SamplerSpec, apply_
 
 
 def old_original(n):
-    return tuple(RowProvenance.original(i) for i in range(n))
+    return ("original",) * n
 
 
 def old_select(prov, indices):
@@ -72,15 +71,18 @@ def old_resample(prov, labels, spec):
     n_new = round_half_up(spec.sampling_strategy * maj_idx.size) - min_idx.size
     if n_new == 0:
         return prov
-    if spec.kind == SamplerKind.RANDOM_OVER:
-        sources = rng.choice(min_idx, size=n_new, replace=True)
-        return prov + tuple(RowProvenance.duplicate(int(s)) for s in sources)
-    method = "smote" if spec.kind == SamplerKind.SMOTE else "gaussian"
-    return prov + (RowProvenance.synthetic(method),) * n_new
+    kind = "duplicate" if spec.kind == SamplerKind.RANDOM_OVER else "synthetic"
+    return prov + (kind,) * n_new
 
 
-def columns(oracle):
-    return ProvenanceColumns.from_rows(oracle)
+def codes(oracle):
+    """The kind codes of a tuple of kind names."""
+    return np.array([RowProvenance.KINDS.index(kind) for kind in oracle], np.int8)
+
+
+def assert_kinds(provenance, oracle):
+    assert provenance.dtype == np.int8
+    assert np.array_equal(provenance, codes(oracle))
 
 
 # --- the producers against the oracle --------------------------------------
@@ -100,10 +102,9 @@ ALL_SAMPLERS = [
 
 def test_generate_and_load_give_originals(tmp_path):
     generated = data()
-    assert isinstance(generated.provenance, ProvenanceColumns)
-    assert generated.provenance == columns(old_original(300))
+    assert_kinds(generated.provenance, old_original(300))
     save_csv(generated, tmp_path / "d.csv")
-    assert load_csv(tmp_path / "d.csv").provenance == columns(old_original(300))
+    assert_kinds(load_csv(tmp_path / "d.csv").provenance, old_original(300))
 
 
 @pytest.mark.parametrize("stratified", [True, False])
@@ -112,28 +113,35 @@ def test_split_and_select_rows_match_the_oracle(stratified):
     spec = SplitSpec(0.25, 9, stratified)
     train, test = stratified_split(d, spec)
     train_idx, test_idx = old_split_indices(d.labels, spec)
-    assert train.provenance == columns(old_select(old_original(300), train_idx))
-    assert test.provenance == columns(old_select(old_original(300), test_idx))
-    picks = [5, 0, 5, 299, 17]
-    assert d.select_rows(picks).provenance == columns(old_select(old_original(300), picks))
-    twice = train.select_rows([3, 1, 1])
-    assert twice.provenance == columns(old_select(old_select(old_original(300), train_idx), [3, 1, 1]))
+    assert_kinds(train.provenance, old_select(old_original(300), train_idx))
+    assert_kinds(test.provenance, old_select(old_original(300), test_idx))
+    # A resampled dataset mixes kinds, so selecting from it moves them.
+    smote = SamplerSpec(SamplerKind.SMOTE, 0.5, 3, seed=1)
+    mixed = resample(d, smote)
+    mixed_oracle = old_resample(old_original(300), d.labels, smote)
+    picks = [5, 0, 5, 299, 17, mixed.n_rows - 1, 300]
+    assert_kinds(mixed.select_rows(picks).provenance, old_select(mixed_oracle, picks))
+    train, test = stratified_split(mixed, spec)
+    train_idx, test_idx = old_split_indices(mixed.labels, spec)
+    assert_kinds(train.provenance, old_select(mixed_oracle, train_idx))
+    assert_kinds(test.provenance, old_select(mixed_oracle, test_idx))
+    picks = [3, 1, 1, train.n_rows - 1]
+    assert_kinds(train.select_rows(picks).provenance, old_select(old_select(mixed_oracle, train_idx), picks))
 
 
 @pytest.mark.parametrize("spec", ALL_SAMPLERS, ids=lambda s: s.kind.value)
 def test_each_sampler_matches_the_oracle(spec):
     d = data()
-    # Run on a split partition, so sources are not just row numbers.
     split = SplitSpec(0.25, 9, True)
     train, _ = stratified_split(d, split)
     train_oracle = old_select(old_original(300), old_split_indices(d.labels, split)[0])
     oracle = old_resample(train_oracle, train.labels, spec)
     out = resample(train, spec)
-    assert out.provenance == columns(oracle)
+    assert_kinds(out.provenance, oracle)
     # Resampling a resampled dataset duplicates created rows too.
     again_spec = SamplerSpec(SamplerKind.RANDOM_OVER, 1.0, seed=5)
     again = resample(out, again_spec)
-    assert again.provenance == columns(old_resample(oracle, out.labels, again_spec))
+    assert_kinds(again.provenance, old_resample(oracle, out.labels, again_spec))
 
 
 def test_pipeline_of_mixed_methods_matches_the_oracle():
@@ -148,8 +156,8 @@ def test_pipeline_of_mixed_methods_matches_the_oracle():
     for spec in steps:
         oracle = old_resample(oracle, current.labels, spec)
         current = resample(current, spec)
-    assert out.provenance == columns(oracle)
-    assert set(out.provenance.methods.tolist()) == {-1, 0, 1}
+    assert_kinds(out.provenance, oracle)
+    assert set(out.provenance.tolist()) == {0, 1, 2}
 
 
 def test_preprocessing_carries_provenance_through():
@@ -157,7 +165,7 @@ def test_preprocessing_carries_provenance_through():
     train, _ = stratified_split(d, SplitSpec(0.25, 9, True))
     prov = train.provenance
     scaled = apply_standardizer(train, fit_standardizer(train, train.feature_names))
-    assert scaled.provenance == prov
+    assert np.array_equal(scaled.provenance, prov)
     timed = TabularDataset(
         features=np.column_stack([np.arange(train.n_rows) * 900.0, train.features]),
         feature_names=("Time",) + train.feature_names,
@@ -165,7 +173,7 @@ def test_preprocessing_carries_provenance_through():
         provenance=train.provenance,
     )
     params = fit_standardizer(timed, ["Time"])
-    assert engineer_time_features(timed, HourMode.CORRECTED, params).provenance == prov
+    assert np.array_equal(engineer_time_features(timed, HourMode.CORRECTED, params).provenance, prov)
 
 
 @pytest.mark.parametrize("placement", [Placement.SAMPLING_BEFORE_SPLIT, Placement.SAMPLING_AFTER_SPLIT])
@@ -179,7 +187,7 @@ def test_placements_count_the_oracle_kinds(placement, spec):
         oracle = old_resample(old_original(300), d.labels, spec)
         _, test_idx = old_split_indices(sampled.labels, split)
         oracle_test = old_select(oracle, test_idx)
-        assert stratified_split(sampled, split)[1].provenance == columns(oracle_test)
+        assert_kinds(stratified_split(sampled, split)[1].provenance, oracle_test)
     else:
         _, test_idx = old_split_indices(d.labels, split)
         oracle_test = old_select(old_original(300), test_idx)
@@ -193,105 +201,82 @@ def test_placements_count_the_oracle_kinds(placement, spec):
             model=GbdtParams(learning_rate=0.3, n_estimators=2, max_depth=2),
         ),
     )
-    kinds = Counter(p.kind for p in oracle_test)
+    kinds = Counter(oracle_test)
     assert result.test_provenance_counts == {k: kinds[k] for k in RowProvenance.KINDS}
 
 
-# --- the columns themselves ------------------------------------------------
+# --- the kind array itself -------------------------------------------------
 
 
 MIXED = (
     RowProvenance.original(4),
-    RowProvenance.synthetic("smote"),
+    RowProvenance.synthetic(),
     RowProvenance.duplicate(0),
-    RowProvenance.synthetic("gaussian"),
-    RowProvenance("synthetic", source_index=2, method="smote"),
+    RowProvenance.synthetic(),
+    RowProvenance("synthetic", source_index=2),
     RowProvenance.original(7),
 )
 
 
-def test_concatenation_joins_columns_only():
-    cols = columns(MIXED)
-    head, tail = columns(MIXED[:2]), columns(MIXED[2:])
-    assert head + tail == cols
-    assert len(cols + cols) == 12 and (cols + cols).take(np.arange(6, 12)) == cols
-    assert cols + columns(()) == cols
-    for other in ((RowProvenance.original(0),), [RowProvenance.original(0)], ()):
-        with pytest.raises(TypeError):
-            cols + other
-        with pytest.raises(TypeError):
-            other + cols
+def test_rows_are_stored_as_kind_codes():
+    made = TabularDataset(np.zeros((6, 1)), ("a",), np.zeros(6, np.int64), MIXED)
+    assert made.provenance.dtype == np.int8
+    assert made.provenance.tolist() == [0, 2, 1, 2, 2, 0]
+    assert RowProvenance.KINDS == ("original", "duplicate", "synthetic")
+    assert TabularDataset(np.zeros((0, 1)), ("a",), [], ()).provenance.dtype == np.int8
 
 
-def test_equality():
-    cols = columns(MIXED)
-    assert cols == columns(MIXED) and cols.take(np.arange(6)) == cols
-    assert cols != columns(MIXED[:-1])
-    assert cols != columns(MIXED[:-1] + (RowProvenance.original(8),))
-    assert cols != columns(MIXED[:-1] + (RowProvenance.duplicate(7),))
-    assert cols != columns(MIXED[:3] + (RowProvenance.synthetic("smote"),) + MIXED[4:])
-    # Columns equal only columns, never the rows they were built from.
-    assert cols != MIXED and cols != list(MIXED)
-    with pytest.raises(TypeError):
-        hash(cols)
-
-
-def test_columns_are_immutable():
-    cols = ProvenanceColumns.original(3)
-    for values in (cols.kinds, cols.sources, cols.methods):
-        with pytest.raises(ValueError):
-            values[0] = 1
+def test_kinds_are_immutable():
+    data = generate_synthetic_imbalanced(20, 0.2, 1, 1.0, 0)
+    with pytest.raises(ValueError):
+        data.provenance[0] = 1
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cols.kinds = np.zeros(3, np.int8)
-
-
-def test_dtypes_and_codes():
-    cols = columns(MIXED)
-    assert (cols.kinds.dtype, cols.sources.dtype, cols.methods.dtype) == (np.int8, np.int64, np.int8)
-    assert cols.kinds.tolist() == [0, 2, 1, 2, 2, 0]
-    assert cols.sources.tolist() == [4, -1, 0, -1, 2, 7]
-    assert SYNTHETIC_METHODS == ("smote", "gaussian")
-    assert cols.methods.tolist() == [-1, 0, -1, 1, 0, -1]
+        data.provenance = np.zeros(20, np.int8)
 
 
 @pytest.mark.parametrize(
-    "kinds, sources, methods, message",
+    "kinds, message",
     [
-        ([3], [0], [-1], "kinds"),
-        ([0], [-2], [-1], "sources"),
-        ([0], [-1], [-1], "source_index"),
-        ([1], [-1], [-1], "source_index"),
-        ([2], [-1], [-1], "method code"),
-        ([0], [0], [0], "cannot name a method"),
-        ([2], [-1], [len(SYNTHETIC_METHODS)], "methods"),
-        ([0, 0], [0], [-1], "one entry per row"),
-        ([True], [0], [-1], "integer"),
-        ([0.0], [0], [-1], "integer"),
-        ([[0]], [0], [-1], "1-D"),
+        ([3], "kind codes"),
+        ([-1], "kind codes"),
+        ([256], "kind codes"),
+        ([0, 0], "provenance length"),
+        ([True], "kind codes"),
+        ([0.0], "kind codes"),
+        ([[0]], "provenance length"),
+        (np.array([200], np.uint8), "kind codes"),
+        (np.array(["original"]), "kind codes"),
     ],
-    ids=[
-        "kind-range", "source-range", "original-source", "duplicate-source", "synthetic-method",
-        "original-method", "method-range", "lengths", "bool", "float", "2-D",
-    ],
+    ids=["kind-range", "negative", "wraps-in-int8", "lengths", "bool", "float", "2-D",
+         "unsigned-range", "kind-name"],
 )
-def test_invalid_columns_refused(kinds, sources, methods, message):
+def test_invalid_kinds_refused(kinds, message):
     with pytest.raises(ValueError, match=message):
-        ProvenanceColumns(np.array(kinds), np.array(sources), np.array(methods))
+        TabularDataset(np.zeros((1, 1)), ("a",), [0], np.array(kinds))
+
+
+def test_kind_codes_of_another_dtype_are_copied():
+    given = np.array([0, 2, 1], dtype=np.int64)
+    data = TabularDataset(np.zeros((3, 1)), ("a",), [0, 1, 0], given)
+    assert data.provenance.dtype == np.int8 and not data.provenance.flags.writeable
+    given[0] = 1
+    assert data.provenance.tolist() == [0, 2, 1]
+    kept = frozen(np.array([0, 2, 1], np.int8))
+    assert TabularDataset(np.zeros((3, 1)), ("a",), [0, 1, 0], kept).provenance is kept
 
 
 def test_tuple_provenance_validates_as_before():
     features, labels = np.zeros((2, 1)), np.array([0, 1])
     made = TabularDataset(features, ("a",), labels, (RowProvenance.original(0), RowProvenance.duplicate(0)))
-    assert isinstance(made.provenance, ProvenanceColumns)
+    assert made.provenance.tolist() == [0, 1]
     with pytest.raises(ValueError, match="provenance length"):
         TabularDataset(features, ("a",), labels, (RowProvenance.original(0),))
     with pytest.raises(TypeError, match="RowProvenance"):
         TabularDataset(features, ("a",), labels, (RowProvenance.original(0), "original"))
     with pytest.raises(ValueError, match="source_index cannot be negative"):
-        RowProvenance("synthetic", source_index=-1, method="smote")
-    for method in ("tagged", "", None):
-        with pytest.raises(ValueError, match="synthetic provenance needs a method from"):
-            RowProvenance("synthetic", method=method)
+        RowProvenance("synthetic", source_index=-1)
+    with pytest.raises(ValueError, match="unknown provenance kind"):
+        RowProvenance("tagged")
     for kind in ("original", "duplicate"):
-        with pytest.raises(ValueError, match=f"{kind} provenance cannot name a method"):
-            RowProvenance(kind, source_index=0, method="smote")
+        with pytest.raises(ValueError, match=f"{kind} provenance needs a valid source_index"):
+            RowProvenance(kind)

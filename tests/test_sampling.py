@@ -10,7 +10,7 @@ from leakguard import sampling
 from leakguard.dataset import (
     DUPLICATE,
     ORIGINAL,
-    SYNTHETIC_METHODS,
+    SYNTHETIC,
     RowProvenance,
     TabularDataset,
     round_half_up,
@@ -65,7 +65,7 @@ class TestRandomOversample:
         out = random_oversample(data, SamplerSpec(SamplerKind.RANDOM_OVER, 0.8, seed=1))
         n_min, n_maj = counts(out)
         assert (n_min, n_maj) == (800, 1000)
-        assert np.count_nonzero(out.provenance.kinds == DUPLICATE) == 750
+        assert np.count_nonzero(out.provenance == DUPLICATE) == 750
 
     def test_fixed_point(self):
         data = imbalanced(80, 100)
@@ -95,10 +95,14 @@ class TestRandomOversample:
         if round_half_up(strategy * n_maj) < n_min:
             return
         out = random_oversample(data, SamplerSpec(SamplerKind.RANDOM_OVER, strategy, seed=seed))
-        for i in np.flatnonzero(out.provenance.kinds == DUPLICATE):
-            source = out.provenance.sources[i]
-            assert np.array_equal(out.features[i], data.features[source])
-            assert data.labels[source] == out.labels[i] == 1
+        # Replay the sampler's one draw: the sources of the appended copies.
+        n_new = round_half_up(strategy * n_maj) - n_min
+        min_idx = np.flatnonzero(data.labels == 1)
+        sources = np.random.default_rng(seed).choice(min_idx, size=n_new, replace=True)
+        copies = np.flatnonzero(out.provenance == DUPLICATE)
+        assert copies.tolist() == list(range(data.n_rows, data.n_rows + n_new))
+        assert np.array_equal(out.features[copies], data.features[sources])
+        assert (out.labels[copies] == 1).all()
 
     def test_majority_rows_untouched(self):
         data = imbalanced(10, 50)
@@ -146,7 +150,7 @@ class TestRandomUndersample:
         for i in range(out.n_rows):
             if out.labels[i] == 0:
                 assert out.features[i].tobytes() in input_maj
-            assert out.provenance.kinds[i] == ORIGINAL
+            assert out.provenance[i] == ORIGINAL
 
     def test_minority_rows_never_altered(self):
         data = imbalanced(40, 100)
@@ -193,10 +197,10 @@ class TestSmote:
     def test_provenance_and_labels(self):
         data = imbalanced(20, 100)
         out = smote(data, SamplerSpec(SamplerKind.SMOTE, 0.5, seed=9))
-        created = np.flatnonzero(out.provenance.kinds != ORIGINAL)
+        created = np.flatnonzero(out.provenance != ORIGINAL)
         assert len(created) == 30
         for i in created:
-            assert SYNTHETIC_METHODS[out.provenance.methods[i]] == "smote"
+            assert out.provenance[i] == SYNTHETIC
             assert out.labels[i] == 1
 
     @settings(deadline=None, max_examples=20)
@@ -416,7 +420,7 @@ class TestGaussianSynthesize:
             provenance=tuple(RowProvenance.original(i) for i in range(23)),
         )
         out = gaussian_synthesize(data, SamplerSpec(SamplerKind.GAUSSIAN_SYNTH, 1.0, seed=2))
-        created = out.features[out.provenance.kinds != ORIGINAL]
+        created = out.features[out.provenance != ORIGINAL]
         assert np.array_equal(created, np.full_like(created, 7.0))
 
     def test_sample_mean_within_standard_error_bound(self):
@@ -425,7 +429,7 @@ class TestGaussianSynthesize:
         minority = data.features[data.labels == 1]
         fitted_mean = minority.mean(axis=0)
         fitted_std = minority.std(axis=0, ddof=0)
-        created = out.features[out.provenance.kinds != ORIGINAL]
+        created = out.features[out.provenance != ORIGINAL]
         assert created.shape[0] == 9800
         n = created.shape[0]
         bound = 4.0 * fitted_std / np.sqrt(n)
