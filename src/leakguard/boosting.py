@@ -178,14 +178,16 @@ class GbdtModel:
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {version!r}")
         try:
+            trees, train_loss = doc["trees"], doc.get("train_loss", [])
+            for name, value in (("trees", trees), ("train_loss", train_loss)):
+                if not isinstance(value, list):
+                    raise ValueError(f"{name} must be a JSON array, got {value!r}")
             return cls(
-                trees=tuple(
-                    TreeNode.from_dict(t, f"trees.{i}") for i, t in enumerate(doc["trees"])
-                ),
+                trees=tuple(TreeNode.from_dict(t, f"trees.{i}") for i, t in enumerate(trees)),
                 base_score=as_real("base_score", doc["base_score"]),
                 params=GbdtParams.from_dict(as_object("params", doc["params"])),
                 feature_count=as_int("feature_count", doc["feature_count"]),
-                train_loss=tuple(as_real("train_loss", v) for v in doc.get("train_loss", ())),
+                train_loss=tuple(as_real("train_loss", v) for v in train_loss),
             )
         except KeyError as exc:
             raise ValueError(f"model file is missing key {exc}") from exc

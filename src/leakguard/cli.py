@@ -13,13 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import dataset as ds
 from .experiment import (
-    ComparisonReport,
     METRIC_KEYS,
     Placement,
     ScenarioResult,
@@ -219,6 +219,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_run(args) -> int:
+    """Run the configured scenarios on --workers threads, writing results in
+    config order. A failure cancels the scenarios queued behind it and is
+    raised once the running ones finish."""
     config = _load_config(Path(args.config), args.seed_override)
     presplit = [
         s.name
@@ -242,14 +245,22 @@ def cmd_run(args) -> int:
     except Exception as exc:
         raise CliError(f"data loading: {exc}") from exc
 
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        futures = [
-            (spec, pool.submit(run_scenario, data, spec))
-            for spec in config.scenarios
-        ]
-        for (spec, future), path in zip(futures, paths):
+    failed = threading.Event()
+
+    def run(spec):
+        # Not started when queued behind a failure, which is read first.
+        if not failed.is_set():
             try:
-                result = future.result()
+                return run_scenario(data, spec)
+            except BaseException:
+                failed.set()
+                raise
+
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        outcomes = pool.map(run, config.scenarios)
+        for spec, path in zip(config.scenarios, paths):
+            try:
+                result = next(outcomes)
             except Exception as exc:
                 raise CliError(f"scenario '{spec.name}': {exc}") from exc
             _write_text(path, _json_text(result.to_dict()), args.force)
@@ -262,10 +273,11 @@ def cmd_run(args) -> int:
     return 0
 
 
-def format_table(report: ComparisonReport) -> str:
+def format_table(report: dict) -> str:
+    """comparison.txt: the text table of a compare_scenarios document."""
     headers = ["scenario", "placement"] + list(METRIC_KEYS) + ["verdict"]
     rows = []
-    for entry in report.table:
+    for entry in report["table"]:
         row = [entry["name"], entry["placement"]]
         for key in METRIC_KEYS:
             value = entry[key]
@@ -281,19 +293,19 @@ def format_table(report: ComparisonReport) -> str:
     ]
     for row in rows:
         lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    if report.inflation:
+    if report["inflation"]:
         lines.append("")
         lines.append("inflation (pre-split minus post-split, percentage points):")
-        for entry in report.inflation:
+        for entry in report["inflation"]:
             deltas = ", ".join(
                 f"{k}={entry['deltas'][k] * 100:+.2f}" for k in METRIC_KEYS
             )
             lines.append(f"  {entry['minuend']} vs {entry['subtrahend']}: {deltas}")
-    if report.leaky_outperforming_clean:
+    if report["leaky_outperforming_clean"]:
         lines.append("")
         lines.append(
             "warning: leaky scenario(s) outperform every clean one on f1: "
-            + ", ".join(report.leaky_outperforming_clean)
+            + ", ".join(report["leaky_outperforming_clean"])
         )
     lines.append("")
     lines.append("all scores are positive-class metrics, not macro averages")
@@ -318,7 +330,7 @@ def cmd_compare(args) -> int:
     except ValueError as exc:
         raise CliError(f"compare: {exc}") from exc
     text = format_table(report)
-    _write_text(json_path, _json_text(report.to_dict()), args.force)
+    _write_text(json_path, _json_text(report), args.force)
     _write_text(text_path, text, args.force)
     print(text, end="")
     return 0

@@ -344,6 +344,8 @@ class StandardizerParams:
     def __post_init__(self):
         if not (len(self.columns) == len(self.means) == len(self.std_devs)):
             raise ValueError("columns, means, and std_devs must align")
+        if not all(math.isfinite(v) for v in (*self.means, *self.std_devs)):
+            raise ValueError("means and std_devs must be finite")
         if any(s < 0 for s in self.std_devs):
             raise ValueError("std_dev cannot be negative")
         if len(set(self.columns)) != len(self.columns):
@@ -663,13 +665,16 @@ def fit_standardizer(
     """Fit per-column mean and population std on the given dataset.
 
     NaN marks a missing value: a column's parameters come from its present
-    values, and a column with none is recorded as mean 0, std_dev 0.
+    values, and a column with none is recorded as mean 0, std_dev 0. An
+    infinite value is refused.
     """
     if dataset.n_rows == 0:
         raise ValueError("cannot fit a standardizer on an empty dataset")
     means, stds = [], []
     for name in columns:
         values = dataset.column(name)
+        if np.isinf(values).any():
+            raise ValueError(f"column {name!r} holds an infinite value; use NaN for missing")
         missing = np.isnan(values)
         if missing.any():
             values = values[~missing]
@@ -732,7 +737,8 @@ def engineer_time_features(
     (Morning [6,12), Afternoon [12,18), Evening [18,24), Night otherwise;
     the alphabetically first segment, Afternoon, is dropped). Under
     PAPER_FAITHFUL the raw hour feeds the segmentation so hours >= 24 land
-    in Night; CORRECTED wraps hour mod 24 first.
+    in Night; CORRECTED wraps hour mod 24 first. A missing (NaN) Time
+    leaves Hour and every segment column missing.
 
     When ``standardizer`` covers Time and/or Amount, scaled copies named
     ``<column>_Scaled`` are appended and the raw columns dropped, which is
@@ -753,8 +759,9 @@ def engineer_time_features(
     afternoon = (segment_hour >= 12) & (segment_hour < 18)
     evening = (segment_hour >= 18) & (segment_hour < 24)
     night = ~(morning | afternoon | evening)
+    unknown = np.isnan(hour)
     for seg_col, mask in zip(_SEGMENT_COLUMNS, (evening, morning, night)):
-        new_cols.append(mask.astype(np.float64))
+        new_cols.append(np.where(unknown, np.nan, mask))
         new_names.append(seg_col)
 
     if standardizer is not None:

@@ -517,98 +517,58 @@ def run_scenario(data: TabularDataset, spec: ScenarioSpec) -> ScenarioResult:
     return result
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Side-by-side metric view over scenario results.
-
-    metric_deltas holds (minuend - subtrahend) per metric for every
-    ordered pair of results; inflation is the subset where a pre-split
-    scenario is measured against a post-split one. Scenarios listed in
-    leaky_outperforming_clean beat every Clean scenario on f1 while
-    carrying a Leaky verdict.
-    """
-
-    names: tuple[str, ...]
-    table: tuple[dict, ...]
-    metric_deltas: tuple[dict, ...]
-    inflation: tuple[dict, ...]
-    leaky_outperforming_clean: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "names": list(self.names),
-            "table": list(self.table),
-            "metric_deltas": list(self.metric_deltas),
-            "inflation": list(self.inflation),
-            "leaky_outperforming_clean": list(self.leaky_outperforming_clean),
-            "convention": "positive-class metrics (not macro-averaged)",
-        }
-
-
-def compare_scenarios(results: list[ScenarioResult]) -> ComparisonReport:
-    """Tabulate metrics across results and quantify placement inflation.
-
-    All results must come from the same source dataset (by fingerprint)
-    and the same split seed; anything else is not a like-for-like
-    comparison and is refused.
-    """
+def compare_scenarios(results: list[ScenarioResult]) -> dict:
+    """The document ``leakguard compare`` writes as comparison.json: each
+    result's metrics and verdict, every ordered pair's metric deltas
+    (minuend - subtrahend), the pre-split minus post-split pairs among them
+    (inflation), and the Leaky results that beat every Clean one on f1. The
+    results must share the source dataset (by fingerprint) and split spec;
+    anything else is refused, naming the split fields that differ."""
     if len(results) < 2:
         raise ValueError("comparison needs at least two results")
-    fingerprints = {r.data_fingerprint for r in results}
-    if len(fingerprints) != 1:
+    if len({r.data_fingerprint for r in results}) != 1:
         raise ValueError("results come from different source datasets")
-    seeds = {r.scenario.split.seed for r in results}
-    if len(seeds) != 1:
-        raise ValueError("results use different split seeds")
+    splits = [r.scenario.split.to_dict() for r in results]
+    differing = [k for k in splits[0] if len({s[k] for s in splits}) != 1]
+    if differing:
+        raise ValueError(f"results' split specs differ in: {', '.join(differing)}")
 
-    table = []
-    for r in results:
-        row = {"name": r.scenario.name, "placement": r.scenario.placement.value}
-        row.update({k: getattr(r.metrics, k) for k in METRIC_KEYS})
-        row["verdict"] = r.leakage.verdict.value
-        table.append(row)
-
-    deltas = []
-    for i, a in enumerate(results):
-        for j, b in enumerate(results):
-            if i == j:
-                continue
-            deltas.append(
-                {
-                    "minuend": a.scenario.name,
-                    "minuend_index": i,
-                    "subtrahend": b.scenario.name,
-                    "subtrahend_index": j,
-                    "deltas": {
-                        k: getattr(a.metrics, k) - getattr(b.metrics, k)
-                        for k in METRIC_KEYS
-                    },
-                }
-            )
-    inflation = tuple(
-        d
-        for d in deltas
-        if results[d["minuend_index"]].scenario.placement
-        == Placement.SAMPLING_BEFORE_SPLIT
-        and results[d["subtrahend_index"]].scenario.placement
-        == Placement.SAMPLING_AFTER_SPLIT
-    )
-
-    clean_f1 = [
-        r.metrics.f1 for r in results if r.leakage.verdict == Verdict.CLEAN
-    ]
-    flagged = tuple(
-        r.scenario.name
+    table = [
+        {
+            "name": r.scenario.name,
+            "placement": r.scenario.placement.value,
+            **{k: getattr(r.metrics, k) for k in METRIC_KEYS},
+            "verdict": r.leakage.verdict.value,
+        }
         for r in results
-        if r.leakage.verdict == Verdict.LEAKY
-        and clean_f1
-        and r.metrics.f1 > max(clean_f1)
-    )
-
-    return ComparisonReport(
-        names=tuple(r.scenario.name for r in results),
-        table=tuple(table),
-        metric_deltas=tuple(deltas),
-        inflation=inflation,
-        leaky_outperforming_clean=flagged,
-    )
+    ]
+    deltas = [
+        {
+            "minuend": a["name"],
+            "minuend_index": i,
+            "subtrahend": b["name"],
+            "subtrahend_index": j,
+            "deltas": {k: a[k] - b[k] for k in METRIC_KEYS},
+        }
+        for i, a in enumerate(table)
+        for j, b in enumerate(table)
+        if i != j
+    ]
+    clean_f1 = [row["f1"] for row in table if row["verdict"] == Verdict.CLEAN]
+    return {
+        "names": [row["name"] for row in table],
+        "table": table,
+        "metric_deltas": deltas,
+        "inflation": [
+            d
+            for d in deltas
+            if table[d["minuend_index"]]["placement"] == Placement.SAMPLING_BEFORE_SPLIT
+            and table[d["subtrahend_index"]]["placement"] == Placement.SAMPLING_AFTER_SPLIT
+        ],
+        "leaky_outperforming_clean": [
+            row["name"]
+            for row in table
+            if row["verdict"] == Verdict.LEAKY and clean_f1 and row["f1"] > max(clean_f1)
+        ],
+        "convention": metrics.CONVENTION,
+    }

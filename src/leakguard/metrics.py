@@ -12,6 +12,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+CONVENTION = "positive-class metrics (not macro-averaged)"
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -64,18 +66,9 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "mcc": self.mcc,
-            "auc": self.auc,
-            "threshold": self.threshold,
-            "confusion": self.confusion.to_dict(),
-            "positive_count": self.positive_count,
-            "negative_count": self.negative_count,
+            **asdict(self),
             "zero_division_flags": list(self.zero_division_flags),
-            "convention": "positive-class metrics (not macro-averaged)",
+            "convention": CONVENTION,
         }
 
 
@@ -201,7 +194,7 @@ def compute_report(labels, scores, threshold: float) -> MetricsReport:
         auc=auc(y, s),
         threshold=threshold,
         confusion=cm,
-        positive_count=int((y == 1).sum()),
-        negative_count=int((y == 0).sum()),
+        positive_count=cm.tp + cm.fn,
+        negative_count=cm.tn + cm.fp,
         zero_division_flags=tuple(flags),
     )

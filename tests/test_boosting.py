@@ -732,8 +732,14 @@ class TestSerialization:
             (lambda doc: doc["trees"].__setitem__(0, [1]), "trees.0 must be a JSON object"),
             (lambda doc: doc.pop("trees"), "missing key 'trees'"),
             (lambda doc: doc.update(params=[0.3]), "params must be a JSON object"),
+            (lambda doc: doc.update(trees=3), "trees must be a JSON array, got 3"),
+            (lambda doc: doc.update(trees={"0": {}}), "trees must be a JSON array"),
+            (lambda doc: doc.update(train_loss=0.5), "train_loss must be a JSON array, got 0.5"),
         ],
-        ids=["missing-node-key", "list-tree", "missing-trees", "list-params"],
+        ids=[
+            "missing-node-key", "list-tree", "missing-trees", "list-params",
+            "number-trees", "object-trees", "number-train-loss",
+        ],
     )
     def test_malformed_model_file_names_the_field(self, edit, message):
         data = make_dataset(np.arange(20, dtype=float), np.array([0, 1] * 10))

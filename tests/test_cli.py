@@ -4,8 +4,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from leakguard import cli
 from leakguard import dataset as ds
 from leakguard.cli import ExperimentConfig, main
+from leakguard.experiment import run_scenario
 
 
 def run_cli(*argv):
@@ -307,6 +309,25 @@ class TestRun:
             b = json.loads((tmp_path / "w4" / f"{name}.result.json").read_text())
             a.pop("wall_time"), b.pop("wall_time")
             assert a == b
+
+    def test_failure_cancels_queued_scenarios(self, tmp_path, monkeypatch, capsys):
+        config_path, config = base_config(tmp_path)
+        # 0.01 is below the data's 5:95 ratio, so undersampling must fail.
+        under = [{"kind": "random_under", "sampling_strategy": 0.01, "seed": 3}]
+        config["scenarios"].insert(0, dict(config["scenarios"][1], name="bad-under", pipeline=under))
+        config_path.write_text(json.dumps(config))
+        started = []
+
+        def recording(data, spec):
+            started.append(spec.name)
+            return run_scenario(data, spec)
+
+        monkeypatch.setattr(cli, "run_scenario", recording)
+        assert run_cli("run", str(config_path)) == 2
+        err = capsys.readouterr().err
+        assert "scenario 'bad-under': stage 'sampling after split'" in err
+        assert started == ["bad-under"]
+        assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_must_be_positive(self, tmp_path, capsys, workers):

@@ -691,6 +691,19 @@ class TestStandardizer:
         with pytest.raises(ValueError, match="unique"):
             fit_standardizer(make_dataset([[1.0], [3.0]], [0, 1]), ["c0", "c0"])
 
+    def test_infinite_value_refused_naming_the_column(self):
+        data = make_dataset([[1.0, 1000.0], [2.0, np.inf], [3.0, 1001.0]], [0, 1, 0])
+        fit_standardizer(data, ["c0"])
+        with pytest.raises(ValueError, match="'c1' holds an infinite value; use NaN for missing"):
+            fit_standardizer(data, ["c0", "c1"])
+
+    @pytest.mark.parametrize(
+        "means, std_devs", [((np.inf,), (1.0,)), ((0.0,), (np.nan,)), ((np.nan,), (np.inf,))]
+    )
+    def test_non_finite_params_refused(self, means, std_devs):
+        with pytest.raises(ValueError, match="finite"):
+            StandardizerParams(columns=("c0",), means=means, std_devs=std_devs)
+
     def test_train_only_params_ignore_test_rows(self):
         data = generate_synthetic_imbalanced(200, 0.2, 3, 1.0, 21)
         train, test = stratified_split(data, SplitSpec(0.25, 4, True))
@@ -776,6 +789,17 @@ class TestEngineerTimeFeatures:
         out = engineer_time_features(time_dataset(hours.tolist()), mode)
         segment_hours = np.floor(hours) % 24 if mode == HourMode.CORRECTED else np.floor(hours)
         assert self.segments(out) == [self.day_segment(h) for h in segment_hours]
+
+    @pytest.mark.parametrize("mode", list(HourMode))
+    def test_missing_time_leaves_every_segment_missing(self, mode):
+        data = time_dataset([np.nan, 7.0, 13.0, 19.0, 2.0])
+        out = engineer_time_features(data, mode)
+        assert np.isnan(out.column("Hour")[0])
+        for name in ("Day_Segment_Evening", "Day_Segment_Morning", "Day_Segment_Night"):
+            assert np.isnan(out.column(name)[0])
+        assert self.segments(out)[1:] == ["Morning", "Afternoon", "Evening", "Night"]
+        present = engineer_time_features(time_dataset([7.0, 13.0, 19.0, 2.0]), mode)
+        assert out.features[1:].tobytes() == present.features.tobytes()
 
     def test_afternoon_dropped_as_first_category(self):
         data = time_dataset([13.0, 1.0])

@@ -365,6 +365,14 @@ class TestRunScenario:
         with pytest.raises(ScenarioError, match="sampling after split"):
             run_scenario(small_data(), scenario("boom", Placement.SAMPLING_AFTER_SPLIT, bad_pipeline))
 
+    def test_infinite_feature_fails_in_preprocessing(self):
+        data = small_data()
+        features = data.features.copy()
+        features[::10, 1] = np.inf
+        data = TabularDataset(features, data.feature_names, data.labels, data.provenance)
+        with pytest.raises(ScenarioError, match="stage 'preprocessing': column 'f2' holds an infinite"):
+            run_scenario(data, scenario("inf", Placement.NO_SAMPLING))
+
     def test_interrupt_is_not_wrapped_as_stage_failure(self, monkeypatch):
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
@@ -476,9 +484,9 @@ class TestCompareScenarios:
     def test_inflation_deltas(self):
         pre, post = self.run_pair()
         report = compare_scenarios([pre, post])
-        assert report.names == ("pre", "post")
-        assert len(report.inflation) == 1
-        entry = report.inflation[0]
+        assert report["names"] == ["pre", "post"]
+        assert len(report["inflation"]) == 1
+        entry = report["inflation"][0]
         assert entry["minuend"] == "pre" and entry["subtrahend"] == "post"
         expected = pre.metrics.recall - post.metrics.recall
         assert abs(entry["deltas"]["recall"] - expected) < 1e-15
@@ -486,14 +494,14 @@ class TestCompareScenarios:
     def test_self_comparison_gives_zero_deltas(self):
         _, post = self.run_pair()
         report = compare_scenarios([post, post])
-        for entry in report.metric_deltas:
+        for entry in report["metric_deltas"]:
             assert all(v == 0.0 for v in entry["deltas"].values())
 
     def test_leaky_outperforming_clean_flagged(self):
         pre, post = self.run_pair()
         report = compare_scenarios([pre, post])
         if pre.metrics.f1 > post.metrics.f1:
-            assert "pre" in report.leaky_outperforming_clean
+            assert "pre" in report["leaky_outperforming_clean"]
 
     def test_mismatched_fingerprints_refused(self):
         pre, _ = self.run_pair()
@@ -514,6 +522,27 @@ class TestCompareScenarios:
         )
         with pytest.raises(ValueError, match="seed"):
             compare_scenarios([a, b])
+
+    def test_mismatched_split_fields_named(self):
+        data = small_data()
+        stratified = run_scenario(data, scenario("a", Placement.NO_SAMPLING))
+        spec = scenario("b", Placement.NO_SAMPLING)
+        unstratified = run_scenario(data, dataclasses.replace(spec, split=SplitSpec(0.5, 42, False)))
+        assert unstratified.metrics.positive_count + unstratified.metrics.negative_count == 400
+        with pytest.raises(ValueError, match="split specs differ in: test_fraction, stratified$"):
+            compare_scenarios([stratified, unstratified])
+
+    def test_document_is_what_comparison_json_holds(self):
+        pre, post = self.run_pair()
+        report = compare_scenarios([pre, post])
+        assert list(report) == [
+            "names", "table", "metric_deltas", "inflation", "leaky_outperforming_clean",
+            "convention",
+        ]
+        assert json.loads(json.dumps(report)) == report
+        assert report["inflation"] == [
+            d for d in report["metric_deltas"] if (d["minuend"], d["subtrahend"]) == ("pre", "post")
+        ]
 
     def test_needs_two_results(self):
         pre, _ = self.run_pair()
@@ -546,7 +575,7 @@ class TestResultFileChecks:
         assert ScenarioResult.from_dict(reordered).to_dict() == leaky.to_dict()
         report = compare_scenarios([clean, leaky])
         assert leaky.metrics.f1 > clean.metrics.f1
-        assert report.leaky_outperforming_clean == ("pre",)
+        assert report["leaky_outperforming_clean"] == ["pre"]
 
     @pytest.mark.parametrize(
         "edit, field",
