@@ -466,7 +466,19 @@ def _prepared_partitions(
     hour_mode = HourMode.CORRECTED if guarded else HourMode.PAPER_FAITHFUL
     fit_source = train_part if guarded else data
     with _stage("preprocessing"):
-        return _preprocess(train_part, test_part, fit_source, hour_mode)
+        prepared = _preprocess(train_part, test_part, fit_source, hour_mode)
+        for partition, part in zip(("train", "test"), prepared):
+            _refuse_infinite(partition, part)
+    return prepared
+
+
+def _refuse_infinite(partition: str, part: TabularDataset) -> None:
+    """Raise naming the partition and the first column that holds an
+    infinite value: training and scoring would take it as a real one."""
+    infinite = np.isinf(part.features).any(axis=0)
+    if infinite.any():
+        name = part.feature_names[int(infinite.argmax())]
+        raise ValueError(f"{partition} partition column {name!r} holds an infinite value")
 
 
 @contextlib.contextmanager

@@ -353,6 +353,62 @@ class TestSaveCsvBytes:
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
         assert (tmp_path / "blocks.csv").read_text().startswith('c0,c1,"class, label"\n')
 
+    @pytest.mark.parametrize("label_column", ["Class", "x"])
+    def test_feature_named_like_the_label_column_refused_before_the_file(self, tmp_path, label_column):
+        data = TabularDataset(np.zeros((2, 2)), ("Class", "x"), np.array([0, 1]), np.zeros(2, np.int8))
+        with pytest.raises(ValueError, match=f"feature column '{label_column}' has the label column's name"):
+            save_csv(data, tmp_path / "d.csv", label_column=label_column)
+        assert not (tmp_path / "d.csv").exists()
+
+
+class TestSaveCsvPool:
+    """The blocks formatted in forked workers; the worker count is chosen
+    by replacing the private helper, as it is no option. Blocks of 64 rows
+    make 16 of them, so every worker count fills its in-flight bound."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(dataset_module, "_CSV_BLOCK_ROWS", 64)
+
+    @staticmethod
+    def sixteen_block_data():
+        n_rows = 15 * dataset_module._CSV_BLOCK_ROWS + 5
+        rng = np.random.default_rng(23)
+        features = rng.choice(TestSaveCsvBytes.SPECIAL, size=(n_rows, 3))
+        features[:, 0] = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-20, 20, n_rows)
+        return TabularDataset(features, ("a", "b, c", "d"), rng.integers(0, 2, n_rows), np.zeros(n_rows, np.int8))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bytes_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, workers):
+        import multiprocessing
+
+        monkeypatch.setattr(dataset_module, "_csv_workers", lambda n_blocks: workers)
+        data = self.sixteen_block_data()
+        save_csv(data, tmp_path / "pool.csv")
+        assert multiprocessing.active_children() == []
+        row_by_row_save_csv(data, tmp_path / "rows.csv")
+        assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError, KeyboardInterrupt])
+    def test_worker_error_reaches_the_caller_and_no_worker_outlives_it(
+        self, tmp_path, monkeypatch, error
+    ):
+        import multiprocessing
+
+        format_rows = dataset_module._format_rows
+
+        def failing_format_rows(features, labels, start, stop):
+            if start == 2 * dataset_module._CSV_BLOCK_ROWS:
+                raise error("block 2")
+            return format_rows(features, labels, start, stop)
+
+        # The forked workers inherit both replacements.
+        monkeypatch.setattr(dataset_module, "_format_rows", failing_format_rows)
+        monkeypatch.setattr(dataset_module, "_csv_workers", lambda n_blocks: 2)
+        with pytest.raises(error, match="block 2"):
+            save_csv(self.sixteen_block_data(), tmp_path / "pool.csv")
+        assert multiprocessing.active_children() == []
+
 
 SEVENTEEN_DIGITS = (
     "a,b,Class\n"

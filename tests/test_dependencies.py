@@ -1,7 +1,9 @@
 """numpy is the package's only runtime dependency.
 
 Importing leakguard and its command line in a fresh interpreter must load
-no top-level module outside the standard library, numpy and leakguard.
+no top-level module outside the standard library, numpy and leakguard,
+and not multiprocessing: only save_csv's worker pool needs it, and every
+command pays for what the import loads.
 """
 
 import os
@@ -19,14 +21,22 @@ print("\\n".join(sorted({name.split(".")[0] for name in set(sys.modules) - befor
 """
 
 
-def test_imports_need_only_numpy_and_the_standard_library():
+def modules_loaded_by_import():
     env = dict(os.environ)
     paths = [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     env["PYTHONPATH"] = os.pathsep.join(paths)
-    loaded = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", LIST_NEW_MODULES],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     ).stdout.split()
+
+
+def test_imports_need_only_numpy_and_the_standard_library():
+    loaded = modules_loaded_by_import()
     assert "leakguard" in loaded and "numpy" in loaded
     allowed = set(sys.stdlib_module_names) | {"numpy", "leakguard"}
     assert [name for name in loaded if name not in allowed] == []
+
+
+def test_imports_leave_out_multiprocessing():
+    assert "multiprocessing" not in modules_loaded_by_import()

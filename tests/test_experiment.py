@@ -373,6 +373,27 @@ class TestRunScenario:
         with pytest.raises(ScenarioError, match="stage 'preprocessing': column 'f2' holds an infinite"):
             run_scenario(data, scenario("inf", Placement.NO_SAMPLING))
 
+    @pytest.mark.parametrize("partition", ["train", "test"])
+    def test_infinite_value_in_a_prepared_partition_fails_in_preprocessing(self, partition):
+        # The guarded fit sees only the train partition, and a Time-schema
+        # fit only Time and Amount, so neither fit refuses these cells.
+        data = small_data()
+        features = data.features.copy()
+        names = data.feature_names
+        if partition == "train":
+            names = ("Time", "V1", "V2", "Amount")
+            features[:, 0] = np.arange(data.n_rows) * 60.0
+            features[:, 3] = np.abs(features[:, 3])
+        train, test = stratified_split(data, scenario("x", Placement.NO_SAMPLING).split)
+        row = (train if partition == "train" else test).features[0]
+        features[np.flatnonzero((data.features == row).all(axis=1)), 2] = np.inf
+        data = TabularDataset(features, names, data.labels, data.provenance)
+        with pytest.raises(
+            ScenarioError,
+            match=f"stage 'preprocessing': {partition} partition column '{names[2]}' holds an infinite",
+        ):
+            run_scenario(data, scenario("inf", Placement.NO_SAMPLING))
+
     def test_interrupt_is_not_wrapped_as_stage_failure(self, monkeypatch):
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
