@@ -414,13 +414,12 @@ def train(train_data: TabularDataset, params: GbdtParams) -> GbdtModel:
     score is the log-odds of the weighted positive rate, so even an empty
     ensemble is calibrated to the class balance. train_loss records the
     weighted log loss after each round, starting from the bare base score.
+    NaN marks a missing feature; a dataset refuses ±inf when it is built.
     """
     X = train_data.features
     y = train_data.labels.astype(np.float64)
     if X.shape[1] == 0:
         raise ValueError("training data has no feature columns")
-    if np.isinf(X).any():
-        raise ValueError("infinite feature values are not allowed; use NaN for missing")
     n_pos = int((y == 1).sum())
     if n_pos == 0 or n_pos == y.size:
         raise ValueError("training data must contain both classes")

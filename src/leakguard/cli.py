@@ -11,6 +11,8 @@ subcommand checks all its output paths before it does any work.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 import threading
@@ -44,6 +46,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.scenarios:
             raise ValueError("config needs at least one scenario")
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         names = [s.name for s in self.scenarios]
         if len(set(names)) != len(names):
             raise ValueError("scenario names must be unique")
@@ -108,6 +112,8 @@ def _load_config(path: Path, seed_override: int | None) -> ExperimentConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CliError(f"config: {path} line {exc.lineno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"config: {path}: {exc}") from exc
     if seed_override is not None:
         raw = _override_seeds(raw, seed_override)
     try:
@@ -126,16 +132,20 @@ def _refuse_existing(paths, force: bool) -> None:
 def _write_atomic(path: Path, force: bool, write) -> None:
     """Call write(tmp) on a sibling temp file, then move it onto path.
 
-    If either step fails, or is interrupted, the temp file is removed.
+    If a step fails or is interrupted, the temp file is removed, and an
+    OSError, from making the parents too, becomes a CliError naming path.
     """
     _refuse_existing([path], force)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         write(tmp)
         tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        if tmp.exists():  # not when its parent is missing or a file
+            tmp.unlink()
+        if isinstance(exc, OSError):
+            raise CliError(f"output: {path}: {exc}") from exc
         raise
 
 
@@ -207,12 +217,12 @@ def cmd_stats(args) -> int:
         _json_text({"column": column, "by_class": {str(k): v for k, v in summary.items()}}),
         args.force,
     )
-    lines = ["," + ",".join(data.feature_names)]
-    for name, row in zip(data.feature_names, matrix):
-        lines.append(name + "," + ",".join(repr(v) for v in row.tolist()))
+    table = io.StringIO()
+    rows = ([name, *map(repr, row.tolist())] for name, row in zip(data.feature_names, matrix))
+    csv.writer(table, lineterminator="\n").writerows([["", *data.feature_names], *rows])
     if constant:
         print(f"note: constant column(s) reported with zero correlation: {', '.join(constant)}")
-    _write_text(matrix_path, "\n".join(lines) + "\n", args.force)
+    _write_text(matrix_path, table.getvalue(), args.force)
 
     print(f"wrote stats for {args.input} to {out_dir}")
     return 0
@@ -323,7 +333,7 @@ def cmd_compare(args) -> int:
             raise CliError(f"compare: no such result file: {p}")
         try:
             results.append(ScenarioResult.from_dict(json.loads(p.read_text(encoding="utf-8"))))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise CliError(f"compare: {p}: {exc}") from exc
     try:
         report = compare_scenarios(results)

@@ -88,8 +88,8 @@ def as_object(name: str, value) -> dict:
     return value
 
 
-# Rows that TabularDataset.fingerprint lays out and hashes per block.
-_FINGERPRINT_BLOCK_ROWS = 4096
+# Rows per block of TabularDataset.fingerprint and of _refuse_cells.
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -144,6 +144,16 @@ def frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _refuse_cells(features: np.ndarray, names, test, what: str) -> None:
+    """ValueError naming the first column with a cell where ``test`` (as
+    np.isnan) holds, tested in row blocks so no n×d temporary is made."""
+    found = np.zeros(features.shape[1], dtype=bool)
+    for start in range(0, features.shape[0], _BLOCK_ROWS):
+        found |= test(features[start : start + _BLOCK_ROWS]).any(axis=0)
+    if found.any():
+        raise ValueError(f"column {names[found.argmax()]!r} holds {what}")
+
+
 def _owned_frozen(array, dtype) -> bool:
     """True for an array no one can write through: a read-only, C-contiguous
     ndarray of the given dtype that owns its data, so no writable view of it
@@ -167,7 +177,8 @@ class TabularDataset:
         C-contiguous float64 ndarray that owns its data, as ``frozen``
         makes, is kept as it is; anything else (a list, a writable array, a
         view, another dtype) is copied, so the caller cannot change the
-        dataset through it.
+        dataset through it. NaN marks a missing value; ±inf is refused,
+        naming its first column, so an overflow fails where it is made.
     feature_names : unique column labels, one per feature column
     labels : per-row class, 0 (negative) or 1 (positive); kept or copied
         by the rule for features, with int64 as the kept dtype
@@ -206,6 +217,7 @@ class TabularDataset:
             raise ValueError("labels length must equal the row count")
         if kinds.shape != (feats.shape[0],):
             raise ValueError("provenance length must equal the row count")
+        _refuse_cells(feats, names, np.isinf, "an infinite value; use NaN for missing")
         # Checked before the casts, which would truncate 0.5 to 0 and wrap
         # a kind code of 256 to 0.
         if raw_labels.size and not np.isin(raw_labels, (0, 1)).all():
@@ -239,15 +251,15 @@ class TabularDataset:
 
         The sum, mod 2**256, of the big-endian sha256 digest of each row's
         feature bytes followed by its label byte. The rows are laid out
-        _FINGERPRINT_BLOCK_ROWS at a time, and each block's digests are
-        summed in numpy as eight big-endian 32-bit words, whose carries are
-        joined in Python. The dataset is immutable, so the hash is computed
-        at most once per object.
+        _BLOCK_ROWS at a time, and each block's digests are summed in numpy
+        as eight big-endian 32-bit words, whose carries are joined in
+        Python. The dataset is immutable, so the hash is computed at most
+        once per object.
         """
         width = self.n_features * 8 + 1
         total = 0
-        for start in range(0, self.n_rows, _FINGERPRINT_BLOCK_ROWS):
-            stop = start + _FINGERPRINT_BLOCK_ROWS
+        for start in range(0, self.n_rows, _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
             feats = np.ascontiguousarray(self.features[start:stop])
             rows = np.empty((feats.shape[0], width), dtype=np.uint8)
             rows[:, :-1] = feats.view(np.uint8).reshape(feats.shape[0], width - 1)
@@ -609,11 +621,14 @@ def save_csv(dataset: TabularDataset, path: str | Path, label_column: str = LABE
     Raises
     ------
     ValueError
-        if a feature column has the label column's name; raised before
-        the file is created.
+        if a feature column has the label column's name or holds a NaN,
+        which load_csv refuses; raised before the file is created. A dataset
+        holds no ±inf, so every cell written is finite.
     """
     if label_column in dataset.feature_names:
         raise ValueError(f"feature column {label_column!r} has the label column's name")
+    what = "a missing (NaN) value, which load_csv refuses"
+    _refuse_cells(dataset.features, dataset.feature_names, np.isnan, what)
     starts = range(0, dataset.n_rows, _CSV_BLOCK_ROWS)
     workers = _csv_workers(len(starts))
     path = Path(path)
@@ -755,16 +770,14 @@ def fit_standardizer(
     """Fit per-column mean and population std on the given dataset.
 
     NaN marks a missing value: a column's parameters come from its present
-    values, and a column with none is recorded as mean 0, std_dev 0. An
-    infinite value is refused.
+    values, and a column with none is recorded as mean 0, std_dev 0. A
+    dataset refuses ±inf, but a mean or std_dev can still overflow to it.
     """
     if dataset.n_rows == 0:
         raise ValueError("cannot fit a standardizer on an empty dataset")
     means, stds = [], []
     for name in columns:
         values = dataset.column(name)
-        if np.isinf(values).any():
-            raise ValueError(f"column {name!r} holds an infinite value; use NaN for missing")
         missing = np.isnan(values)
         if missing.any():
             values = values[~missing]

@@ -421,35 +421,18 @@ def detect_leakage(
     )
 
 
-def _preprocess(
-    train: TabularDataset,
-    test: TabularDataset,
-    fit_source: TabularDataset,
-    hour_mode: HourMode,
-) -> tuple[TabularDataset, TabularDataset]:
-    """Standardize both partitions with parameters fitted on fit_source.
-
-    Datasets with a raw Time column get the hour/day-segment treatment and
-    scaled copies of Time and Amount; anything else is standardized across
-    all feature columns.
-    """
-    if "Time" in train.feature_names:
-        cols = [c for c in ("Time", "Amount") if c in train.feature_names]
-        params = fit_standardizer(fit_source, cols)
-        return (
-            engineer_time_features(train, hour_mode, params),
-            engineer_time_features(test, hour_mode, params),
-        )
-    params = fit_standardizer(fit_source, train.feature_names)
-    return apply_standardizer(train, params), apply_standardizer(test, params)
-
-
 def _prepared_partitions(
     data: TabularDataset, spec: ScenarioSpec, guarded: bool
 ) -> tuple[TabularDataset, TabularDataset]:
     """Sample, split and preprocess ``data`` as ``spec`` places them, and
     return only the prepared (train, test) pair. The raw partitions and any
-    pre-split sample are freed on return, before training starts."""
+    pre-split sample are freed on return, before training starts.
+
+    Both partitions are standardized with parameters fitted on the train
+    partition if ``guarded``, else on ``data``. Datasets with a raw Time
+    column get the hour/day-segment treatment and scaled copies of Time and
+    Amount; anything else is standardized across all feature columns.
+    """
     working = data
     if spec.placement == Placement.SAMPLING_BEFORE_SPLIT:
         with _stage("sampling before split"):
@@ -466,19 +449,15 @@ def _prepared_partitions(
     hour_mode = HourMode.CORRECTED if guarded else HourMode.PAPER_FAITHFUL
     fit_source = train_part if guarded else data
     with _stage("preprocessing"):
-        prepared = _preprocess(train_part, test_part, fit_source, hour_mode)
-        for partition, part in zip(("train", "test"), prepared):
-            _refuse_infinite(partition, part)
-    return prepared
-
-
-def _refuse_infinite(partition: str, part: TabularDataset) -> None:
-    """Raise naming the partition and the first column that holds an
-    infinite value: training and scoring would take it as a real one."""
-    infinite = np.isinf(part.features).any(axis=0)
-    if infinite.any():
-        name = part.feature_names[int(infinite.argmax())]
-        raise ValueError(f"{partition} partition column {name!r} holds an infinite value")
+        if "Time" not in train_part.feature_names:
+            params = fit_standardizer(fit_source, train_part.feature_names)
+            return apply_standardizer(train_part, params), apply_standardizer(test_part, params)
+        cols = [c for c in ("Time", "Amount") if c in train_part.feature_names]
+        params = fit_standardizer(fit_source, cols)
+        return (
+            engineer_time_features(train_part, hour_mode, params),
+            engineer_time_features(test_part, hour_mode, params),
+        )
 
 
 @contextlib.contextmanager

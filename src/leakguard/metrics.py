@@ -31,9 +31,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class MetricsReport:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 from types import SimpleNamespace
@@ -127,7 +128,7 @@ class TestGenerate:
         assert not out.exists()
 
     @pytest.mark.parametrize("failure", [OSError("disk full"), KeyboardInterrupt()])
-    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch, failure):
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys, failure):
         def failing_save_csv(data, path):
             path.write_text("Class\n0\n")
             raise failure
@@ -139,8 +140,24 @@ class TestGenerate:
             with pytest.raises(KeyboardInterrupt):
                 run_cli(*args)
         else:
-            assert run_cli(*args) == 1
+            assert run_cli(*args) == 2
+            assert f"error: output: {out}: disk full" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("blocker", ["output-is-a-directory", "parent-is-a-file"])
+    def test_unwritable_output_fails_naming_the_output(self, tmp_path, capsys, blocker):
+        if blocker == "output-is-a-directory":
+            blocked = out = tmp_path / "data.csv"
+            out.mkdir()
+        else:
+            blocked = tmp_path / "file"
+            blocked.write_text("kept\n")
+            out = blocked / "data.csv"
+        args = ("generate", "--n-rows", "100", "--positive-fraction", "0.1", "--output", str(out))
+        assert run_cli(*args, "--force") == 2
+        assert f"error: output: {out}: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [blocked]
+        assert list(out.iterdir()) == [] if out.is_dir() else blocked.read_text() == "kept\n"
 
     @pytest.mark.parametrize("flag", RUN_ONLY_FLAGS + [["--out-dir", "x"]])
     def test_unread_flags_rejected(self, tmp_path, capsys, flag):
@@ -223,6 +240,18 @@ class TestStats:
         assert [p.name for p in out_dir.iterdir()] == ["amount_summary.json"]
         assert run_cli(*args, "--force") == 0
         assert len(list(out_dir.iterdir())) == 3
+
+    def test_correlation_matrix_with_a_comma_in_a_name_is_square(self, tmp_path):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text('"a,b",c,Class\n1.0,2.0,0\n2.0,1.0,1\n3.0,5.0,0\n')
+        out_dir = tmp_path / "s"
+        assert run_cli("stats", "--input", str(csv_path), "--out-dir", str(out_dir)) == 0
+        with open(out_dir / "correlation_matrix.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["", "a,b", "c"]
+        assert [row[0] for row in rows[1:]] == ["a,b", "c"]
+        assert all(len(row) == 3 for row in rows)
+        assert rows[1][1] == rows[2][2] == "1.0" and rows[1][2] == rows[2][1]
 
     @pytest.mark.parametrize("flag", RUN_ONLY_FLAGS)
     def test_unread_flags_rejected(self, tmp_path, capsys, flag):
@@ -422,6 +451,25 @@ class TestRun:
         assert run_cli("run", str(bad)) == 2
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", ["directory", "latin-1"])
+    def test_unreadable_config_fails_naming_the_config(self, tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        if config == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes('{"data": "caf\u00e9"}'.encode("latin-1"))
+        assert run_cli("run", str(path)) == 2
+        assert f"error: config: {path}: " in capsys.readouterr().err
+
+    def test_non_string_out_dir_rejected(self, tmp_path, capsys):
+        config_path, config = base_config(tmp_path)
+        config["out_dir"] = 5
+        config_path.write_text(json.dumps(config))
+        assert run_cli("run", str(config_path)) == 2
+        err = capsys.readouterr().err
+        assert "error: config:" in err and "out_dir must be a string, got 5" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_missing_key_reports_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"data": {"synthetic": {}}}))
@@ -584,6 +632,14 @@ class TestCompare:
     def test_missing_result_file(self, tmp_path, capsys):
         assert run_cli("compare", str(tmp_path / "missing.json"), "--out-dir", str(tmp_path)) == 2
         assert "no such result" in capsys.readouterr().err
+
+    def test_result_path_that_is_a_directory(self, tmp_path, capsys):
+        paths = self.make_results(tmp_path)
+        capsys.readouterr()
+        cmp_dir = tmp_path / "cmp"
+        assert run_cli("compare", paths[0], str(tmp_path), "--out-dir", str(cmp_dir)) == 2
+        assert f"error: compare: {tmp_path}: " in capsys.readouterr().err
+        assert not cmp_dir.exists()
 
     @pytest.mark.parametrize("flag", RUN_ONLY_FLAGS)
     def test_unread_flags_rejected(self, tmp_path, capsys, flag):

@@ -74,6 +74,28 @@ class TestTabularDataset:
         data = make_dataset([[np.nan], [2.0]], [0, 1])
         assert np.isnan(data.features[0, 0])
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    @pytest.mark.parametrize("kept", [True, False], ids=["kept", "copied"])
+    def test_infinite_feature_refused_naming_the_first_such_column(self, value, kept):
+        # Three blocks: c3 holds one in the first block, c1 only in the last.
+        n_rows = 2 * dataset_module._BLOCK_ROWS + 5
+        features = np.zeros((n_rows, 4))
+        features[0, 3] = value
+        features[-1, 1] = value
+        features[1, 2] = np.nan
+        if kept:
+            features = dataset_module.frozen(features)
+        with pytest.raises(ValueError, match="^column 'c1' holds an infinite value; use NaN for missing$"):
+            TabularDataset(features, ("c0", "c1", "c2", "c3"), np.zeros(n_rows, np.int64),
+                           np.zeros(n_rows, np.int8))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_matrices_build(self, shape):
+        names = tuple(f"c{i}" for i in range(shape[1]))
+        n_rows = shape[0]
+        data = TabularDataset(np.zeros(shape), names, np.zeros(n_rows, np.int64), np.zeros(n_rows, np.int8))
+        assert data.features.shape == shape
+
     def test_provenance_validation(self):
         with pytest.raises(ValueError):
             RowProvenance("tagged")
@@ -303,12 +325,18 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="outside"):
             load_csv(path)
 
-    def test_save_load_round_trip_is_bit_identical(self, tmp_path):
+    @pytest.mark.parametrize("special", [False, True], ids=["gaussian", "special-values"])
+    def test_save_load_round_trip_is_bit_identical(self, tmp_path, special):
         data = generate_synthetic_imbalanced(50, 0.2, 4, 1.0, 9)
+        if special:
+            values = [-0.0, 5e-324, 1e16, -1e16, 0.1 + 0.2, 1e-300]
+            features = np.resize(values, data.features.shape)
+            data = TabularDataset(features, data.feature_names, data.labels, data.provenance)
         path = tmp_path / "rt.csv"
         save_csv(data, path)
         loaded = load_csv(path)
         assert loaded.equals(data)
+        assert loaded.features.tobytes() == data.features.tobytes()
 
 
 def row_by_row_save_csv(dataset, path, label_column="Class"):
@@ -323,7 +351,7 @@ def row_by_row_save_csv(dataset, path, label_column="Class"):
 
 
 class TestSaveCsvBytes:
-    SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, -1e16, 0.1 + 0.2, 1e-300, 123.0]
+    SPECIAL = [-0.0, 0.0, 5e-324, 1e16, -1e16, 0.1 + 0.2, 1e-300, 123.0]
 
     @pytest.mark.parametrize(
         "n_rows, n_features",
@@ -347,7 +375,7 @@ class TestSaveCsvBytes:
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     def test_quoted_label_column_name(self, tmp_path):
-        data = make_dataset([[1.5, -0.0], [np.inf, 5e-324]], [1, 0])
+        data = make_dataset([[1.5, -0.0], [-1e16, 5e-324]], [1, 0])
         save_csv(data, tmp_path / "blocks.csv", label_column="class, label")
         row_by_row_save_csv(data, tmp_path / "rows.csv", label_column="class, label")
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
@@ -358,6 +386,17 @@ class TestSaveCsvBytes:
         data = TabularDataset(np.zeros((2, 2)), ("Class", "x"), np.array([0, 1]), np.zeros(2, np.int8))
         with pytest.raises(ValueError, match=f"feature column '{label_column}' has the label column's name"):
             save_csv(data, tmp_path / "d.csv", label_column=label_column)
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_nan_refused_naming_the_column_before_the_file(self, tmp_path):
+        # load_csv refuses a nan cell, so the file could not be read back.
+        n_rows = dataset_module._BLOCK_ROWS + 3
+        features = np.zeros((n_rows, 3))
+        features[-1, 2] = features[-2, 1] = np.nan
+        data = TabularDataset(features, ("a", "b", "c"), np.zeros(n_rows, np.int64), np.zeros(n_rows, np.int8))
+        message = r"^column 'b' holds a missing \(NaN\) value, which load_csv refuses$"
+        with pytest.raises(ValueError, match=message):
+            save_csv(data, tmp_path / "d.csv")
         assert not (tmp_path / "d.csv").exists()
 
 
@@ -748,10 +787,18 @@ class TestStandardizer:
             fit_standardizer(make_dataset([[1.0], [3.0]], [0, 1]), ["c0", "c0"])
 
     def test_infinite_value_refused_naming_the_column(self):
-        data = make_dataset([[1.0, 1000.0], [2.0, np.inf], [3.0, 1001.0]], [0, 1, 0])
-        fit_standardizer(data, ["c0"])
+        # The dataset refuses it when it is built, before any fit.
         with pytest.raises(ValueError, match="'c1' holds an infinite value; use NaN for missing"):
-            fit_standardizer(data, ["c0", "c1"])
+            make_dataset([[1.0, 1000.0], [2.0, np.inf], [3.0, 1001.0]], [0, 1, 0])
+
+    def test_overflowing_fit_refused(self):
+        # Finite values whose squared deviations overflow give an infinite
+        # std_dev, which the parameters refuse.
+        data = make_dataset([[1.0, 1e300], [2.0, -1e300], [3.0, 0.0]], [0, 1, 0])
+        fit_standardizer(data, ["c0"])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="means and std_devs must be finite"):
+                fit_standardizer(data, ["c0", "c1"])
 
     @pytest.mark.parametrize(
         "means, std_devs", [((np.inf,), (1.0,)), ((0.0,), (np.nan,)), ((np.nan,), (np.inf,))]

@@ -39,7 +39,6 @@ from leakguard.experiment import (
     matching_row_pairs,
     run_scenario,
 )
-from leakguard.metrics import ConfusionMatrix
 from leakguard.sampling import SamplerKind, SamplerPipeline, SamplerSpec, apply_pipeline, resample
 
 FAST_MODEL = GbdtParams(learning_rate=0.3, n_estimators=8, max_depth=3)
@@ -365,34 +364,52 @@ class TestRunScenario:
         with pytest.raises(ScenarioError, match="sampling after split"):
             run_scenario(small_data(), scenario("boom", Placement.SAMPLING_AFTER_SPLIT, bad_pipeline))
 
-    def test_infinite_feature_fails_in_preprocessing(self):
+    def test_infinite_feature_fails_before_the_run(self):
         data = small_data()
         features = data.features.copy()
         features[::10, 1] = np.inf
-        data = TabularDataset(features, data.feature_names, data.labels, data.provenance)
-        with pytest.raises(ScenarioError, match="stage 'preprocessing': column 'f2' holds an infinite"):
-            run_scenario(data, scenario("inf", Placement.NO_SAMPLING))
+        with pytest.raises(ValueError, match="^column 'f2' holds an infinite value; use NaN for missing$"):
+            TabularDataset(features, data.feature_names, data.labels, data.provenance)
 
-    @pytest.mark.parametrize("partition", ["train", "test"])
-    def test_infinite_value_in_a_prepared_partition_fails_in_preprocessing(self, partition):
-        # The guarded fit sees only the train partition, and a Time-schema
-        # fit only Time and Amount, so neither fit refuses these cells.
+    @pytest.mark.parametrize("schema", ["plain", "time"])
+    def test_overflowing_guarded_scaling_fails_in_preprocessing(self, schema):
+        # Fitted on the train partition alone, the column's std_dev is about
+        # 4e-152, so the test row's 1e200 scales past the float range.
         data = small_data()
         features = data.features.copy()
-        names = data.feature_names
-        if partition == "train":
-            names = ("Time", "V1", "V2", "Amount")
+        names, column, scaled = data.feature_names, 2, "f3"
+        if schema == "time":
+            names, column, scaled = ("Time", "V1", "V2", "Amount"), 3, "Amount_Scaled"
             features[:, 0] = np.arange(data.n_rows) * 60.0
-            features[:, 3] = np.abs(features[:, 3])
         train, test = stratified_split(data, scenario("x", Placement.NO_SAMPLING).split)
-        row = (train if partition == "train" else test).features[0]
-        features[np.flatnonzero((data.features == row).all(axis=1)), 2] = np.inf
+        features[:, column] = 0.0
+        for part, value in ((train, 1e-150), (test, 1e200)):
+            features[np.flatnonzero((data.features == part.features[0]).all(axis=1)), column] = value
         data = TabularDataset(features, names, data.labels, data.provenance)
-        with pytest.raises(
-            ScenarioError,
-            match=f"stage 'preprocessing': {partition} partition column '{names[2]}' holds an infinite",
-        ):
-            run_scenario(data, scenario("inf", Placement.NO_SAMPLING))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(
+                ScenarioError,
+                match=f"^stage 'preprocessing': column '{scaled}' holds an infinite value",
+            ):
+                run_scenario(data, scenario("overflow", Placement.NO_SAMPLING))
+
+    def test_overflowing_sampler_fails_in_its_sampling_stage(self):
+        # Positives of +-1e200 have a finite mean, but their squared
+        # deviations overflow: the Gaussian's std_dev, and so every draw, is
+        # infinite.
+        data = small_data()
+        features = data.features.copy()
+        positives = np.flatnonzero(data.labels == 1)
+        features[positives, 0] = np.where(np.arange(positives.size) % 2, 1e200, -1e200)
+        data = TabularDataset(features, data.feature_names, data.labels, data.provenance)
+        pipeline = SamplerPipeline(steps=(SamplerSpec(SamplerKind.GAUSSIAN_SYNTH, 1.0, seed=3),))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(
+                ScenarioError,
+                match="^stage 'sampling after split': pipeline step 0 .gaussian_synth.: "
+                "column 'f1' holds an infinite value",
+            ):
+                run_scenario(data, scenario("overflow", Placement.SAMPLING_AFTER_SPLIT, pipeline))
 
     def test_interrupt_is_not_wrapped_as_stage_failure(self, monkeypatch):
         def interrupted(*args, **kwargs):
@@ -722,9 +739,8 @@ class TestScenarioSpecRoundTrip:
         (GbdtParams(learning_rate=0.1, n_estimators=3, n_bins=32), GbdtParams.from_dict),
         (SplitSpec(0.25, 9, False), SplitSpec.from_dict),
         (SamplerSpec(SamplerKind.SMOTE, 0.8, 3, 11), SamplerSpec.from_dict),
-        (ConfusionMatrix(tp=1, fp=2, tn=3, fn=4), lambda d: ConfusionMatrix(**d)),
     ],
-    ids=["GbdtParams", "SplitSpec", "SamplerSpec", "ConfusionMatrix"],
+    ids=["GbdtParams", "SplitSpec", "SamplerSpec"],
 )
 def test_to_dict_keys_are_the_declared_fields_in_order(obj, from_dict):
     d = obj.to_dict()

@@ -251,6 +251,10 @@ class TestReport:
         assert abs(report.accuracy - accuracy(cm)) < 1e-12
         assert abs(report.auc - auc(labels, scores)) < 1e-12
         assert report.to_dict()["convention"].startswith("positive-class")
+        # The matrix is serialized through the report's asdict.
+        assert list(report.to_dict()["confusion"].items()) == [
+            ("tp", cm.tp), ("fp", cm.fp), ("tn", cm.tn), ("fn", cm.fn)
+        ]
 
     def test_proba_monotone_in_margin_or_scores(self):
         rng = np.random.default_rng(4)
