@@ -71,6 +71,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        d = ds.as_object("config", d)
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
@@ -78,8 +79,11 @@ class ExperimentConfig:
             scenarios = tuple(
                 ScenarioSpec.from_dict(s) for s in d["scenarios"]
             )
+            data = ds.as_object("data", d["data"])
+            if "synthetic" in data:
+                ds.as_object("data.synthetic", data["synthetic"])
             return cls(
-                data=d["data"],
+                data=data,
                 scenarios=scenarios,
                 out_dir=d.get("out_dir", "results"),
             )

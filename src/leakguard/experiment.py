@@ -4,8 +4,9 @@ A scenario runs the same sampler, splitter, and model code regardless of
 placement; the only thing placement changes is the order of operations.
 Running the pipeline before the split is supported on purpose, clearly
 marked leaky, because demonstrating the metric inflation it causes is the
-point of this package. Every run ends with a leakage audit of the final
-train/test pair.
+point of this package. Every run audits the split's raw partitions
+against the loaded data right after the split, before any post-split
+sampling, preprocessing or training.
 """
 
 from __future__ import annotations
@@ -33,15 +34,10 @@ from .dataset import (
     class_distribution,
     engineer_time_features,
     fit_standardizer,
-    round_half_up,
     stratified_split,
 )
 
-RESULT_FORMAT_VERSION = 3
-
-# Probability, on each side, that a clean unstratified split puts a test
-# positive count outside the interval the audit accepts.
-CLASS_COUNT_TAIL = 1e-9
+RESULT_FORMAT_VERSION = 4
 
 METRIC_KEYS = ("accuracy", "precision", "recall", "f1", "mcc", "auc")
 
@@ -111,6 +107,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
+        d = as_object("scenario", d)
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(
@@ -130,24 +127,25 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class LeakageReport:
-    """Audit of a final train/test pair.
+    """Audit of a split's raw train/test partitions.
 
     synthetic_rows_in_test counts test rows whose provenance is not
     Original (sampler-created rows that ended up in the evaluation set);
     duplicate_pairs_across_split counts exact feature-vector matches
-    between the partitions; test_class_count_shift counts how far the test
-    partition's size and class counts lie from what the split spec allows
-    for the loaded data (see class_count_shift). The verdict is derived,
+    between the partitions; class_count_change is the sum over classes of
+    |train count + test count - loaded count|, which a split of the loaded
+    data keeps at 0 and a sampler that adds or removes rows before the
+    split raises by the number of rows it changed. The verdict is derived,
     never read: Leaky exactly when any count is positive or the scaler saw
     the full dataset. A result file supplies only the two measured counts."""
 
     synthetic_rows_in_test: int
     duplicate_pairs_across_split: int
     scaler_fitted_on_full_data: bool
-    test_class_count_shift: int
+    class_count_change: int
 
     def __post_init__(self):
-        counts = ("synthetic_rows_in_test", "duplicate_pairs_across_split", "test_class_count_shift")
+        counts = ("synthetic_rows_in_test", "duplicate_pairs_across_split", "class_count_change")
         for name in counts:
             object.__setattr__(self, name, as_int(name, getattr(self, name)))
             if getattr(self, name) < 0:
@@ -161,7 +159,7 @@ class LeakageReport:
         leaky = (
             self.synthetic_rows_in_test > 0
             or self.duplicate_pairs_across_split > 0
-            or self.test_class_count_shift > 0
+            or self.class_count_change > 0
             or self.scaler_fitted_on_full_data
         )
         return Verdict.LEAKY if leaky else Verdict.CLEAN
@@ -230,7 +228,7 @@ class ScenarioResult:
         if wall_time < 0:
             raise ValueError("wall_time cannot be negative")
         prov = _read_counts(d, "test_provenance_counts", RowProvenance.KINDS)
-        scenario = ScenarioSpec.from_dict(as_object("scenario", d["scenario"]))
+        scenario = ScenarioSpec.from_dict(d["scenario"])
         leakage = as_object("leakage", d["leakage"])
         result = cls(
             scenario=scenario,
@@ -238,7 +236,7 @@ class ScenarioResult:
                 synthetic_rows_in_test=prov["duplicate"] + prov["synthetic"],
                 duplicate_pairs_across_split=leakage["duplicate_pairs_across_split"],
                 scaler_fitted_on_full_data=scenario.preprocessing == Preprocessing.PAPER_FAITHFUL,
-                test_class_count_shift=leakage["test_class_count_shift"],
+                class_count_change=leakage["class_count_change"],
             ),
             train_class_counts={int(k): v for k, v in train_counts.items()},
             test_provenance_counts=prov,
@@ -311,56 +309,6 @@ def dataset_fingerprint(dataset: TabularDataset) -> str:
     return dataset.fingerprint
 
 
-def hypergeometric_interval(rows: int, positives: int, draws: int) -> tuple[int, int]:
-    """Bounds [lo, hi] on X, the positives among ``draws`` rows drawn without
-    replacement from ``rows`` rows that hold ``positives`` positives, with
-    P(X < lo) and P(X > hi) each at most CLASS_COUNT_TAIL: lo is the least
-    k with P(X <= k) above the tail, hi the greatest k with P(X >= k)
-    above it."""
-    low = max(0, draws + positives - rows)
-    k = np.arange(low, min(draws, positives), dtype=np.float64)
-    # pmf(k + 1) / pmf(k), so the log pmf, up to a constant, is a running sum.
-    ratio = (positives - k) * (draws - k) / ((k + 1) * (rows - positives - draws + k + 1))
-    log_pmf = np.concatenate([[0.0], np.cumsum(np.log(ratio))])
-    pmf = np.exp(log_pmf - log_pmf.max())
-    pmf /= pmf.sum()
-    at_most = np.cumsum(pmf)
-    at_least = np.cumsum(pmf[::-1])[::-1]
-    return (
-        low + int(np.flatnonzero(at_most > CLASS_COUNT_TAIL)[0]),
-        low + int(np.flatnonzero(at_least > CLASS_COUNT_TAIL)[-1]),
-    )
-
-
-def class_count_shift(
-    loaded_class_counts: dict[int, int], test_labels: np.ndarray, split: SplitSpec
-) -> int:
-    """How many rows the test partition's size and class counts lie outside
-    what ``split`` draws from data with the loaded class counts.
-
-    A stratified split takes exactly round_half_up(count * test_fraction)
-    rows of each class, so the shift is the sum over classes of the
-    distance to that count. An unstratified split takes exactly
-    round_half_up(rows * test_fraction) rows, with a positive count that is
-    hypergeometric, so the shift is the distance to that size plus the
-    distance of the positive count to hypergeometric_interval. A split of
-    the loaded data shifts nothing, except an unstratified one with
-    probability at most 2 * CLASS_COUNT_TAIL; sampling before the split
-    that changes the class counts shifts them.
-    """
-    counts = np.bincount(test_labels, minlength=2)
-    if split.stratified:
-        return sum(
-            abs(int(counts[c]) - round_half_up(loaded_class_counts[c] * split.test_fraction))
-            for c in (0, 1)
-        )
-    rows = loaded_class_counts[0] + loaded_class_counts[1]
-    n_test = round_half_up(rows * split.test_fraction)
-    lo, hi = hypergeometric_interval(rows, loaded_class_counts[1], n_test)
-    positives = int(counts[1])
-    return abs(int(counts.sum()) - n_test) + max(lo - positives, positives - hi, 0)
-
-
 # Query rows that matching_row_pairs gathers and searches at a time.
 _MATCH_BLOCK_ROWS = 4096
 
@@ -399,34 +347,37 @@ def detect_leakage(
     train: TabularDataset,
     test: TabularDataset,
     scaler_fitted_on_full_data: bool,
-    loaded_class_counts: dict[int, int],
-    split: SplitSpec,
+    loaded: TabularDataset,
 ) -> LeakageReport:
-    """Audit a train/test pair for evaluation contamination.
+    """Audit the raw partitions a split of ``loaded`` returned.
 
     Counts non-Original provenance rows in the test partition, exact
     feature-vector matches across the partitions (matching_row_pairs) and
-    the test class count shift against the loaded data's class counts
-    under ``split``, and records whether the standardizer saw the full
-    dataset; the report derives its verdict from those four facts.
+    how far the partitions' class counts together lie from the loaded
+    data's, and records whether the standardizer saw the full dataset;
+    the report derives its verdict from those four facts. Any split keeps
+    the class counts of what it splits, so the change is 0 exactly when
+    nothing before the split changed them.
     """
     if train.n_rows == 0 or test.n_rows == 0:
         raise ValueError("both partitions must be non-empty")
     created = np.count_nonzero(test.provenance != ORIGINAL)
+    train_n, test_n, loaded_n = (np.bincount(d.labels, minlength=2) for d in (train, test, loaded))
     return LeakageReport(
         synthetic_rows_in_test=created,
         duplicate_pairs_across_split=matching_row_pairs(train.features, test.features),
         scaler_fitted_on_full_data=scaler_fitted_on_full_data,
-        test_class_count_shift=class_count_shift(loaded_class_counts, test.labels, split),
+        class_count_change=int(np.abs(train_n + test_n - loaded_n).sum()),
     )
 
 
 def _prepared_partitions(
     data: TabularDataset, spec: ScenarioSpec, guarded: bool
-) -> tuple[TabularDataset, TabularDataset]:
-    """Sample, split and preprocess ``data`` as ``spec`` places them, and
-    return only the prepared (train, test) pair. The raw partitions and any
-    pre-split sample are freed on return, before training starts.
+) -> tuple[LeakageReport, TabularDataset, TabularDataset]:
+    """Sample, split, audit and preprocess ``data`` as ``spec`` places
+    them, and return the audit of the raw partitions with the prepared
+    (train, test) pair. The raw partitions and any pre-split sample are
+    freed on return, before training starts.
 
     Both partitions are standardized with parameters fitted on the train
     partition if ``guarded``, else on ``data``. Datasets with a raw Time
@@ -442,6 +393,9 @@ def _prepared_partitions(
         train_part, test_part = stratified_split(working, spec.split)
     del working  # the pre-split sample is not read again
 
+    with _stage("leakage detection"):
+        leakage = detect_leakage(train_part, test_part, not guarded, data)
+
     if spec.placement == Placement.SAMPLING_AFTER_SPLIT:
         with _stage("sampling after split"):
             train_part = sampling.apply_pipeline(train_part, spec.pipeline)
@@ -451,13 +405,14 @@ def _prepared_partitions(
     with _stage("preprocessing"):
         if "Time" not in train_part.feature_names:
             params = fit_standardizer(fit_source, train_part.feature_names)
-            return apply_standardizer(train_part, params), apply_standardizer(test_part, params)
-        cols = [c for c in ("Time", "Amount") if c in train_part.feature_names]
-        params = fit_standardizer(fit_source, cols)
-        return (
-            engineer_time_features(train_part, hour_mode, params),
-            engineer_time_features(test_part, hour_mode, params),
-        )
+            prepare = functools.partial(apply_standardizer, params=params)
+        else:
+            cols = [c for c in ("Time", "Amount") if c in train_part.feature_names]
+            params = fit_standardizer(fit_source, cols)
+            prepare = functools.partial(
+                engineer_time_features, mode=hour_mode, standardizer=params
+            )
+        return leakage, prepare(train_part), prepare(test_part)
 
 
 @contextlib.contextmanager
@@ -473,7 +428,7 @@ def _stage(name: str):
 
 
 def run_scenario(data: TabularDataset, spec: ScenarioSpec) -> ScenarioResult:
-    """Execute one scenario end to end and audit the outcome.
+    """Execute one scenario end to end; the audit runs before training.
 
     The three placements share every code path; they differ only in when
     (or whether) the sampling pipeline runs relative to the split.
@@ -481,15 +436,10 @@ def run_scenario(data: TabularDataset, spec: ScenarioSpec) -> ScenarioResult:
     start = time.perf_counter()
     fingerprint = dataset_fingerprint(data)
     guarded = spec.preprocessing == Preprocessing.GUARDED
-    train_ready, test_ready = _prepared_partitions(data, spec, guarded)
+    leakage, train_ready, test_ready = _prepared_partitions(data, spec, guarded)
 
     with _stage("model training"):
         model = boosting.train(train_ready, spec.model)
-
-    with _stage("leakage detection"):
-        leakage = detect_leakage(
-            train_ready, test_ready, not guarded, class_distribution(data)[0], spec.split
-        )
 
     kinds = np.bincount(test_ready.provenance, minlength=len(RowProvenance.KINDS))
     with _stage("evaluation"):

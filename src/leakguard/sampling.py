@@ -33,7 +33,8 @@ class SamplerSpec:
     """One resampling step.
 
     sampling_strategy is the minority/majority count ratio the step leaves
-    behind, in (0, 1]. k_neighbors only matters for SMOTE.
+    behind, in (0, 1]. k_neighbors only matters for SMOTE, but every kind
+    needs it to be at least 1.
     """
 
     kind: SamplerKind
@@ -49,7 +50,7 @@ class SamplerSpec:
         object.__setattr__(self, "sampling_strategy", strategy)
         if not 0.0 < self.sampling_strategy <= 1.0:
             raise ValueError("sampling_strategy must lie in (0, 1]")
-        if self.kind == SamplerKind.SMOTE and self.k_neighbors < 1:
+        if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")

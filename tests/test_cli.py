@@ -470,6 +470,25 @@ class TestRun:
         assert "error: config:" in err and "out_dir must be a string, got 5" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda c: [c], "config must be a JSON object, got [{"),
+            (lambda c: {**c, "data": ["csv"]}, "data must be a JSON object, got ['csv']"),
+            (lambda c: {**c, "scenarios": ["abc"]}, "scenario must be a JSON object, got 'abc'"),
+            (lambda c: {**c, "data": {"synthetic": [1, 2]}},
+             "data.synthetic must be a JSON object, got [1, 2]"),
+        ],
+        ids=["top-level", "data", "scenario", "data-synthetic"],
+    )
+    def test_non_object_config_value_names_the_field(self, tmp_path, capsys, build, message):
+        config_path, config = base_config(tmp_path)
+        config_path.write_text(json.dumps(build(config)))
+        assert run_cli("run", str(config_path)) == 2
+        err = capsys.readouterr().err
+        assert f"error: config: {config_path}: {message}" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_missing_key_reports_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"data": {"synthetic": {}}}))
@@ -609,7 +628,7 @@ class TestCompare:
         assert leakage.pop("scaler_fitted_on_full_data") is True
         # The scaler saw the test rows, and nothing else tripped the verdict.
         assert leakage == {"synthetic_rows_in_test": 0, "duplicate_pairs_across_split": 0,
-                           "test_class_count_shift": 0, "verdict": "leaky"}
+                           "class_count_change": 0, "verdict": "leaky"}
         leakage.update(scaler_fitted_on_full_data=False, verdict="clean")
         faithful.write_text(json.dumps(doc))
         paths = [str(faithful), str(out / "smote-post-42.result.json")]

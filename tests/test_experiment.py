@@ -1,12 +1,9 @@
 import dataclasses
 import hashlib
-import itertools
 import json
-import math
 import struct
 from collections import Counter
 from dataclasses import fields
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,24 +15,20 @@ from leakguard.dataset import (
     RowProvenance,
     SplitSpec,
     TabularDataset,
-    class_distribution,
     generate_synthetic_imbalanced,
     round_half_up,
     stratified_split,
 )
 from leakguard.experiment import (
-    CLASS_COUNT_TAIL,
     Placement,
     Preprocessing,
     ScenarioError,
     ScenarioResult,
     ScenarioSpec,
     Verdict,
-    class_count_shift,
     compare_scenarios,
     dataset_fingerprint,
     detect_leakage,
-    hypergeometric_interval,
     matching_row_pairs,
     run_scenario,
 )
@@ -142,7 +135,7 @@ class TestDetectLeakage:
         data = small_data()
         split = SplitSpec(0.2, 1, True)
         train, test = stratified_split(data, split)
-        report = detect_leakage(train, test, False, class_distribution(data)[0], split)
+        report = detect_leakage(train, test, False, data)
         assert report.verdict == Verdict.CLEAN
         assert report.synthetic_rows_in_test == 0
         assert report.duplicate_pairs_across_split == 0
@@ -157,8 +150,9 @@ class TestDetectLeakage:
             labels=np.concatenate([test.labels, train.labels[:1]]),
             provenance=np.append(test.provenance, ORIGINAL),
         )
-        report = detect_leakage(train, polluted, False, class_distribution(data)[0], split)
+        report = detect_leakage(train, polluted, False, data)
         assert report.duplicate_pairs_across_split >= 1
+        assert report.class_count_change == 1
         assert report.verdict == Verdict.LEAKY
 
     def test_duplicate_count_matches_brute_force_scan(self):
@@ -170,9 +164,7 @@ class TestDetectLeakage:
         data = TabularDataset(pool, ("a", "b"), labels, prov)
         train = data.select_rows(range(25))
         test = data.select_rows(range(25, 40))
-        report = detect_leakage(
-            train, test, False, class_distribution(data)[0], SplitSpec(0.375, 0, False)
-        )
+        report = detect_leakage(train, test, False, data)
         assert report.duplicate_pairs_across_split == brute_force_duplicate_pairs(train, test)
         assert report.duplicate_pairs_across_split > 0
 
@@ -186,7 +178,7 @@ class TestDetectLeakage:
             labels=test.labels,
             provenance=np.append(SYNTHETIC, test.provenance[1:]),
         )
-        report = detect_leakage(train, tainted, False, class_distribution(data)[0], split)
+        report = detect_leakage(train, tainted, False, data)
         assert report.synthetic_rows_in_test == 1
         assert report.verdict == Verdict.LEAKY
 
@@ -194,54 +186,29 @@ class TestDetectLeakage:
         data = small_data()
         split = SplitSpec(0.2, 1, True)
         train, test = stratified_split(data, split)
-        report = detect_leakage(train, test, True, class_distribution(data)[0], split)
+        report = detect_leakage(train, test, True, data)
         assert report.scaler_fitted_on_full_data
         assert report.verdict == Verdict.LEAKY
 
 
-def brute_force_interval(population, successes, draws, tail):
-    """hypergeometric_interval from exact rational tail sums."""
-    total = math.comb(population, draws)
-    support = range(max(0, draws + successes - population), min(draws, successes) + 1)
-    ways = [math.comb(successes, k) * math.comb(population - successes, draws - k) for k in support]
-    at_most = list(itertools.accumulate(ways))
-    at_least = list(itertools.accumulate(ways[::-1]))[::-1]
-    lo = min(k for k, w in zip(support, at_most) if Fraction(w, total) > tail)
-    hi = max(k for k, w in zip(support, at_least) if Fraction(w, total) > tail)
-    return lo, hi
+class TestClassCountChange:
+    @pytest.mark.parametrize("stratified", [True, False], ids=["stratified", "unstratified"])
+    @pytest.mark.parametrize("fraction", [0.1, 0.2, 0.25, 0.5, 0.9])
+    def test_a_split_of_the_loaded_data_changes_nothing(self, stratified, fraction):
+        for seed in range(5):
+            data = generate_synthetic_imbalanced(403, 0.07, 3, 1.5, seed)
+            train, test = stratified_split(data, SplitSpec(fraction, seed, stratified))
+            assert detect_leakage(train, test, False, data).class_count_change == 0
 
-
-class TestClassCountShift:
-    @pytest.mark.parametrize(
-        "population, successes, draws",
-        [(60, 6, 12), (150, 75, 30), (40, 39, 10), (30, 0, 6), (25, 25, 5), (500, 5, 499),
-         (80, 10, 1), (2000, 200, 400), (1000, 500, 300), (5000, 50, 1000), (4000, 3990, 3000)],
-    )
-    def test_interval_matches_exact_tails(self, population, successes, draws):
-        got = hypergeometric_interval(population, successes, draws)
-        if population in (1000, 2000, 5000):
-            support = (max(0, draws + successes - population), min(draws, successes))
-            assert got != support  # the tails are cut
-        assert got == brute_force_interval(population, successes, draws, Fraction(CLASS_COUNT_TAIL))
-
-    def test_stratified_shift_is_the_distance_to_the_exact_counts(self):
-        split = SplitSpec(0.2, 0, True)
-        loaded = {0: 396, 1: 4}  # 79.2 -> 79 and 0.8 -> 1 test rows
-        labels = np.array([0] * 79 + [1])
-        assert class_count_shift(loaded, labels, split) == 0
-        assert class_count_shift(loaded, labels[1:], split) == 1
-        assert class_count_shift(loaded, np.array([0] * 78 + [1, 1]), split) == 2
-
-    def test_unstratified_shift_counts_size_and_interval(self):
-        split = SplitSpec(0.2, 0, False)
-        loaded = {0: 19800, 1: 200}
-        lo, hi = hypergeometric_interval(20000, 200, 4000)
-        assert lo < 40 < hi
-        for positives in (lo, 40, hi):
-            labels = np.array([0] * (4000 - positives) + [1] * positives)
-            assert class_count_shift(loaded, labels, split) == 0
-        assert class_count_shift(loaded, np.array([0] * (4000 - hi - 3) + [1] * (hi + 3)), split) == 3
-        assert class_count_shift(loaded, np.array([0] * (3999 - lo) + [1] * lo), split) == 1
+    def test_each_added_or_removed_row_counts_once(self):
+        data = small_data()
+        train, test = stratified_split(data, SplitSpec(0.2, 1, True))
+        dropped = train.select_rows(range(1, train.n_rows))
+        assert detect_leakage(dropped, test, False, data).class_count_change == 1
+        labels = test.labels.copy()
+        labels[np.flatnonzero(labels == 1)[0]] = 0  # one positive fewer, one negative more
+        relabelled = TabularDataset(test.features, test.feature_names, labels, test.provenance)
+        assert detect_leakage(train, relabelled, False, data).class_count_change == 2
 
     @pytest.mark.parametrize("stratified", [True, False])
     def test_pre_split_undersampling_is_leaky(self, stratified):
@@ -257,11 +224,12 @@ class TestClassCountShift:
         assert len(result.test_labels) == 120
         assert result.leakage.synthetic_rows_in_test == 0
         assert result.leakage.duplicate_pairs_across_split == 0
-        assert result.leakage.test_class_count_shift >= 3880
+        # 19,800 negatives undersampled to 400; the split moves none of them.
+        assert result.leakage.class_count_change == 19400
         assert result.leakage.verdict == Verdict.LEAKY
         spec = dataclasses.replace(spec, placement=Placement.SAMPLING_AFTER_SPLIT)
         clean = run_scenario(data, spec).leakage
-        assert (clean.test_class_count_shift, clean.verdict) == (0, Verdict.CLEAN)
+        assert (clean.class_count_change, clean.verdict) == (0, Verdict.CLEAN)
 
 
 class TestRunScenario:
@@ -649,8 +617,8 @@ class TestResultFileChecks:
             ("duplicate_pairs_across_split", True),
             ("scaler_fitted_on_full_data", "no"),
             ("scaler_fitted_on_full_data", 0),
-            ("test_class_count_shift", -1),
-            ("test_class_count_shift", "0"),
+            ("class_count_change", -1),
+            ("class_count_change", "0"),
             ("verdict", "clean"),
         ],
     )

@@ -21,7 +21,7 @@ from leakguard.experiment import (
     Verdict,
     run_scenario,
 )
-from leakguard.sampling import SamplerKind, SamplerPipeline, SamplerSpec
+from leakguard.sampling import SamplerKind, SamplerPipeline, SamplerSpec, apply_pipeline
 
 MODEL = GbdtParams(learning_rate=0.3, n_estimators=3, max_depth=2)
 SEEDS = (0, 1, 2)
@@ -29,6 +29,10 @@ STRATEGY = 1.0
 # 40 positives and 360 negatives already sit at this ratio, so a sampler
 # with it adds and removes no row.
 FIXED_POINT = 40 / 360
+# Near fixed points: random_under keeps 359 or 358 of the 360 negatives,
+# and an oversampler adds one positive. Neither moves a test class count
+# that round_half_up(n * 0.2) gives, so only an exact count sees them.
+NEAR_FIXED_POINTS = {40 / 359: "-under-1", 40 / 358: "-under-2", 41 / 360: "-over-1"}
 
 CELLS = (
     [(Placement.NO_SAMPLING, None, STRATEGY)]
@@ -38,13 +42,22 @@ CELLS = (
         for kind in SamplerKind
     ]
     + [(Placement.SAMPLING_BEFORE_SPLIT, kind, FIXED_POINT) for kind in SamplerKind]
+    + [
+        (Placement.SAMPLING_BEFORE_SPLIT, SamplerKind.RANDOM_UNDER, 40 / 359),
+        (Placement.SAMPLING_BEFORE_SPLIT, SamplerKind.RANDOM_UNDER, 40 / 358),
+    ]
+    + [
+        (Placement.SAMPLING_BEFORE_SPLIT, kind, 41 / 360)
+        for kind in (SamplerKind.RANDOM_OVER, SamplerKind.SMOTE, SamplerKind.GAUSSIAN_SYNTH)
+    ]
 )
 
 
 def cell_id(cell):
     placement, kind, strategy = cell
     name = placement.value if kind is None else f"{kind.value}-{placement.value}"
-    return name + ("-fixed-point" if strategy == FIXED_POINT else "")
+    suffix = {FIXED_POINT: "-fixed-point", **NEAR_FIXED_POINTS}.get(strategy, "")
+    return name + suffix
 
 
 @pytest.mark.parametrize("stratified", [True, False], ids=["stratified", "unstratified"])
@@ -82,11 +95,14 @@ def test_audit_measures_the_configured_verdict(cell, preprocessing, stratified):
         assert leakage.scaler_fitted_on_full_data == faithful
         created = leakage.synthetic_rows_in_test
         if changes_data:
-            # Every pre-split sampler moves the test class counts; the
-            # oversamplers also put created rows into the test partition.
-            assert leakage.test_class_count_shift > 0, (seed, leakage)
-            assert (created > 0) == (kind != SamplerKind.RANDOM_UNDER), (seed, leakage)
+            # The split keeps the class counts of the sample it is handed,
+            # so the change is exactly the rows the pipeline added or removed.
+            changed = abs(apply_pipeline(data, pipeline).n_rows - data.n_rows)
+            assert leakage.class_count_change == changed > 0, (seed, leakage)
+            if strategy == STRATEGY:
+                # Adding 320 rows puts some of them into the test partition.
+                assert (created > 0) == (kind != SamplerKind.RANDOM_UNDER), (seed, leakage)
         else:
-            counts = (created, leakage.duplicate_pairs_across_split, leakage.test_class_count_shift)
+            counts = (created, leakage.duplicate_pairs_across_split, leakage.class_count_change)
             assert counts == (0, 0, 0), (seed, leakage)
 

@@ -562,6 +562,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=field):
             SamplerSpec(kind, 0.5, **{field: value})
 
+    @pytest.mark.parametrize("kind", list(SamplerKind))
+    @pytest.mark.parametrize("k", [0, -7])
+    def test_k_neighbors_below_one_refused_for_every_kind(self, kind, k):
+        with pytest.raises(ValueError, match="k_neighbors must be at least 1"):
+            SamplerSpec(kind, 0.5, k_neighbors=k)
+
     @pytest.mark.parametrize("value", [True, "0.5", float("nan"), None])
     def test_strategy_must_be_a_finite_real(self, value):
         with pytest.raises(ValueError, match="sampling_strategy"):
