@@ -76,9 +76,8 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         try:
-            scenarios = tuple(
-                ScenarioSpec.from_dict(s) for s in d["scenarios"]
-            )
+            scenarios = ds.as_object("scenarios", d["scenarios"], list)
+            scenarios = tuple(map(ScenarioSpec.from_dict, scenarios))
             data = ds.as_object("data", d["data"])
             if "synthetic" in data:
                 ds.as_object("data.synthetic", data["synthetic"])

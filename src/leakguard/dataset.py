@@ -80,11 +80,12 @@ def as_real(name: str, value) -> float:
     return float(value)
 
 
-def as_object(name: str, value) -> dict:
-    """Return a JSON object field's value; anything else is a ValueError
-    that names the field."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+def as_object(name: str, value, kind: type = dict):
+    """Return a JSON object field's value, or a JSON array's if ``kind`` is
+    list; anything else is a ValueError that names the field."""
+    if not isinstance(value, kind):
+        what = "array" if kind is list else "object"
+        raise ValueError(f"{name} must be a JSON {what}, got {value!r}")
     return value
 
 

@@ -6,7 +6,8 @@ Running the pipeline before the split is supported on purpose, clearly
 marked leaky, because demonstrating the metric inflation it causes is the
 point of this package. Every run audits the split's raw partitions
 against the loaded data right after the split, before any post-split
-sampling, preprocessing or training.
+sampling, preprocessing or training; the verdict reads only the class
+count change and where the scaler was fitted.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .dataset import (
     stratified_split,
 )
 
-RESULT_FORMAT_VERSION = 4
+RESULT_FORMAT_VERSION = 5
 
 METRIC_KEYS = ("accuracy", "precision", "recall", "f1", "mcc", "auc")
 
@@ -114,13 +115,15 @@ class ScenarioSpec:
                 f"scenario {d.get('name')!r} has unknown key(s): {', '.join(unknown)}"
             )
         pipeline = d.get("pipeline")
+        steps = [] if pipeline is None else as_object("pipeline", pipeline, list)
+        steps = [as_object(f"pipeline.{i}", step) for i, step in enumerate(steps)]
         return cls(
             name=d["name"],
             placement=Placement(d["placement"]),
-            pipeline=sampling.SamplerPipeline.from_dict(pipeline) if pipeline else None,
+            pipeline=sampling.SamplerPipeline.from_dict(steps) if steps else None,
             preprocessing=Preprocessing(d.get("preprocessing", "guarded")),
-            split=SplitSpec.from_dict(d["split"]),
-            model=boosting.GbdtParams.from_dict(d["model"]),
+            split=SplitSpec.from_dict(as_object("split", d["split"])),
+            model=boosting.GbdtParams.from_dict(as_object("model", d["model"])),
             threshold=d.get("threshold", 0.5),
         )
 
@@ -129,15 +132,17 @@ class ScenarioSpec:
 class LeakageReport:
     """Audit of a split's raw train/test partitions.
 
-    synthetic_rows_in_test counts test rows whose provenance is not
-    Original (sampler-created rows that ended up in the evaluation set);
-    duplicate_pairs_across_split counts exact feature-vector matches
-    between the partitions; class_count_change is the sum over classes of
-    |train count + test count - loaded count|, which a split of the loaded
-    data keeps at 0 and a sampler that adds or removes rows before the
-    split raises by the number of rows it changed. The verdict is derived,
-    never read: Leaky exactly when any count is positive or the scaler saw
-    the full dataset. A result file supplies only the two measured counts."""
+    class_count_change is the sum over classes of |train count + test
+    count - loaded count|; a split of the loaded data keeps it at 0. Each
+    sampler step only adds minority rows or only removes majority rows, so
+    a pre-split pipeline raises it by exactly the rows it changed: the
+    partitions' excess plus deficit against the loaded rows as multisets.
+    The verdict is derived, never read: Leaky exactly when that count is
+    positive or the scaler saw the full dataset. synthetic_rows_in_test
+    (non-Original test rows) and duplicate_pairs_across_split (exact
+    feature-vector matches between the partitions) explain a verdict but
+    do not decide it, since duplicates in the loaded data straddle any
+    split. A result file supplies only the two measured counts."""
 
     synthetic_rows_in_test: int
     duplicate_pairs_across_split: int
@@ -156,12 +161,7 @@ class LeakageReport:
 
     @property
     def verdict(self) -> Verdict:
-        leaky = (
-            self.synthetic_rows_in_test > 0
-            or self.duplicate_pairs_across_split > 0
-            or self.class_count_change > 0
-            or self.scaler_fitted_on_full_data
-        )
+        leaky = self.class_count_change > 0 or self.scaler_fitted_on_full_data
         return Verdict.LEAKY if leaky else Verdict.CLEAN
 
     def to_dict(self) -> dict:
@@ -286,9 +286,7 @@ def _read_entries(d: dict, field: str, types: set, valid, what: str) -> tuple:
     and float64 values that pass ``valid``; anything else is a ValueError
     that names the first bad entry. Types are checked once per distinct
     type and values in numpy, not one Python call per entry."""
-    values = d[field]
-    if not isinstance(values, list):
-        raise ValueError(f"{field} must be a JSON array, got {values!r}")
+    values = as_object(field, d[field], list)
 
     def good(entries: list) -> bool:
         if not set(map(type, entries)) <= types:
@@ -351,13 +349,13 @@ def detect_leakage(
 ) -> LeakageReport:
     """Audit the raw partitions a split of ``loaded`` returned.
 
-    Counts non-Original provenance rows in the test partition, exact
-    feature-vector matches across the partitions (matching_row_pairs) and
-    how far the partitions' class counts together lie from the loaded
-    data's, and records whether the standardizer saw the full dataset;
-    the report derives its verdict from those four facts. Any split keeps
-    the class counts of what it splits, so the change is 0 exactly when
-    nothing before the split changed them.
+    Counts how far the partitions' class counts together lie from the
+    loaded data's, non-Original provenance rows in the test partition and
+    exact feature-vector matches across the partitions
+    (matching_row_pairs), and records whether the standardizer saw the
+    full dataset. Any split keeps the class counts of what it splits, so
+    the change is 0 exactly when nothing before the split changed them;
+    the report's verdict reads that change and the scaler flag only.
     """
     if train.n_rows == 0 or test.n_rows == 0:
         raise ValueError("both partitions must be non-empty")

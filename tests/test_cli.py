@@ -478,8 +478,22 @@ class TestRun:
             (lambda c: {**c, "scenarios": ["abc"]}, "scenario must be a JSON object, got 'abc'"),
             (lambda c: {**c, "data": {"synthetic": [1, 2]}},
              "data.synthetic must be a JSON object, got [1, 2]"),
+            (lambda c: {**c, "scenarios": [{**c["scenarios"][0], "split": [1]}]},
+             "split must be a JSON object, got [1]"),
+            (lambda c: {**c, "scenarios": [{**c["scenarios"][0], "model": None}]},
+             "model must be a JSON object, got None"),
+            (lambda c: {**c, "scenarios": [{**c["scenarios"][1], "pipeline": {"kind": "smote"}}]},
+             "pipeline must be a JSON array, got {'kind': 'smote'}"),
+            (lambda c: {**c, "scenarios": [{**c["scenarios"][1], "pipeline": ["smote"]}]},
+             "pipeline.0 must be a JSON object, got 'smote'"),
+            (lambda c: {**c, "scenarios": [{**c["scenarios"][0], "pipeline": {}}]},
+             "pipeline must be a JSON array, got {}"),
+            (lambda c: {**c, "scenarios": {"a": 1}}, "scenarios must be a JSON array, got {'a': 1}"),
+            (lambda c: {**c, "scenarios": "abc"}, "scenarios must be a JSON array, got 'abc'"),
         ],
-        ids=["top-level", "data", "scenario", "data-synthetic"],
+        ids=["top-level", "data", "scenario", "data-synthetic", "split", "model",
+             "pipeline", "pipeline-step", "empty-object-pipeline", "scenarios-object",
+             "scenarios-string"],
     )
     def test_non_object_config_value_names_the_field(self, tmp_path, capsys, build, message):
         config_path, config = base_config(tmp_path)

@@ -33,6 +33,7 @@ from leakguard.experiment import (
     run_scenario,
 )
 from leakguard.sampling import SamplerKind, SamplerPipeline, SamplerSpec, apply_pipeline, resample
+from test_leak_matrix import copy_within_class
 
 FAST_MODEL = GbdtParams(learning_rate=0.3, n_estimators=8, max_depth=3)
 
@@ -179,8 +180,20 @@ class TestDetectLeakage:
             provenance=np.append(SYNTHETIC, test.provenance[1:]),
         )
         report = detect_leakage(train, tainted, False, data)
+        # A tag on an unchanged row is bookkeeping: the rows are still a
+        # split of the loaded data.
         assert report.synthetic_rows_in_test == 1
-        assert report.verdict == Verdict.LEAKY
+        assert report.class_count_change == 0
+        assert report.verdict == Verdict.CLEAN
+
+    @pytest.mark.parametrize("stratified", [True, False], ids=["stratified", "unstratified"])
+    def test_duplicates_in_the_loaded_data_do_not_make_a_split_leaky(self, stratified):
+        copied = copy_within_class(small_data(), 3)
+        train, test = stratified_split(copied, SplitSpec(0.2, 1, stratified))
+        report = detect_leakage(train, test, False, copied)
+        assert report.duplicate_pairs_across_split > 0
+        assert (report.synthetic_rows_in_test, report.class_count_change) == (0, 0)
+        assert report.verdict == Verdict.CLEAN
 
     def test_full_data_scaler_flag_forces_leaky(self):
         data = small_data()
@@ -675,6 +688,13 @@ class TestResultFileChecks:
     def test_wrong_json_container_names_the_field(self, docs, field, wrong):
         with pytest.raises(ValueError, match=f"^{field} must be a JSON "):
             ScenarioResult.from_dict(self.tamper(docs[0], lambda d: d.update({field: wrong})))
+
+    def test_previous_format_version_refused_naming_it(self, docs):
+        # A version 4 file's stored verdict follows the rule that also read
+        # the created-row and duplicate-pair counts.
+        doc = self.tamper(docs[0], lambda d: d.update(format_version=4))
+        with pytest.raises(ValueError, match="unsupported result format version 4"):
+            ScenarioResult.from_dict(doc)
 
     def test_string_threshold_refused(self, docs):
         def edit(d):

@@ -4,15 +4,18 @@ The expected verdict comes from the configuration, never from the audit:
 a cell is leaky exactly when a sampler changed the data before the split,
 or preprocessing is paper_faithful (the scaler sees the test rows). The
 audit must measure that verdict from the data, and the count that trips it
-must be the one the cell's leak feeds.
+must be the one the cell's leak feeds. Every cell also runs on loaded data
+that holds exact duplicate rows, which straddle any split and so must not
+change a verdict.
 """
 
 import json
 
+import numpy as np
 import pytest
 
 from leakguard.boosting import GbdtParams
-from leakguard.dataset import SplitSpec, generate_synthetic_imbalanced
+from leakguard.dataset import SplitSpec, TabularDataset, generate_synthetic_imbalanced
 from leakguard.experiment import (
     Placement,
     Preprocessing,
@@ -53,6 +56,18 @@ CELLS = (
 )
 
 
+def copy_within_class(data, seed):
+    """``data`` with 5% of each class (at least one row) overwritten by
+    copies of other rows of that class, so the class counts stay."""
+    rng = np.random.default_rng(seed)
+    features = data.features.copy()
+    for cls in (0, 1):
+        rows = rng.permutation(np.flatnonzero(data.labels == cls))
+        n_copies = max(1, round(0.05 * rows.size))
+        features[rows[:n_copies]] = features[rows[n_copies : 2 * n_copies]]
+    return TabularDataset(features, data.feature_names, data.labels, data.provenance)
+
+
 def cell_id(cell):
     placement, kind, strategy = cell
     name = placement.value if kind is None else f"{kind.value}-{placement.value}"
@@ -60,17 +75,23 @@ def cell_id(cell):
     return name + suffix
 
 
+@pytest.mark.parametrize("copies", [False, True], ids=["no-copies", "copies"])
 @pytest.mark.parametrize("stratified", [True, False], ids=["stratified", "unstratified"])
 @pytest.mark.parametrize("preprocessing", list(Preprocessing), ids=lambda p: p.value)
 @pytest.mark.parametrize("cell", CELLS, ids=cell_id)
-def test_audit_measures_the_configured_verdict(cell, preprocessing, stratified):
+def test_audit_measures_the_configured_verdict(cell, preprocessing, stratified, copies):
     placement, kind, strategy = cell
     changes_data = placement == Placement.SAMPLING_BEFORE_SPLIT and strategy != FIXED_POINT
     faithful = preprocessing == Preprocessing.PAPER_FAITHFUL
     expected = Verdict.LEAKY if changes_data or faithful else Verdict.CLEAN
 
+    pairs_per_seed = []
     for seed in SEEDS:
         data = generate_synthetic_imbalanced(400, 0.1, 3, 1.5, seed)
+        if copies:
+            # Not the split's seed: drawn from the same stream, the copies
+            # would all land in the stratified test partition.
+            data = copy_within_class(data, 100 + seed)
         assert data.labels.sum() == 40
         pipeline = None
         if kind is not None:
@@ -103,6 +124,11 @@ def test_audit_measures_the_configured_verdict(cell, preprocessing, stratified):
                 # Adding 320 rows puts some of them into the test partition.
                 assert (created > 0) == (kind != SamplerKind.RANDOM_UNDER), (seed, leakage)
         else:
-            counts = (created, leakage.duplicate_pairs_across_split, leakage.class_count_change)
-            assert counts == (0, 0, 0), (seed, leakage)
+            assert (created, leakage.class_count_change) == (0, 0), (seed, leakage)
+            pairs_per_seed.append(leakage.duplicate_pairs_across_split)
+
+    if not changes_data:
+        # Without copies no pair crosses the split; with them, some run must
+        # really put one across it, or the axis tests nothing.
+        assert (max(pairs_per_seed) > 0) == copies, pairs_per_seed
 
