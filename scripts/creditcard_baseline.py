@@ -6,7 +6,7 @@ Needs the Kaggle "Credit Card Fraud Detection" dataset (creditcard.csv,
 it from kaggle.com/datasets/mlg-ulb/creditcardfraud and point --csv at it,
 or place it at data/creditcard.csv.
 
-Expect 1000 boosting rounds on 227,845 training rows to take roughly
+Expect 1000 boosting rounds on 227,846 training rows to take roughly
 five minutes: one round takes about 0.29 s on the benchmark's
 creditcard-shaped stand-in on a 2-vCPU host (unverified on the real file).
 

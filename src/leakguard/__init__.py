@@ -11,7 +11,6 @@ audits the outcome for evaluation contamination.
 from .boosting import GbdtModel, GbdtParams, predict, predict_margin, predict_proba, train
 from .dataset import (
     CREDITCARD_SCHEMA,
-    HourMode,
     RowProvenance,
     SplitSpec,
     StandardizerParams,
@@ -58,7 +57,6 @@ __all__ = [
     "ConfusionMatrix",
     "GbdtModel",
     "GbdtParams",
-    "HourMode",
     "LeakageReport",
     "MetricsReport",
     "Placement",

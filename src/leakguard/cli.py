@@ -62,13 +62,6 @@ class ExperimentConfig:
                 f"unknown data schema {self.data['schema']!r}; the only schema is 'creditcard'"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "data": self.data,
-            "out_dir": self.out_dir,
-            "scenarios": [s.to_dict() for s in self.scenarios],
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = ds.as_object("config", d)

@@ -23,7 +23,6 @@ import os
 import signal
 import warnings
 from dataclasses import asdict, dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -44,18 +43,6 @@ class CsvParseError(ValueError):
         super().__init__(message)
         self.row = row
         self.column = column
-
-
-class HourMode(str, Enum):
-    """How hour-of-day is derived from an elapsed-seconds column.
-
-    PAPER_FAITHFUL keeps the raw hour count, so hours past the first day
-    (>= 24) miss every named segment and fall through to Night.
-    CORRECTED wraps the hour into [0, 24) before segmenting.
-    """
-
-    PAPER_FAITHFUL = "paper_faithful"
-    CORRECTED = "corrected"
 
 
 def round_half_up(x: float) -> int:
@@ -723,45 +710,30 @@ def generate_synthetic_imbalanced(
 def stratified_split(
     dataset: TabularDataset, spec: SplitSpec
 ) -> tuple[TabularDataset, TabularDataset]:
-    """Partition rows into train and test sets.
+    """Partition rows into train and test sets by one rule.
 
-    Stratified mode shuffles each class independently and moves
-    round-half-up(class count * test_fraction) rows to the test side; both
-    sides must end up with at least one row of every class present.
-    Unstratified mode shuffles all rows together. Deterministic per seed.
+    The row groups are the two classes when stratified and all rows
+    otherwise. In turn, each group moves round-half-up(group size *
+    test_fraction) rows of a seeded permutation to the test side, so the
+    split is deterministic per seed. A split that leaves a class out of
+    either side is refused, naming the side and the class.
     """
-    if dataset.n_rows == 0:
-        raise ValueError("cannot split an empty dataset")
     rng = np.random.default_rng(spec.seed)
-    test_idx: list[np.ndarray] = []
+    labels = dataset.labels
     if spec.stratified:
-        for cls in (0, 1):
-            cls_idx = np.flatnonzero(dataset.labels == cls)
-            if cls_idx.size == 0:
-                raise ValueError(
-                    f"stratified split needs at least one row of class {cls}"
-                )
-            n_test = round_half_up(cls_idx.size * spec.test_fraction)
-            if not 1 <= n_test <= cls_idx.size - 1:
-                raise ValueError(
-                    f"class {cls} has {cls_idx.size} row(s); test_fraction "
-                    f"{spec.test_fraction} leaves one side without that class"
-                )
-            shuffled = rng.permutation(cls_idx)
-            test_idx.append(shuffled[:n_test])
+        groups = [np.flatnonzero(labels == cls) for cls in (0, 1)]
     else:
-        n_test = round_half_up(dataset.n_rows * spec.test_fraction)
-        if not 1 <= n_test <= dataset.n_rows - 1:
-            raise ValueError(
-                f"test_fraction {spec.test_fraction} leaves an empty partition"
-            )
-        shuffled = rng.permutation(dataset.n_rows)
-        test_idx.append(shuffled[:n_test])
-    test_set = np.sort(np.concatenate(test_idx))
-    mask = np.zeros(dataset.n_rows, dtype=bool)
-    mask[test_set] = True
-    train_set = np.flatnonzero(~mask)
-    return dataset.select_rows(train_set), dataset.select_rows(test_set)
+        groups = [np.arange(labels.size)]
+    in_test = np.zeros(labels.size, dtype=bool)
+    for rows in groups:
+        n_test = round_half_up(rows.size * spec.test_fraction)
+        in_test[rng.permutation(rows)[:n_test]] = True
+    sides = {"train": np.flatnonzero(~in_test), "test": np.flatnonzero(in_test)}
+    for side, rows in sides.items():
+        missing = np.flatnonzero(np.bincount(labels[rows], minlength=2) == 0)
+        if missing.size:
+            raise ValueError(f"the split leaves class {missing[0]} out of the {side} side")
+    return dataset.select_rows(sides["train"]), dataset.select_rows(sides["test"])
 
 
 def fit_standardizer(
@@ -832,17 +804,18 @@ _SEGMENT_COLUMNS = ("Day_Segment_Evening", "Day_Segment_Morning", "Day_Segment_N
 
 def engineer_time_features(
     dataset: TabularDataset,
-    mode: HourMode,
+    wrap_hours: bool,
     standardizer: StandardizerParams | None = None,
 ) -> TabularDataset:
     """Derive hour-of-day features from a raw elapsed-seconds Time column.
 
     Adds Hour = floor(Time / 3600) and one-hot day-segment columns
     (Morning [6,12), Afternoon [12,18), Evening [18,24), Night otherwise;
-    the alphabetically first segment, Afternoon, is dropped). Under
-    PAPER_FAITHFUL the raw hour feeds the segmentation so hours >= 24 land
-    in Night; CORRECTED wraps hour mod 24 first. A missing (NaN) Time
-    leaves Hour and every segment column missing.
+    the alphabetically first segment, Afternoon, is dropped). With
+    ``wrap_hours`` the hour is wrapped mod 24 before segmenting; without
+    it the raw hour count feeds the segmentation, so hours >= 24 land in
+    Night as in the paper's notebook flow. A missing (NaN) Time leaves
+    Hour and every segment column missing.
 
     When ``standardizer`` covers Time and/or Amount, scaled copies named
     ``<column>_Scaled`` are appended and the raw columns dropped, which is
@@ -852,7 +825,7 @@ def engineer_time_features(
         raise KeyError("dataset has no Time column")
     time_seconds = dataset.column("Time")
     hour = np.floor(time_seconds / 3600.0)
-    segment_hour = np.mod(hour, 24) if mode == HourMode.CORRECTED else hour
+    segment_hour = np.mod(hour, 24) if wrap_hours else hour
 
     new_names = list(dataset.feature_names)
     new_cols = [dataset.features[:, j] for j in range(dataset.n_features)]

@@ -24,7 +24,6 @@ import numpy as np
 from . import boosting, metrics, sampling
 from .dataset import (
     ORIGINAL,
-    HourMode,
     RowProvenance,
     SplitSpec,
     TabularDataset,
@@ -54,9 +53,10 @@ class Placement(str, Enum):
 
 
 class Preprocessing(str, Enum):
-    """GUARDED fits every transform on the train partition only and wraps
-    hours into [0, 24); PAPER_FAITHFUL fits transforms on the full dataset
-    and keeps raw hour counts, reproducing the conventional notebook flow.
+    """GUARDED fits every transform on the train partition only and
+    engineers time features with ``wrap_hours`` set, so hours wrap into
+    [0, 24); PAPER_FAITHFUL fits transforms on the full dataset and keeps
+    raw hour counts, reproducing the conventional notebook flow.
     """
 
     GUARDED = "guarded"
@@ -357,8 +357,6 @@ def detect_leakage(
     the change is 0 exactly when nothing before the split changed them;
     the report's verdict reads that change and the scaler flag only.
     """
-    if train.n_rows == 0 or test.n_rows == 0:
-        raise ValueError("both partitions must be non-empty")
     created = np.count_nonzero(test.provenance != ORIGINAL)
     train_n, test_n, loaded_n = (np.bincount(d.labels, minlength=2) for d in (train, test, loaded))
     return LeakageReport(
@@ -370,7 +368,7 @@ def detect_leakage(
 
 
 def _prepared_partitions(
-    data: TabularDataset, spec: ScenarioSpec, guarded: bool
+    data: TabularDataset, spec: ScenarioSpec
 ) -> tuple[LeakageReport, TabularDataset, TabularDataset]:
     """Sample, split, audit and preprocess ``data`` as ``spec`` places
     them, and return the audit of the raw partitions with the prepared
@@ -378,10 +376,12 @@ def _prepared_partitions(
     freed on return, before training starts.
 
     Both partitions are standardized with parameters fitted on the train
-    partition if ``guarded``, else on ``data``. Datasets with a raw Time
-    column get the hour/day-segment treatment and scaled copies of Time and
-    Amount; anything else is standardized across all feature columns.
+    partition under GUARDED preprocessing, else on ``data``. Datasets with
+    a raw Time column get the hour/day-segment treatment and scaled copies
+    of Time and Amount; anything else is standardized across all feature
+    columns.
     """
+    guarded = spec.preprocessing == Preprocessing.GUARDED
     working = data
     if spec.placement == Placement.SAMPLING_BEFORE_SPLIT:
         with _stage("sampling before split"):
@@ -398,7 +398,6 @@ def _prepared_partitions(
         with _stage("sampling after split"):
             train_part = sampling.apply_pipeline(train_part, spec.pipeline)
 
-    hour_mode = HourMode.CORRECTED if guarded else HourMode.PAPER_FAITHFUL
     fit_source = train_part if guarded else data
     with _stage("preprocessing"):
         if "Time" not in train_part.feature_names:
@@ -408,7 +407,7 @@ def _prepared_partitions(
             cols = [c for c in ("Time", "Amount") if c in train_part.feature_names]
             params = fit_standardizer(fit_source, cols)
             prepare = functools.partial(
-                engineer_time_features, mode=hour_mode, standardizer=params
+                engineer_time_features, wrap_hours=guarded, standardizer=params
             )
         return leakage, prepare(train_part), prepare(test_part)
 
@@ -433,8 +432,7 @@ def run_scenario(data: TabularDataset, spec: ScenarioSpec) -> ScenarioResult:
     """
     start = time.perf_counter()
     fingerprint = dataset_fingerprint(data)
-    guarded = spec.preprocessing == Preprocessing.GUARDED
-    leakage, train_ready, test_ready = _prepared_partitions(data, spec, guarded)
+    leakage, train_ready, test_ready = _prepared_partitions(data, spec)
 
     with _stage("model training"):
         model = boosting.train(train_ready, spec.model)

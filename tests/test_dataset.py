@@ -16,7 +16,6 @@ from leakguard.dataset import (
     CREDITCARD_SCHEMA,
     CsvParseError,
     ORIGINAL,
-    HourMode,
     RowProvenance,
     SchemaError,
     SplitSpec,
@@ -146,7 +145,7 @@ class TestNoSecondCopy:
             "split-train": train,
             "split-test": test,
             "apply_standardizer": apply_standardizer(train, params),
-            "engineer_time_features": engineer_time_features(train, HourMode.CORRECTED, params),
+            "engineer_time_features": engineer_time_features(train, True, params),
         }
         for kind in sampling.SamplerKind:
             spec = sampling.SamplerSpec(kind, 0.5, 3, 1)
@@ -850,20 +849,20 @@ class TestEngineerTimeFeatures:
 
     def test_hour_30_paper_faithful_is_night(self):
         data = time_dataset([30.0, 2.0])
-        out = engineer_time_features(data, HourMode.PAPER_FAITHFUL)
+        out = engineer_time_features(data, False)
         assert out.column("Hour")[0] == 30.0
         assert self.segments(out)[0] == "Night"
 
     def test_hour_30_corrected_is_morning(self):
         data = time_dataset([30.0, 2.0])
-        out = engineer_time_features(data, HourMode.CORRECTED)
+        out = engineer_time_features(data, True)
         assert out.column("Hour")[0] == 30.0  # Hour column keeps the raw count
         assert self.segments(out)[0] == "Morning"
 
     def test_hour_zero_is_night_in_both_modes(self):
         data = time_dataset([0.0, 1.0])
-        for mode in (HourMode.PAPER_FAITHFUL, HourMode.CORRECTED):
-            assert self.segments(engineer_time_features(data, mode))[0] == "Night"
+        for wrap_hours in (False, True):
+            assert self.segments(engineer_time_features(data, wrap_hours))[0] == "Night"
 
     @pytest.mark.parametrize(
         "hour,segment",
@@ -873,7 +872,7 @@ class TestEngineerTimeFeatures:
     )
     def test_segment_boundaries(self, hour, segment):
         data = time_dataset([hour, 1.0])
-        assert self.segments(engineer_time_features(data, HourMode.CORRECTED))[0] == segment
+        assert self.segments(engineer_time_features(data, True))[0] == segment
 
     @staticmethod
     def day_segment(hour):
@@ -886,34 +885,34 @@ class TestEngineerTimeFeatures:
             return "Evening"
         return "Night"
 
-    @pytest.mark.parametrize("mode", list(HourMode))
-    def test_segments_match_per_hour_rule(self, mode):
+    @pytest.mark.parametrize("wrap_hours", [True, False])
+    def test_segments_match_per_hour_rule(self, wrap_hours):
         hours = np.arange(-3.0, 52.0, 0.5)
-        out = engineer_time_features(time_dataset(hours.tolist()), mode)
-        segment_hours = np.floor(hours) % 24 if mode == HourMode.CORRECTED else np.floor(hours)
+        out = engineer_time_features(time_dataset(hours.tolist()), wrap_hours)
+        segment_hours = np.floor(hours) % 24 if wrap_hours else np.floor(hours)
         assert self.segments(out) == [self.day_segment(h) for h in segment_hours]
 
-    @pytest.mark.parametrize("mode", list(HourMode))
-    def test_missing_time_leaves_every_segment_missing(self, mode):
+    @pytest.mark.parametrize("wrap_hours", [True, False])
+    def test_missing_time_leaves_every_segment_missing(self, wrap_hours):
         data = time_dataset([np.nan, 7.0, 13.0, 19.0, 2.0])
-        out = engineer_time_features(data, mode)
+        out = engineer_time_features(data, wrap_hours)
         assert np.isnan(out.column("Hour")[0])
         for name in ("Day_Segment_Evening", "Day_Segment_Morning", "Day_Segment_Night"):
             assert np.isnan(out.column(name)[0])
         assert self.segments(out)[1:] == ["Morning", "Afternoon", "Evening", "Night"]
-        present = engineer_time_features(time_dataset([7.0, 13.0, 19.0, 2.0]), mode)
+        present = engineer_time_features(time_dataset([7.0, 13.0, 19.0, 2.0]), wrap_hours)
         assert out.features[1:].tobytes() == present.features.tobytes()
 
     def test_afternoon_dropped_as_first_category(self):
         data = time_dataset([13.0, 1.0])
-        out = engineer_time_features(data, HourMode.CORRECTED)
+        out = engineer_time_features(data, True)
         assert "Day_Segment_Afternoon" not in out.feature_names
         assert self.segments(out)[0] == "Afternoon"
 
     def test_raw_columns_dropped_once_scaled_versions_exist(self):
         data = time_dataset([30.0, 2.0], amounts=[5.0, 15.0])
         params = fit_standardizer(data, ["Time", "Amount"])
-        out = engineer_time_features(data, HourMode.CORRECTED, standardizer=params)
+        out = engineer_time_features(data, True, standardizer=params)
         assert "Time" not in out.feature_names
         assert "Amount" not in out.feature_names
         assert "Time_Scaled" in out.feature_names
@@ -925,24 +924,24 @@ class TestEngineerTimeFeatures:
         data = time_dataset([1.0, 7.0, 13.0, 19.0], amounts=[10.0, np.nan, 30.0, 50.0])
         params = fit_standardizer(data, ["Amount"])
         assert params.means == (30.0,)
-        scaled = engineer_time_features(data, HourMode.CORRECTED, params).column("Amount_Scaled")
+        scaled = engineer_time_features(data, True, params).column("Amount_Scaled")
         assert np.isnan(scaled[1])
         assert np.allclose(scaled[[0, 2, 3]], np.array([-20.0, 0.0, 20.0]) / params.std_devs[0])
 
     def test_without_standardizer_raw_columns_kept(self):
         data = time_dataset([30.0, 2.0])
-        out = engineer_time_features(data, HourMode.CORRECTED)
+        out = engineer_time_features(data, True)
         assert "Time" in out.feature_names and "Amount" in out.feature_names
 
     def test_missing_time_column_errors(self):
         data = make_dataset([[1.0]], [0])
         with pytest.raises(KeyError, match="Time"):
-            engineer_time_features(data, HourMode.CORRECTED)
+            engineer_time_features(data, True)
 
     def test_pure_function(self):
         data = time_dataset([30.0, 7.0, 19.0])
-        a = engineer_time_features(data, HourMode.PAPER_FAITHFUL)
-        b = engineer_time_features(data, HourMode.PAPER_FAITHFUL)
+        a = engineer_time_features(data, False)
+        b = engineer_time_features(data, False)
         assert a.equals(b)
 
 

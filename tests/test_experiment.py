@@ -74,6 +74,27 @@ def counter_duplicate_pairs(train_features, test_features):
     return sum(train_counts[row.tobytes()] for row in test_features)
 
 
+def sides_left_without_a_class(data, split):
+    """(side, class) for each class a side of the split would lack, from a
+    replay of the split's draw: one seeded permutation per class when
+    stratified, else one of all rows, each moving round-half-up(size *
+    fraction) rows to test."""
+    rng = np.random.default_rng(split.seed)
+    if split.stratified:
+        groups = [np.flatnonzero(data.labels == c) for c in (0, 1)]
+    else:
+        groups = [np.arange(data.n_rows)]
+    fraction = split.test_fraction
+    test = np.concatenate([rng.permutation(g)[: round_half_up(g.size * fraction)] for g in groups])
+    train = np.setdiff1d(np.arange(data.n_rows), test)
+    return [
+        (side, c)
+        for side, rows in (("train", train), ("test", test))
+        for c in (0, 1)
+        if c not in data.labels[rows]
+    ]
+
+
 def nan_with_payload(payload):
     return struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000 | payload))[0]
 
@@ -210,7 +231,14 @@ class TestClassCountChange:
     def test_a_split_of_the_loaded_data_changes_nothing(self, stratified, fraction):
         for seed in range(5):
             data = generate_synthetic_imbalanced(403, 0.07, 3, 1.5, seed)
-            train, test = stratified_split(data, SplitSpec(fraction, seed, stratified))
+            split = SplitSpec(fraction, seed, stratified)
+            left_out = sides_left_without_a_class(data, split)
+            if left_out:
+                side, cls = left_out[0]
+                with pytest.raises(ValueError, match=f"leaves class {cls} out of the {side} side"):
+                    stratified_split(data, split)
+                continue
+            train, test = stratified_split(data, split)
             assert detect_leakage(train, test, False, data).class_count_change == 0
 
     def test_each_added_or_removed_row_counts_once(self):
@@ -391,6 +419,22 @@ class TestRunScenario:
                 "column 'f1' holds an infinite value",
             ):
                 run_scenario(data, scenario("overflow", Placement.SAMPLING_AFTER_SPLIT, pipeline))
+
+    def test_a_split_without_a_class_on_one_side_fails_before_training(self, monkeypatch):
+        def untrainable(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("leakguard.boosting.train", untrainable)
+        data = generate_synthetic_imbalanced(2000, 0.004, 5, 1.5, 3)
+        spec = dataclasses.replace(
+            scenario("one-class-test", Placement.NO_SAMPLING), split=SplitSpec(0.2, 2, False)
+        )
+        assert sides_left_without_a_class(data, spec.split) == [("test", 1)]
+        with pytest.raises(
+            ScenarioError,
+            match="^stage 'train/test split': the split leaves class 1 out of the test side$",
+        ):
+            run_scenario(data, spec)
 
     def test_interrupt_is_not_wrapped_as_stage_failure(self, monkeypatch):
         def interrupted(*args, **kwargs):

@@ -13,7 +13,6 @@ import pytest
 
 from leakguard.boosting import GbdtParams
 from leakguard.dataset import (
-    HourMode,
     RowProvenance,
     SplitSpec,
     TabularDataset,
@@ -173,7 +172,7 @@ def test_preprocessing_carries_provenance_through():
         provenance=train.provenance,
     )
     params = fit_standardizer(timed, ["Time"])
-    assert np.array_equal(engineer_time_features(timed, HourMode.CORRECTED, params).provenance, prov)
+    assert np.array_equal(engineer_time_features(timed, True, params).provenance, prov)
 
 
 @pytest.mark.parametrize("placement", [Placement.SAMPLING_BEFORE_SPLIT, Placement.SAMPLING_AFTER_SPLIT])

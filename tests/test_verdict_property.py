@@ -12,7 +12,9 @@ The draws include integer-valued columns with few distinct values, rows
 copied within and across classes and -0.0 cells, so exact duplicates
 straddle most splits, and sampler strategies around the current ratio:
 the fixed point, one or two rows either way, and up to 1.0. A draw that a
-stage refuses must fail in that stage, by name.
+stage refuses must fail in that stage, by name. A split that succeeds
+leaves both classes on each side, and no sampler removes a class, so no
+draw reaches training or scoring with one class missing.
 """
 
 import json
@@ -126,16 +128,15 @@ def check_one(draws):
             train, test = stratified_split(working, split)
         except ValueError:
             stage = "train/test split"
+        else:
+            assert set(test.labels.tolist()) == {0, 1}
     if placement == Placement.SAMPLING_AFTER_SPLIT:
         pipeline, fitted = draw(pipelines(data if stage else train))
         stage = stage or ("sampling after split" if fitted is None else None)
     elif stage is None:
         fitted = train
     if stage is None:
-        if len(set(fitted.labels.tolist())) < 2:
-            stage = "model training"
-        elif len(set(test.labels.tolist())) < 2:
-            stage = "evaluation"
+        assert set(fitted.labels.tolist()) == {0, 1}
 
     spec = ScenarioSpec("draw", placement, split, MODEL, pipeline, preprocessing)
     if stage is not None:
