@@ -12,6 +12,7 @@ from .boosting import GbdtModel, GbdtParams, predict, predict_margin, predict_pr
 from .dataset import (
     CREDITCARD_SCHEMA,
     RowProvenance,
+    Split,
     SplitSpec,
     StandardizerParams,
     TabularDataset,
@@ -67,6 +68,7 @@ __all__ = [
     "SamplerSpec",
     "ScenarioResult",
     "ScenarioSpec",
+    "Split",
     "SplitSpec",
     "StandardizerParams",
     "TabularDataset",

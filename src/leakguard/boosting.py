@@ -27,12 +27,16 @@ from .dataset import TabularDataset, as_int, as_object, as_real
 
 MODEL_FORMAT_VERSION = 2
 
-# Histogram cells (node, feature, bin) built and scored together: a pass
-# takes as many of a level's nodes as fit, and at least one. It bounds each
-# of a pass's histogram and gain arrays, whatever n_bins is. Depth 6 at 256
-# bins on 34 features fills 279,616 cells, so a level of any shipped config
-# is one pass.
+# Histogram cells (node, feature, bin) built together: a pass takes as many
+# of a level's nodes as fit, and at least one. Every pass scatters every
+# row again, so this stays large: depth 6 at 256 bins on 34 features fills
+# 279,616 cells, and a level of any shipped config is one pass.
 _CELLS_PER_PASS = 1 << 19
+
+# Histogram cells scored together: a pass's nodes are scored in chunks of
+# as many nodes as fit, and at least one. It bounds the dozen gain-search
+# temporaries, each 8 bytes a cell, to a few MB whatever the pass holds.
+_CELLS_PER_SCORE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -252,6 +256,12 @@ def candidate_thresholds(values: np.ndarray, n_bins: int) -> np.ndarray:
     return _thresholds_of_sorted(np.sort(values[~np.isnan(values)]), n_bins)
 
 
+def _code_dtype(n_bins: int) -> np.dtype:
+    """The narrowest signed integer dtype holding -n_bins, and so every bin
+    code -1..n_bins-1: int8 up to 128 bins, int16 up to 32,768, then int32."""
+    return np.min_scalar_type(-n_bins)
+
+
 def _bin_features(X: np.ndarray, n_bins: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Each feature's candidate thresholds, the bin index per cell
     (feature-major), and which features have missing cells.
@@ -259,7 +269,8 @@ def _bin_features(X: np.ndarray, n_bins: int) -> tuple[list[np.ndarray], np.ndar
     A cell's bin is the count of thresholds <= its value, -1 when it is
     missing: searchsorted(thresholds, column, "right"). A row goes left at
     threshold t exactly when its value < t, i.e. when its bin index is <=
-    the threshold's position.
+    the threshold's position. Bins are stored in _code_dtype(n_bins):
+    int16 at the default 256 bins, half the bytes of int32.
 
     One argsort per column serves both: the sorted present values give the
     thresholds, and searchsorted(sorted values, thresholds, "left") gives
@@ -267,7 +278,7 @@ def _bin_features(X: np.ndarray, n_bins: int) -> tuple[list[np.ndarray], np.ndar
     back to the rows. Temporaries are one column's worth.
     """
     n, n_feat = X.shape
-    binned = np.empty((n_feat, n), dtype=np.int32)
+    binned = np.empty((n_feat, n), dtype=_code_dtype(n_bins))
     thresholds = []
     has_missing = np.empty(n_feat, dtype=bool)
     for f in range(n_feat):
@@ -278,7 +289,7 @@ def _bin_features(X: np.ndarray, n_bins: int) -> tuple[list[np.ndarray], np.ndar
         cand = _thresholds_of_sorted(ordered, n_bins)
         starts = np.searchsorted(ordered, cand, side="left")
         runs = np.diff(starts, prepend=0, append=n_present)
-        binned[f, order[:n_present]] = np.repeat(np.arange(cand.size + 1, dtype=np.int32), runs)
+        binned[f, order[:n_present]] = np.repeat(np.arange(cand.size + 1, dtype=binned.dtype), runs)
         binned[f, order[n_present:]] = -1
         thresholds.append(cand)
         has_missing[f] = n_present < n
@@ -297,6 +308,61 @@ def _score(G: np.ndarray, H: np.ndarray, lam: float, alpha: float) -> np.ndarray
     return out
 
 
+def _best_splits(
+    C: np.ndarray,
+    g_tot: np.ndarray,
+    h_tot: np.ndarray,
+    sizes: np.ndarray,
+    with_missing: list[int],
+    params: GbdtParams,
+) -> list[tuple[int, int, bool] | None]:
+    """Each node's best split, from its histograms, as (feature slot,
+    threshold position, missing_left), or None when no candidate gains.
+
+    C is (nodes, feature slots, width) complex: the real part sums the
+    gradients and the imaginary part the hessians, column 0 over missing
+    rows and column 1 + b over bin b. Slot j has sizes[j] thresholds, and
+    the slots in with_missing have missing rows. Each node is scored on its
+    own, so any grouping of nodes gives the same splits.
+    """
+    lam, alpha, mcw = params.lambda_l2, params.alpha_l1, params.min_child_weight
+    m, n_slots, width = C.shape
+    valid = np.arange(width - 2) < sizes[:, None]
+    G, H = C.real, C.imag
+    gt, ht = g_tot[:, None, None], h_tot[:, None, None]
+    parent = _score(gt, ht, lam, alpha)
+
+    def gains_for(gl, hl):
+        gr, hr = gt - gl, ht - hl
+        gains = 0.5 * (_score(gl, hl, lam, alpha) + _score(gr, hr, lam, alpha) - parent)
+        return np.where(valid & (hl >= mcw) & (hr >= mcw), gains, -np.inf)
+
+    g_left = np.cumsum(G[:, :, 1:-1], axis=2)
+    h_left = np.cumsum(H[:, :, 1:-1], axis=2)
+    gains = gains_for(g_left, h_left)
+    go_left = np.ones(gains.shape, dtype=bool)
+    if with_missing:
+        # Missing mass is the node total less its present bins, so a node
+        # without missing rows may keep a rounding residue; with none at
+        # all both directions tie, and the tie goes left.
+        g_miss = np.zeros((m, n_slots, 1))
+        h_miss = np.zeros_like(g_miss)
+        for j in with_missing:
+            present = slice(1, sizes[j] + 2)
+            g_miss[:, j, 0] = gt[:, 0, 0] - G[:, j, present].sum(axis=1)
+            h_miss[:, j, 0] = ht[:, 0, 0] - H[:, j, present].sum(axis=1)
+        gains_ml = gains_for(g_left + g_miss, h_left + h_miss)
+        go_left = gains_ml >= gains
+        gains = np.where(go_left, gains_ml, gains)
+    gains, go_left = gains.reshape(m, -1), go_left.reshape(m, -1)
+    found: list[tuple[int, int, bool] | None] = [None] * m
+    for i, b in enumerate(gains.argmax(axis=1)):
+        if gains[i, b] > 0:
+            j, pos = divmod(int(b), width - 2)
+            found[i] = (j, pos, bool(go_left[i, b]))
+    return found
+
+
 def _grow_tree(
     binned: np.ndarray,
     feature_has_missing: np.ndarray,
@@ -312,7 +378,8 @@ def _grow_tree(
     * width + bin + 1, so missing values fall in column 0): complex addition
     adds the real and imaginary parts apart, so the real part of a cell is
     its gradient sum and the imaginary part its hessian sum. Every (node,
-    feature, threshold) of the level is then scored at once. A node's rows
+    feature, threshold) of a pass is then scored by _best_splits, in chunks
+    of at most _CELLS_PER_SCORE cells (one node at least). A node's rows
     stay in ascending order, so each histogram cell adds the same values
     in the same order as a bincount over that node alone would: the trees
     are exactly those of greedy per-node growth.
@@ -321,13 +388,13 @@ def _grow_tree(
     meet min_child_weight. Gain ties break toward the lower feature index,
     then the lower threshold; missing-direction ties break left.
     """
-    lam, alpha, mcw = params.lambda_l2, params.alpha_l1, params.min_child_weight
+    lam, alpha = params.lambda_l2, params.alpha_l1
     feats = [f for f, cand in enumerate(thresholds) if cand.size]
     sizes = np.array([thresholds[f].size for f in feats], dtype=np.int64)
     width = int(sizes.max(initial=0)) + 2
-    valid = np.arange(width - 2) < sizes[:, None]
     with_missing = [j for j, f in enumerate(feats) if feature_has_missing[f]]
     nodes_per_pass = max(1, _CELLS_PER_PASS // (len(feats) * width or 1))
+    nodes_per_score = max(1, _CELLS_PER_SCORE // (len(feats) * width or 1))
     gh = np.empty(g.size, dtype=np.complex128)
     gh.real, gh.imag = g, h
     leaf_values = np.empty(g.size, dtype=np.float64)
@@ -350,38 +417,14 @@ def _grow_tree(
             C = np.zeros((len(feats), (m + 1) * width), dtype=np.complex128)
             for j, f in enumerate(feats):
                 np.add.at(C[j], binned[f] + base, gh)
-            C = C.reshape(len(feats), m + 1, width)[:, :m].transpose(1, 0, 2)
-            G, H = C.real, C.imag
-            gt, ht = g_tot[lo : lo + m, None, None], h_tot[lo : lo + m, None, None]
-            parent = _score(gt, ht, lam, alpha)
-
-            def gains_for(gl, hl):
-                gr, hr = gt - gl, ht - hl
-                gains = 0.5 * (_score(gl, hl, lam, alpha) + _score(gr, hr, lam, alpha) - parent)
-                return np.where(valid & (hl >= mcw) & (hr >= mcw), gains, -np.inf)
-
-            g_left = np.cumsum(G[:, :, 1:-1], axis=2)
-            h_left = np.cumsum(H[:, :, 1:-1], axis=2)
-            gains = gains_for(g_left, h_left)
-            go_left = np.ones(gains.shape, dtype=bool)
-            if with_missing:
-                # Missing mass is the node total less its present bins, so a
-                # node without missing rows may keep a rounding residue; with
-                # none at all both directions tie, and the tie goes left.
-                g_miss = np.zeros((m, len(feats), 1))
-                h_miss = np.zeros_like(g_miss)
-                for j in with_missing:
-                    present = slice(1, sizes[j] + 2)
-                    g_miss[:, j, 0] = gt[:, 0, 0] - G[:, j, present].sum(axis=1)
-                    h_miss[:, j, 0] = ht[:, 0, 0] - H[:, j, present].sum(axis=1)
-                gains_ml = gains_for(g_left + g_miss, h_left + h_miss)
-                go_left = gains_ml >= gains
-                gains = np.where(go_left, gains_ml, gains)
-            gains, go_left = gains.reshape(m, -1), go_left.reshape(m, -1)
-            for i, b in enumerate(gains.argmax(axis=1)):
-                if gains[i, b] > 0:
-                    j, pos = divmod(int(b), width - 2)
-                    splits[lo + i] = (feats[j], pos, bool(go_left[i, b]))
+            C = C.reshape(len(feats), m + 1, width).transpose(1, 0, 2)
+            for c in range(0, m, nodes_per_score):
+                end = min(c + nodes_per_score, m)
+                at = slice(lo + c, lo + end)
+                found = _best_splits(
+                    C[c:end], g_tot[at], h_tot[at], sizes, with_missing, params
+                )
+                splits[at] = [s and (feats[s[0]], s[1], s[2]) for s in found]
         next_level = []
         first_child = len(nodes) + k
         for idx, g_sum, h_sum, split in zip(level, g_tot, h_tot, splits):

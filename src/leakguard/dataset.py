@@ -707,16 +707,30 @@ def generate_synthetic_imbalanced(
     )
 
 
-def stratified_split(
-    dataset: TabularDataset, spec: SplitSpec
-) -> tuple[TabularDataset, TabularDataset]:
+@dataclass(frozen=True, eq=False)
+class Split:
+    """A split's row indices into the dataset it split, ascending per side,
+    and the partitions gathered from them. It unpacks as (train, test)."""
+
+    train_rows: np.ndarray
+    test_rows: np.ndarray
+    train: TabularDataset
+    test: TabularDataset
+
+    def __iter__(self):
+        return iter((self.train, self.test))
+
+
+def stratified_split(dataset: TabularDataset, spec: SplitSpec) -> Split:
     """Partition rows into train and test sets by one rule.
 
     The row groups are the two classes when stratified and all rows
     otherwise. In turn, each group moves round-half-up(group size *
     test_fraction) rows of a seeded permutation to the test side, so the
     split is deterministic per seed. A split that leaves a class out of
-    either side is refused, naming the side and the class.
+    either side is refused, naming the side and the class. The result
+    keeps each side's row indices next to its partition, so a caller can
+    gather those rows again from ``dataset`` once the partitions are gone.
     """
     rng = np.random.default_rng(spec.seed)
     labels = dataset.labels
@@ -733,7 +747,10 @@ def stratified_split(
         missing = np.flatnonzero(np.bincount(labels[rows], minlength=2) == 0)
         if missing.size:
             raise ValueError(f"the split leaves class {missing[0]} out of the {side} side")
-    return dataset.select_rows(sides["train"]), dataset.select_rows(sides["test"])
+    train_rows, test_rows = frozen(sides["train"]), frozen(sides["test"])
+    return Split(
+        train_rows, test_rows, dataset.select_rows(train_rows), dataset.select_rows(test_rows)
+    )
 
 
 def fit_standardizer(

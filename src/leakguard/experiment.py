@@ -34,6 +34,7 @@ from .dataset import (
     class_distribution,
     engineer_time_features,
     fit_standardizer,
+    frozen,
     stratified_split,
 )
 
@@ -367,19 +368,49 @@ def detect_leakage(
     )
 
 
+# Rows that _prepare_rows gathers and prepares at a time.
+_PREPARE_BLOCK_ROWS = 4096
+
+
+def _prepare_rows(source: TabularDataset, rows: np.ndarray, prepare) -> TabularDataset:
+    """prepare(source.select_rows(rows)), built _PREPARE_BLOCK_ROWS rows at
+    a time into one prepared matrix, so the gathered raw rows never exist
+    whole. ``prepare`` works row by row, so the blocks give the same bits."""
+    step, names = _PREPARE_BLOCK_ROWS, None
+    for start in range(0, max(rows.size, 1), step):
+        block = prepare(source.select_rows(rows[start : start + step]))
+        if names is None:
+            names = block.feature_names
+            features = np.empty((rows.size, len(names)))
+        features[start : start + block.n_rows] = block.features
+        del block  # freed before the next block is made
+    return TabularDataset(
+        features=frozen(features),
+        feature_names=names,
+        labels=frozen(source.labels[rows]),
+        provenance=frozen(source.provenance[rows]),
+    )
+
+
 def _prepared_partitions(
     data: TabularDataset, spec: ScenarioSpec
 ) -> tuple[LeakageReport, TabularDataset, TabularDataset]:
     """Sample, split, audit and preprocess ``data`` as ``spec`` places
     them, and return the audit of the raw partitions with the prepared
-    (train, test) pair. The raw partitions and any pre-split sample are
-    freed on return, before training starts.
+    (train, test) pair.
+
+    The audit reads the raw partitions the split gathers. A side whose rows
+    are rows of ``data`` (both sides under no_sampling, the test side after
+    the split) is then prepared in row blocks straight from ``data`` by the
+    split's row indices, so its raw partition is freed first; a sampled
+    side is prepared from its own partition, freed once it is prepared.
+    The pre-split sample is freed right after the split.
 
     Both partitions are standardized with parameters fitted on the train
-    partition under GUARDED preprocessing, else on ``data``. Datasets with
-    a raw Time column get the hour/day-segment treatment and scaled copies
-    of Time and Amount; anything else is standardized across all feature
-    columns.
+    partition (as sampled) under GUARDED preprocessing, else on ``data``.
+    Datasets with a raw Time column get the hour/day-segment treatment and
+    scaled copies of Time and Amount; anything else is standardized across
+    all feature columns.
     """
     guarded = spec.preprocessing == Preprocessing.GUARDED
     working = data
@@ -388,15 +419,23 @@ def _prepared_partitions(
             working = sampling.apply_pipeline(working, spec.pipeline)
 
     with _stage("train/test split"):
-        train_part, test_part = stratified_split(working, spec.split)
+        split = stratified_split(working, spec.split)
+    # Each side is (source, rows of it) to prepare.
+    if working is data:
+        train_side, test_side = (data, split.train_rows), (data, split.test_rows)
+    else:
+        train_side = (split.train, np.arange(split.train.n_rows))
+        test_side = (split.test, np.arange(split.test.n_rows))
     del working  # the pre-split sample is not read again
 
     with _stage("leakage detection"):
-        leakage = detect_leakage(train_part, test_part, not guarded, data)
+        leakage = detect_leakage(split.train, split.test, not guarded, data)
 
+    train_part = split.train
     if spec.placement == Placement.SAMPLING_AFTER_SPLIT:
         with _stage("sampling after split"):
             train_part = sampling.apply_pipeline(train_part, spec.pipeline)
+        train_side = (train_part, np.arange(train_part.n_rows))
 
     fit_source = train_part if guarded else data
     with _stage("preprocessing"):
@@ -409,7 +448,10 @@ def _prepared_partitions(
             prepare = functools.partial(
                 engineer_time_features, wrap_hours=guarded, standardizer=params
             )
-        return leakage, prepare(train_part), prepare(test_part)
+        del split, train_part, fit_source  # raw partitions no side is prepared from
+        train_ready = _prepare_rows(*train_side, prepare)
+        del train_side
+        return leakage, train_ready, _prepare_rows(*test_side, prepare)
 
 
 @contextlib.contextmanager

@@ -248,7 +248,8 @@ class TestSplitFinding:
             [col, np.round(col / 1e6), np.full(col.size, 2.5), np.full(col.size, np.nan)]
         )
         thresholds, binned, has_missing = boosting._bin_features(X, n_bins)
-        assert binned.shape == (4, col.size) and binned.dtype == np.int32
+        # n_bins <= 40, so every code -1..n_bins-1 fits int8.
+        assert binned.shape == (4, col.size) and binned.dtype == np.int8
         for f in range(4):
             want = candidate_thresholds(X[:, f], n_bins)
             # +0.0 and -0.0 compare equal, and so bin every value alike.
@@ -257,6 +258,45 @@ class TestSplitFinding:
             bins = np.where(missing, -1, np.searchsorted(want, X[:, f], side="right"))
             np.testing.assert_array_equal(binned[f], bins)
             assert has_missing[f] == missing.any()
+
+    @pytest.mark.parametrize(
+        "n_bins, n_distinct, dtype",
+        [
+            (128, 1000, np.int8),
+            (129, 1000, np.int16),
+            (256, 1000, np.int16),
+            (40_000, 33_000, np.int32),
+        ],
+    )
+    def test_bin_codes_take_the_narrowest_signed_dtype(self, n_bins, n_distinct, dtype):
+        """Codes -1..n_bins-1 are stored in the narrowest signed dtype that
+        holds them and still equal the searchsorted oracle, also where the
+        top code is that dtype's maximum (127 at 128 bins) or needs the next
+        width (128 at 129 bins, 32,999 from 33,000 distinct values)."""
+        rng = np.random.default_rng(n_bins)
+        col = rng.permutation(n_distinct).astype(np.float64)
+        col = np.concatenate([col, col[:40], np.full(25, np.nan)])
+        X = np.column_stack([col, np.round(col / 100)])
+        thresholds, binned, _ = boosting._bin_features(X, n_bins)
+        assert binned.dtype == dtype
+        assert binned[0].max() == min(n_bins, n_distinct) - 1
+        for f in range(2):
+            want = candidate_thresholds(X[:, f], n_bins)
+            np.testing.assert_array_equal(thresholds[f], want)
+            bins = np.searchsorted(want, X[:, f], side="right")
+            np.testing.assert_array_equal(binned[f], np.where(np.isnan(X[:, f]), -1, bins))
+
+    @pytest.mark.parametrize("n_bins", [128, 256])
+    def test_narrow_codes_grow_the_int64_code_trees(self, monkeypatch, n_bins):
+        """Codes enter only integer keys and comparisons, and the histogram
+        key (code + node slot * width) stays int64, so trees grown from int8
+        or int16 codes equal those grown from int64 codes, here with keys
+        far past either type's range."""
+        data = _oracle_dataset(np.random.default_rng(n_bins), 1000, 0.1)
+        params = GbdtParams(n_estimators=2, max_depth=5, n_bins=n_bins, min_child_weight=0.0)
+        narrow = train(data, params).to_json()
+        monkeypatch.setattr(boosting, "_code_dtype", lambda n_bins: np.dtype(np.int64))
+        assert train(data, params).to_json() == narrow
 
     def test_constant_feature_never_split(self):
         data = make_dataset(np.ones((30, 1)), np.array([0, 1] * 15))
@@ -609,6 +649,30 @@ class TestCellBudget:
         one_pass = train(data, params).to_json()
         monkeypatch.setattr(boosting, "_CELLS_PER_PASS", budget)
         assert train(data, params).to_json() == one_pass
+
+    @pytest.mark.parametrize("score_cells, chunk_nodes", [(1, 1), (300, 3)])
+    def test_score_chunks_give_the_whole_level_model(self, monkeypatch, score_cells, chunk_nodes):
+        """Scoring a pass's nodes one at a time, or a few at a time, gives the
+        trees of scoring each whole level at once, byte for byte; the data
+        has NaN cells, so the missing-direction search runs."""
+        data = _oracle_dataset(np.random.default_rng(1000), 1000, 0.1)
+        assert np.isnan(data.features).any()
+        params = GbdtParams(n_estimators=2, max_depth=5, min_child_weight=0.0, n_bins=16)
+        chunks = []
+        best_splits = boosting._best_splits
+
+        def spy(C, *args):
+            chunks.append(C.shape[0])
+            return best_splits(C, *args)
+
+        monkeypatch.setattr(boosting, "_best_splits", spy)
+        monkeypatch.setattr(boosting, "_CELLS_PER_SCORE", 1 << 30)
+        whole_level = train(data, params).to_json()
+        assert max(chunks) == 16  # depth 4's level, whole
+        monkeypatch.setattr(boosting, "_CELLS_PER_SCORE", score_cells)
+        chunks.clear()
+        assert train(data, params).to_json() == whole_level
+        assert max(chunks) == chunk_nodes
 
 
 def _walk_nodes(node):

@@ -681,7 +681,9 @@ class TestStratifiedSplit:
         data = generate_synthetic_imbalanced(300, 0.1, 2, 1.0, 17)
         a = stratified_split(data, SplitSpec(0.2, 9, True))
         b = stratified_split(data, SplitSpec(0.2, 9, True))
-        assert a[0].equals(b[0]) and a[1].equals(b[1])
+        assert a.train.equals(b.train) and a.test.equals(b.test)
+        assert np.array_equal(a.train_rows, b.train_rows)
+        assert np.array_equal(a.test_rows, b.test_rows)
 
     @pytest.mark.parametrize(
         "kwargs, field",

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import struct
@@ -8,6 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from leakguard import experiment
 from leakguard.boosting import GbdtParams
 from leakguard.dataset import (
     ORIGINAL,
@@ -15,6 +17,9 @@ from leakguard.dataset import (
     RowProvenance,
     SplitSpec,
     TabularDataset,
+    apply_standardizer,
+    engineer_time_features,
+    fit_standardizer,
     generate_synthetic_imbalanced,
     round_half_up,
     stratified_split,
@@ -273,6 +278,28 @@ class TestClassCountChange:
         assert (clean.class_count_change, clean.verdict) == (0, Verdict.CLEAN)
 
 
+def check_overflowing_scaling_fails_in_preprocessing(schema):
+    # Fitted on the train partition alone, the column's std_dev is about
+    # 4e-152, so the last test row's 1e200 scales past the float range.
+    data = small_data()
+    features = data.features.copy()
+    names, column, scaled = data.feature_names, 2, "f3"
+    if schema == "time":
+        names, column, scaled = ("Time", "V1", "V2", "Amount"), 3, "Amount_Scaled"
+        features[:, 0] = np.arange(data.n_rows) * 60.0
+    train, test = stratified_split(data, scenario("x", Placement.NO_SAMPLING).split)
+    features[:, column] = 0.0
+    for part, value in ((train, 1e-150), (test, 1e200)):
+        features[np.flatnonzero((data.features == part.features[-1]).all(axis=1)), column] = value
+    data = TabularDataset(features, names, data.labels, data.provenance)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(
+            ScenarioError,
+            match=f"^stage 'preprocessing': column '{scaled}' holds an infinite value",
+        ):
+            run_scenario(data, scenario("overflow", Placement.NO_SAMPLING))
+
+
 class TestRunScenario:
     def test_after_split_is_clean_by_construction(self):
         result = run_scenario(
@@ -382,25 +409,7 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("schema", ["plain", "time"])
     def test_overflowing_guarded_scaling_fails_in_preprocessing(self, schema):
-        # Fitted on the train partition alone, the column's std_dev is about
-        # 4e-152, so the test row's 1e200 scales past the float range.
-        data = small_data()
-        features = data.features.copy()
-        names, column, scaled = data.feature_names, 2, "f3"
-        if schema == "time":
-            names, column, scaled = ("Time", "V1", "V2", "Amount"), 3, "Amount_Scaled"
-            features[:, 0] = np.arange(data.n_rows) * 60.0
-        train, test = stratified_split(data, scenario("x", Placement.NO_SAMPLING).split)
-        features[:, column] = 0.0
-        for part, value in ((train, 1e-150), (test, 1e200)):
-            features[np.flatnonzero((data.features == part.features[0]).all(axis=1)), column] = value
-        data = TabularDataset(features, names, data.labels, data.provenance)
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(
-                ScenarioError,
-                match=f"^stage 'preprocessing': column '{scaled}' holds an infinite value",
-            ):
-                run_scenario(data, scenario("overflow", Placement.NO_SAMPLING))
+        check_overflowing_scaling_fails_in_preprocessing(schema)
 
     def test_overflowing_sampler_fails_in_its_sampling_stage(self):
         # Positives of +-1e200 have a finite mean, but their squared
@@ -470,6 +479,77 @@ class TestRunScenario:
         )
         result = run_scenario(data, scenario("cc", Placement.NO_SAMPLING))
         assert result.metrics.confusion.total == sum(result.test_class_counts.values())
+
+
+def time_data(seed=11):
+    """small_data with raw Time and Amount columns; a few negatives miss
+    their Time, so Hour and the segment columns hold NaN there."""
+    base = small_data(seed)
+    rng = np.random.default_rng(seed)
+    features = base.features.copy()
+    features[:, 0] = np.floor(rng.uniform(0, 2 * 86400, base.n_rows))
+    features[np.flatnonzero(base.labels == 0)[::37], 0] = np.nan
+    features[:, 3] = np.round(np.exp(features[:, 3] + 3.0), 2)
+    return TabularDataset(features, ("Time", "V1", "V2", "Amount"), base.labels, base.provenance)
+
+
+def whole_partition_preparation(data, spec):
+    """The oracle: sample, split and audit as run_scenario does, then
+    prepare each whole partition with prepare(partition)."""
+    guarded = spec.preprocessing == Preprocessing.GUARDED
+    working = data
+    if spec.placement == Placement.SAMPLING_BEFORE_SPLIT:
+        working = apply_pipeline(working, spec.pipeline)
+    train, test = stratified_split(working, spec.split)
+    leakage = detect_leakage(train, test, not guarded, data)
+    if spec.placement == Placement.SAMPLING_AFTER_SPLIT:
+        train = apply_pipeline(train, spec.pipeline)
+    fit_source = train if guarded else data
+    if "Time" in data.feature_names:
+        params = fit_standardizer(fit_source, ["Time", "Amount"])
+        prepare = functools.partial(engineer_time_features, wrap_hours=guarded, standardizer=params)
+    else:
+        params = fit_standardizer(fit_source, data.feature_names)
+        prepare = functools.partial(apply_standardizer, params=params)
+    return leakage, prepare(train), prepare(test)
+
+
+class TestBlockedPreparation:
+    @pytest.mark.parametrize("blocks", ["below one block", "exactly one block", "ragged"])
+    @pytest.mark.parametrize("make_data", [small_data, time_data], ids=["plain", "time"])
+    @pytest.mark.parametrize("preprocessing", list(Preprocessing))
+    @pytest.mark.parametrize("placement", list(Placement))
+    def test_blocks_give_the_whole_partition_bits(
+        self, monkeypatch, placement, preprocessing, make_data, blocks
+    ):
+        """Sides prepared in row blocks, from the loaded data or from their
+        own partition, equal the whole partition prepared at once, bit for
+        bit. The block holds more rows than any side, exactly the test
+        side's rows, or 7 rows, which divides no side."""
+        data = make_data()
+        pipeline = None if placement == Placement.NO_SAMPLING else smote_pipeline()
+        spec = scenario("blocks", placement, pipeline, preprocessing)
+        want = whole_partition_preparation(data, spec)
+        block_rows = {
+            "below one block": 4 * data.n_rows,
+            "exactly one block": want[2].n_rows,
+            "ragged": 7,
+        }[blocks]
+        assert all(side.n_rows % 7 for side in want[1:])
+        monkeypatch.setattr(experiment, "_PREPARE_BLOCK_ROWS", block_rows)
+        got = experiment._prepared_partitions(data, spec)
+        assert got[0] == want[0]
+        for side, oracle in zip(got[1:], want[1:]):
+            assert side.equals(oracle)
+            assert side.features.tobytes() == oracle.features.tobytes()
+            assert not side.features.flags.writeable
+
+    @pytest.mark.parametrize("schema", ["plain", "time"])
+    def test_overflow_in_a_later_block_fails_in_preprocessing(self, monkeypatch, schema):
+        """An infinity made by scaling the test side's last row, prepared
+        in its last 3-row block, still fails naming the column."""
+        monkeypatch.setattr(experiment, "_PREPARE_BLOCK_ROWS", 3)
+        check_overflowing_scaling_fails_in_preprocessing(schema)
 
 
 def test_zero_separation_data_scores_near_chance_auc():

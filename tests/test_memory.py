@@ -1,22 +1,38 @@
-"""Memory guard for the credit-card path: load a CSV, run the baseline scenario.
+"""Memory guards for the credit-card path: load a CSV and run the baseline
+scenario, and sample, split, audit and preprocess under every placement.
 
 tracemalloc sees numpy's buffers as well as Python objects, so the traced
-peak is the most the path holds at once. With 40,000 rows of 30 features it
-reads 3.38 times the feature bytes. Copying every matrix a dataset is handed
-and counting cross-split duplicates with a Counter of row bytes read 4.24
-times; holding one provenance object per row and the raw partitions through
-training as well read 5.11 times.
+peak is the most the path holds at once. With 40,000 rows of 30 features
+the whole run reads 3.08 times the feature bytes. Preparing every side from
+its whole raw partition, while both raw partitions were alive, read 3.32;
+copying every matrix a dataset is handed and counting cross-split
+duplicates with a Counter of row bytes read 4.24 times; holding one
+provenance object per row and the raw partitions through training as well
+read 5.11 times.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from leakguard import dataset
+from leakguard import dataset, experiment
 from leakguard.boosting import GbdtParams
-from leakguard.experiment import Placement, ScenarioSpec, run_scenario
+from leakguard.experiment import Placement, Preprocessing, ScenarioSpec, run_scenario
+from leakguard.sampling import SamplerKind, SamplerPipeline, SamplerSpec
 
-PEAK_OVER_FEATURE_BYTES = 3.5
+PEAK_OVER_FEATURE_BYTES = 3.2
+
+# _prepared_partitions' traced peak over the loaded feature bytes, at
+# 40,000 rows with a 10% random oversample. no_sampling reads 1.42 and must
+# stay below 1.7. The sampled placements read 2.21 (after the split) and
+# 2.44 (before it); each bound is 5% above its figure when every side was
+# prepared from its whole raw partition, 2.41 and 2.46.
+PREPARED_PEAK_BOUNDS = {
+    Placement.NO_SAMPLING: 1.7,
+    Placement.SAMPLING_AFTER_SPLIT: 2.41 * 1.05,
+    Placement.SAMPLING_BEFORE_SPLIT: 2.46 * 1.05,
+}
 
 
 def creditcard_like(n_rows, n_positive, seed=0):
@@ -57,18 +73,52 @@ def test_creditcard_path_stays_within_its_memory_bound(tmp_path, monkeypatch):
         model=GbdtParams(learning_rate=0.4, n_estimators=3, max_depth=2),
     )
 
+    result, peak = traced_peak(
+        lambda: run_scenario(dataset.load_csv(path, schema=dataset.CREDITCARD_SCHEMA), spec)
+    )
+
+    assert result.leakage.synthetic_rows_in_test == 0
+    assert constructed == []
+    assert peak < PEAK_OVER_FEATURE_BYTES * feature_bytes, peak / feature_bytes
+
+
+def traced_peak(fn):
+    """(fn's result, the most it held at once beyond what was live before)."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        result = run_scenario(dataset.load_csv(path, schema=dataset.CREDITCARD_SCHEMA), spec)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         if started:
             tracemalloc.stop()
 
-    assert result.leakage.synthetic_rows_in_test == 0
-    assert constructed == []
-    assert peak < PEAK_OVER_FEATURE_BYTES * feature_bytes, peak / feature_bytes
+
+@pytest.fixture(scope="module")
+def creditcard_40k():
+    return creditcard_like(40_000, 70)
+
+
+@pytest.mark.parametrize("preprocessing", list(Preprocessing))
+@pytest.mark.parametrize("placement", list(Placement))
+def test_prepared_partitions_stay_within_their_memory_bound(
+    creditcard_40k, placement, preprocessing
+):
+    """No side is held raw and prepared whole at once where its rows are
+    rows of the loaded data, and no sampled placement holds more than when
+    each side was prepared from its whole partition."""
+    over = SamplerPipeline(steps=(SamplerSpec(SamplerKind.RANDOM_OVER, 0.1, seed=1),))
+    spec = ScenarioSpec(
+        name="memory",
+        placement=placement,
+        split=dataset.SplitSpec(0.2, 42, True),
+        model=GbdtParams(),
+        pipeline=None if placement == Placement.NO_SAMPLING else over,
+        preprocessing=preprocessing,
+    )
+    _, peak = traced_peak(lambda: experiment._prepared_partitions(creditcard_40k, spec))
+    ratio = peak / creditcard_40k.features.nbytes
+    assert ratio < PREPARED_PEAK_BOUNDS[placement], ratio

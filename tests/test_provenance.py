@@ -186,7 +186,7 @@ def test_placements_count_the_oracle_kinds(placement, spec):
         oracle = old_resample(old_original(300), d.labels, spec)
         _, test_idx = old_split_indices(sampled.labels, split)
         oracle_test = old_select(oracle, test_idx)
-        assert_kinds(stratified_split(sampled, split)[1].provenance, oracle_test)
+        assert_kinds(stratified_split(sampled, split).test.provenance, oracle_test)
     else:
         _, test_idx = old_split_indices(d.labels, split)
         oracle_test = old_select(old_original(300), test_idx)
