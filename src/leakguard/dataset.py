@@ -15,12 +15,16 @@ dataset given a sequence of them stores their kinds.
 from __future__ import annotations
 
 import collections
+import contextlib
 import csv
 import functools
 import hashlib
+import io
+import itertools
 import math
 import os
 import signal
+import threading
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -366,21 +370,32 @@ def load_csv(
     ``schema`` is given the header must contain exactly that set of names.
     All cells must parse as finite reals; the label column must hold 0/1.
 
-    The data rows of a regular file are parsed in bulk by one streaming
-    ``np.loadtxt`` call, which reads double-quoted cells as the csv module
-    does (Kaggle's creditcard.csv is reported to quote its labels). Its
-    result is kept only when it has one row per data line (counted from the
-    raw bytes, as the csv module splits lines), one cell per header column,
-    only finite cells and only 0/1 labels. Any other file (a blank line, a
-    quoted line end, a cell that ``float`` reads but ``loadtxt`` does not,
-    such as ``1_000``, or a bad cell) is parsed again row by row. That loop
-    gives the same values, or raises the error naming the row and column. A
-    pipe or other non-regular file can be read only once, so it goes
-    straight to the row loop. Whenever the row loop loads a file, one
-    ``RuntimeWarning`` names the file and the reason. A 284,807×31 file of
-    17-digit doubles (161 MB) loads in about 4.3 s (median of three runs),
-    and in 5.3 s row by row from a pipe (one run); 2-vCPU host, numpy
-    2.4.6.
+    The data rows of a regular file are parsed in bulk: the file is cut
+    into chunks of about ``_CSV_CHUNK_BYTES``, each ending at a line end,
+    and each chunk is read by one ``np.loadtxt`` call, which reads
+    double-quoted cells as the csv module does (Kaggle's creditcard.csv is
+    reported to quote its labels). A chunk's result is kept only when it has
+    one row per data line (counted from the raw bytes, as the csv module
+    splits lines), one cell per header column, only finite cells and only
+    0/1 labels. Any other file (a blank line, a quoted line end, a cell that
+    ``float`` reads but ``loadtxt`` does not, such as ``1_000``, or a bad
+    cell) is parsed again row by row. That loop gives the same values, or
+    raises the error naming the row and column. A pipe or other non-regular
+    file can be read only once, so it goes straight to the row loop.
+    Whenever the row loop loads a file, one ``RuntimeWarning`` names the
+    file and the reason.
+
+    The chunks are parsed in one forked worker process per usable CPU, at
+    most one per chunk, and copied into the result in file order as they
+    arrive, so the whole file's cells are never held twice. With one CPU,
+    one chunk, no ``"fork"`` start method, or other threads running in the
+    calling process, which a fork could deadlock, they are parsed in the
+    calling process. The values do not depend on the number of processes,
+    and no worker outlives the call. A 284,807×31 file of 17-digit doubles
+    (161 MB) loads in 1.85 s in two worker processes and 3.20 s in the
+    calling process, against 2.90 s for one ``loadtxt`` call over the whole
+    file (medians of five alternating runs), and in 5.3 s row by row from a
+    pipe (one run); 2-vCPU host, numpy 2.4.6.
 
     Raises
     ------
@@ -440,55 +455,101 @@ def load_csv(
     )
 
 
-def _count_data_lines(path: Path) -> int:
-    """Lines after the header, ending at LF, CRLF or a lone CR, as both the
-    csv module and ``np.loadtxt`` end them."""
-    lines = 0
-    last = b""
+def _count_lines(data: bytes) -> int:
+    """Lines in ``data``: each ends at LF, CRLF or a lone CR, as both the
+    csv module and ``np.loadtxt`` end them, and a last line may have no
+    end."""
+    ends = data.count(b"\n")
+    if b"\r" in data:
+        ends += data.count(b"\r") - data.count(b"\r\n")
+    return ends + (data[-1:] not in (b"", b"\n", b"\r"))
+
+
+def _data_chunks(path: Path) -> list[tuple[int, int]]:
+    """(offset, data lines) of each chunk of the file that holds a data
+    line, in file order.
+
+    A chunk ends after the first LF at or past ``_CSV_CHUNK_BYTES`` of its
+    bytes, or at the end of the file, so no line end is split between two
+    chunks; a file whose lines all end at a lone CR is one chunk. The chunk
+    at offset 0 starts with the header line, which is not counted.
+    """
+    chunks = []
+    offset = 0
     with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            lines += chunk.count(b"\n")
-            if b"\r" in chunk:
-                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
-            if last == b"\r" and chunk[:1] == b"\n":
-                lines -= 1
-            last = chunk[-1:]
-    if last not in (b"", b"\n", b"\r"):
-        lines += 1
-    return max(lines - 1, 0)
+        while chunk := fh.read(_CSV_CHUNK_BYTES):
+            if chunk[-1:] != b"\n":
+                chunk += fh.readline()
+            lines = _count_lines(chunk) - (offset == 0)
+            if lines:
+                chunks.append((offset, lines))
+            offset += len(chunk)
+    return chunks
+
+
+def _parse_chunk(
+    path: Path, n_columns: int, label_pos: int, offset: int, lines: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(features, int64 labels) of the ``lines`` data lines of the chunk at
+    byte ``offset``, or None unless ``np.loadtxt`` reads one row of
+    ``n_columns`` finite cells per line and every label is 0 or 1.
+
+    The lines are read as the file is in text mode, UTF-8 with universal
+    newlines, which end each line where ``_count_lines`` does. The chunk at
+    offset 0 starts with the header line, which is skipped.
+    """
+    header = int(offset == 0)
+    try:
+        # loadtxt warns when every data line is blank; the row count below
+        # refuses that chunk, so the warning carries nothing.
+        with io.TextIOWrapper(path.open("rb"), encoding="utf-8") as text, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            text.buffer.seek(offset)
+            cells = np.loadtxt(
+                itertools.islice(text, header + lines),
+                delimiter=",",
+                comments=None,
+                skiprows=header,
+                ndmin=2,
+                dtype=np.float64,
+                quotechar='"',
+            )
+    except ValueError:
+        return None
+    if cells.shape != (lines, n_columns) or not np.isfinite(cells).all():
+        return None
+    labels = cells[:, label_pos]
+    if not ((labels == 0.0) | (labels == 1.0)).all():
+        return None
+    return np.delete(cells, label_pos, axis=1), labels.astype(np.int64)
 
 
 def _parse_bulk(
     path: Path, n_columns: int, label_pos: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """(features, labels) of every data row, or None when the file needs the
-    row-by-row parser to load it or to name its first bad cell."""
-    n_rows = _count_data_lines(path)
-    if n_rows == 0:
-        return np.empty((0, n_columns - 1)), np.empty(0, dtype=np.int64)
-    try:
-        # loadtxt warns when every data line is blank; the row count below
-        # refuses that file, so the warning carries nothing.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            cells = np.loadtxt(
-                path,
-                delimiter=",",
-                comments=None,
-                skiprows=1,
-                ndmin=2,
-                dtype=np.float64,
-                encoding="utf-8",
-                quotechar='"',
-            )
-    except ValueError:
-        return None
-    if cells.shape != (n_rows, n_columns) or not np.isfinite(cells).all():
-        return None
-    labels = cells[:, label_pos]
-    if not ((labels == 0.0) | (labels == 1.0)).all():
-        return None
-    return np.delete(cells, label_pos, axis=1), labels.astype(np.int64)
+    row-by-row parser to load it or to name its first bad cell.
+
+    Each chunk is parsed by ``_parse_chunk`` and written straight into one
+    matrix and one label array, so no chunk's cells outlive their copy. A
+    refused chunk stops the parse, and the pool with it.
+    """
+    chunks = _data_chunks(path)
+    n_rows = sum(lines for _, lines in chunks)
+    features = np.empty((n_rows, n_columns - 1))
+    labels = np.empty(n_rows, dtype=np.int64)
+    shared = (path, n_columns, label_pos)
+    parts = _map_ordered(_parse_chunk, shared, chunks, _csv_workers(len(chunks)))
+    row = 0
+    with contextlib.closing(parts):
+        for part in parts:
+            if part is None:
+                return None
+            stop = row + part[1].size
+            features[row:stop], labels[row:stop] = part
+            row = stop
+            del part  # before the next chunk is parsed
+    return features, labels
 
 
 def _parse_rows(reader, header: list[str], label_pos: int) -> tuple[np.ndarray, np.ndarray]:
@@ -539,8 +600,12 @@ def _parse_rows(reader, header: list[str], label_pos: int) -> tuple[np.ndarray, 
     return features, np.array(labels, dtype=np.int64)
 
 
-# Rows that save_csv formats with one repr call, and one pool task's range.
+# Rows that save_csv formats with one repr call, and one task's range.
 _CSV_BLOCK_ROWS = 4096
+
+# Bytes of the file that load_csv parses with one np.loadtxt call, and one
+# task's range; a chunk runs on to the end of the line it stops in.
+_CSV_CHUNK_BYTES = 4 << 20
 
 
 def _format_rows(features: np.ndarray, labels: np.ndarray, start: int, stop: int) -> str:
@@ -555,14 +620,17 @@ def _format_rows(features: np.ndarray, labels: np.ndarray, start: int, stop: int
     return repr(rows)[2:-2].replace("], [", "\n").replace(", ", ",") + "\n"
 
 
-def _csv_workers(n_blocks: int) -> int:
-    """Processes save_csv formats with: the usable CPUs, at most one per
-    block, and 1 where there is no "fork" start method."""
+def _csv_workers(n_tasks: int) -> int:
+    """Processes save_csv and load_csv work in: the usable CPUs, at most one
+    per task; 1 in a process that runs other threads, which a fork could
+    deadlock, or where there is no "fork" start method."""
+    if threading.active_count() > 1:
+        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         cpus = os.cpu_count() or 1
-    workers = max(1, min(cpus, n_blocks))
+    workers = max(1, min(cpus, n_tasks))
     if workers > 1:
         import multiprocessing
 
@@ -571,19 +639,56 @@ def _csv_workers(n_blocks: int) -> int:
     return workers
 
 
-# The arrays a save_csv pool worker formats, set once by its initializer.
-_worker_arrays: tuple[np.ndarray, np.ndarray] | None = None
+# A pool worker's task with its shared arguments bound, set once by its
+# initializer.
+_worker_task = None
 
 
-def _init_csv_worker(features: np.ndarray, labels: np.ndarray) -> None:
-    global _worker_arrays
-    _worker_arrays = (features, labels)
+def _init_pool_worker(task) -> None:
+    global _worker_task
+    _worker_task = task
     # An interrupt is the parent's to handle: it shuts the pool down.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _format_worker_rows(start: int, stop: int) -> str:
-    return _format_rows(*_worker_arrays, start, stop)
+def _run_worker_task(*args):
+    return _worker_task(*args)
+
+
+def _map_ordered(task, shared: tuple, tasks, workers: int):
+    """Yield ``task(*shared, *args)`` for each ``args`` in ``tasks``, in
+    task order.
+
+    With one worker the tasks run in the calling process. Otherwise they
+    run in ``workers`` forked processes, which inherit ``task`` and
+    ``shared`` rather than receive them pickled; at most two tasks per
+    worker are in flight, and a task's error is raised here. The pool is
+    shut down and its workers joined when the generator ends, raises or is
+    closed.
+    """
+    if workers == 1:
+        for args in tasks:
+            yield task(*shared, *args)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_pool_worker,
+        initargs=(functools.partial(task, *shared),),
+    )
+    try:
+        in_flight = collections.deque()
+        for args in tasks:
+            if len(in_flight) == 2 * workers:
+                yield in_flight.popleft().result()
+            in_flight.append(pool.submit(_run_worker_task, *args))
+        while in_flight:
+            yield in_flight.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def save_csv(dataset: TabularDataset, path: str | Path, label_column: str = LABEL_COLUMN) -> None:
@@ -597,14 +702,13 @@ def save_csv(dataset: TabularDataset, path: str | Path, label_column: str = LABE
 
     The blocks are formatted in one forked worker process per usable CPU,
     at most one per block, and written in row order; at most two blocks per
-    worker are in flight. With one CPU, one block, or no ``"fork"`` start
-    method, they are formatted in the calling process. The bytes do not
-    depend on the number of processes. The pool is shut down and its
-    workers joined before this returns or raises. Forking a process that
-    runs other threads can deadlock, so call it from a single-threaded
-    process. A 284,807×30 dataset (161 MB) is written in 4.6 s by two
-    worker processes, against 6.9 s in one (medians of five alternating
-    runs, 2-vCPU host).
+    worker are in flight. With one CPU, one block, no ``"fork"`` start
+    method, or other threads running in the calling process, which a fork
+    could deadlock, they are formatted in the calling process. The bytes
+    do not depend on the number of processes. The pool is shut down and its
+    workers joined before this returns or raises. A 284,807×30 dataset
+    (161 MB) is written in 4.6 s by two worker processes, against 6.9 s in
+    one (medians of five alternating runs, 2-vCPU host).
 
     Raises
     ------
@@ -618,41 +722,14 @@ def save_csv(dataset: TabularDataset, path: str | Path, label_column: str = LABE
     what = "a missing (NaN) value, which load_csv refuses"
     _refuse_cells(dataset.features, dataset.feature_names, np.isnan, what)
     starts = range(0, dataset.n_rows, _CSV_BLOCK_ROWS)
-    workers = _csv_workers(len(starts))
+    ranges = [(start, start + _CSV_BLOCK_ROWS) for start in starts]
+    shared = (dataset.features, dataset.labels)
+    blocks = _map_ordered(_format_rows, shared, ranges, _csv_workers(len(ranges)))
     path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh, contextlib.closing(blocks):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(dataset.feature_names) + [label_column])
-        if workers == 1:
-            for start in starts:
-                fh.write(_format_rows(dataset.features, dataset.labels, start, start + _CSV_BLOCK_ROWS))
-        else:
-            _write_blocks_in_pool(fh, dataset, starts, workers)
-
-
-def _write_blocks_in_pool(fh, dataset: TabularDataset, starts: range, workers: int) -> None:
-    """Format the blocks at ``starts`` in ``workers`` forked processes and
-    write them to ``fh`` in row order; the pool is joined before this
-    returns or raises."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_csv_worker,
-        initargs=(dataset.features, dataset.labels),
-    )
-    try:
-        in_flight = collections.deque()
-        for start in starts:
-            if len(in_flight) == 2 * workers:
-                fh.write(in_flight.popleft().result())
-            in_flight.append(pool.submit(_format_worker_rows, start, start + _CSV_BLOCK_ROWS))
-        for block in in_flight:
-            fh.write(block.result())
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        fh.writelines(blocks)
 
 
 def generate_synthetic_imbalanced(

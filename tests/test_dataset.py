@@ -1,4 +1,5 @@
 import csv
+import multiprocessing
 import os
 import re
 import threading
@@ -508,6 +509,47 @@ class TestBulkCsvParse:
         "content,bulk_keeps", [c[1:] for c in BULK_CASES], ids=[c[0] for c in BULK_CASES]
     )
     def test_matches_row_loop(self, tmp_path, monkeypatch, content, bulk_keeps):
+        self.check_matches_row_loop(tmp_path, monkeypatch, content, bulk_keeps)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "content,bulk_keeps", [c[1:] for c in BULK_CASES], ids=[c[0] for c in BULK_CASES]
+    )
+    def test_line_chunks_match_row_loop(self, tmp_path, monkeypatch, content, bulk_keeps, workers):
+        """Chunks of one byte end at every LF: each LF-ended line is a chunk
+        of its own, parsed in the calling process or in a pool."""
+        monkeypatch.setattr(dataset_module, "_CSV_CHUNK_BYTES", 1)
+        monkeypatch.setattr(dataset_module, "_csv_workers", lambda n_tasks: workers)
+        self.check_matches_row_loop(tmp_path, monkeypatch, content, bulk_keeps)
+        assert multiprocessing.active_children() == []
+        starts = {offset for offset, _ in dataset_module._data_chunks(tmp_path / "data.csv")}
+        after_lf = {i + 1 for i, byte in enumerate(content[:-1]) if byte == ord("\n")}
+        # The chunk at 0 is left out when it holds only the header.
+        assert starts | {0} == after_lf | {0}
+
+    def test_quoted_line_end_that_ends_a_chunk_falls_back_once(self, tmp_path, monkeypatch):
+        rows = [f"{i}.5,{i % 2}\n" for i in range(100)]
+        rows[20] = '"20.5\n",0\n'
+        content = "a,Class\n" + "".join(rows)
+        path = tmp_path / "data.csv"
+        path.write_text(content)
+        # The first chunk ends at the first LF at or past this many bytes:
+        # the one inside the quotes.
+        after_quoted_lf = content.index('"20.5\n') + len('"20.5\n')
+        monkeypatch.setattr(dataset_module, "_CSV_CHUNK_BYTES", after_quoted_lf)
+        monkeypatch.setattr(dataset_module, "_csv_workers", lambda n_tasks: 2)
+        chunks = dataset_module._data_chunks(path)
+        assert [offset for offset, _ in chunks][:2] == [0, after_quoted_lf] and len(chunks) > 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            data = load_csv(path)
+        assert multiprocessing.active_children() == []
+        message = f"{path}: the bulk numeric parse refused this file; it was loaded row by row"
+        assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, message)]
+        assert data.column("a").tolist() == [i + 0.5 for i in range(100)]
+
+    @staticmethod
+    def check_matches_row_loop(tmp_path, monkeypatch, content, bulk_keeps):
         path = tmp_path / "data.csv"
         path.write_bytes(content)
         header = next(csv.reader(content.decode().splitlines(keepends=True)))
@@ -570,6 +612,97 @@ class TestBulkCsvParse:
         assert messages == [f"{pipe}: not a regular file, so it cannot be parsed in bulk; "
                             "it was loaded row by row"]
         assert data.equals(load_csv(regular))
+
+
+class TestLoadCsvPool:
+    """Chunks parsed in forked workers; the worker count is chosen by
+    replacing the private helper, as it is no option. Chunks of 2,048 bytes
+    cut the 965-row file into 16 or more, so every worker count fills its
+    in-flight bound."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(dataset_module, "_CSV_BLOCK_ROWS", 64)
+        monkeypatch.setattr(dataset_module, "_CSV_CHUNK_BYTES", 2048)
+
+    @staticmethod
+    def write_data(path):
+        data = TestSaveCsvPool.sixteen_block_data()
+        save_csv(data, path)
+        assert len(dataset_module._data_chunks(path)) >= 16
+        return data
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_values_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, workers):
+        data = self.write_data(tmp_path / "data.csv")
+        monkeypatch.setattr(dataset_module, "_csv_workers", lambda n_tasks: workers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = load_csv(tmp_path / "data.csv")
+        assert multiprocessing.active_children() == []
+        assert loaded.equals(data)
+        assert loaded.features.tobytes() == data.features.tobytes()
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError, KeyboardInterrupt])
+    def test_worker_error_reaches_the_caller_and_no_worker_outlives_it(
+        self, tmp_path, monkeypatch, error
+    ):
+        path = tmp_path / "data.csv"
+        self.write_data(path)
+        third_chunk = dataset_module._data_chunks(path)[2][0]
+        parse_chunk = dataset_module._parse_chunk
+
+        def failing_parse_chunk(path, n_columns, label_pos, offset, lines):
+            if offset == third_chunk:
+                raise error("chunk 2")
+            return parse_chunk(path, n_columns, label_pos, offset, lines)
+
+        # The forked workers inherit both replacements.
+        monkeypatch.setattr(dataset_module, "_parse_chunk", failing_parse_chunk)
+        monkeypatch.setattr(dataset_module, "_csv_workers", lambda n_tasks: 2)
+        with pytest.raises(error, match="chunk 2"):
+            load_csv(path)
+        assert multiprocessing.active_children() == []
+
+
+class TestCsvWorkersWithThreads:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_no_process_is_forked_while_another_thread_runs(self, tmp_path, monkeypatch):
+        """Forking a process that runs threads can deadlock the child, and
+        Python 3.12 warns of it, so save_csv and load_csv then work in the
+        calling process."""
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(dataset_module, "_CSV_BLOCK_ROWS", 64)
+        monkeypatch.setattr(dataset_module, "_CSV_CHUNK_BYTES", 256)
+        monkeypatch.setattr(
+            dataset_module.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False
+        )
+        data = TestSaveCsvPool.sixteen_block_data()
+        stop = threading.Event()
+        helper = threading.Thread(target=stop.wait, daemon=True)
+        helper.start()
+        try:
+            assert dataset_module._csv_workers(16) == 1
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                save_csv(data, tmp_path / "data.csv")
+                loaded = load_csv(tmp_path / "data.csv")
+        finally:
+            stop.set()
+            helper.join(timeout=10)
+        assert not helper.is_alive()
+        assert dataset_module._csv_workers(16) == 4
+        row_by_row_save_csv(data, tmp_path / "rows.csv")
+        assert (tmp_path / "data.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert loaded.equals(data)
+        assert loaded.features.tobytes() == data.features.tobytes()
 
 
 class TestGenerateSynthetic:

@@ -97,6 +97,34 @@ def traced_peak(fn):
             tracemalloc.stop()
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_load_csv_holds_its_result_and_a_few_chunk_buffers(tmp_path, monkeypatch, workers):
+    """load_csv's traced peak beyond the dataset it returns is bounded in
+    chunk buffers of _CSV_CHUNK_BYTES, not in the file's size.
+
+    A cell of this file takes about 18 bytes of text with its comma and 8
+    parsed, so a chunk's cells fill under half a chunk buffer. In the
+    calling process the parse holds one chunk's cells twice, loadtxt's and
+    their feature copy: one buffer. With a pool the parent holds at most
+    two results per worker in flight and the one it copies, under
+    ``workers + 1`` buffers. Finding the chunks holds two buffers, before
+    the result exists. Parsing the whole file in one call and deleting its
+    label column read 2.08 times the feature bytes here.
+    """
+    source = creditcard_like(40_000, 70)
+    path = tmp_path / "creditcard.csv"
+    dataset.save_csv(source, path)
+    del source
+    monkeypatch.setattr(dataset, "_csv_workers", lambda n_tasks: workers)
+
+    loaded, peak = traced_peak(lambda: dataset.load_csv(path))
+
+    result = loaded.features.nbytes + loaded.labels.nbytes + loaded.provenance.nbytes
+    buffers = 1 if workers == 1 else workers + 1
+    extra = (peak - result) / dataset._CSV_CHUNK_BYTES
+    assert extra < buffers, extra
+
+
 @pytest.fixture(scope="module")
 def creditcard_40k():
     return creditcard_like(40_000, 70)
