@@ -8,7 +8,7 @@ placement of resampling relative to the train/test split explicit and
 audits the outcome for evaluation contamination.
 """
 
-from .boosting import GbdtModel, GbdtParams, predict, predict_margin, predict_proba, train
+from .boosting import GbdtModel, GbdtParams, predict_margin, predict_proba, train
 from .dataset import (
     CREDITCARD_SCHEMA,
     RowProvenance,
@@ -16,10 +16,8 @@ from .dataset import (
     SplitSpec,
     StandardizerParams,
     TabularDataset,
-    amount_summary_by_class,
     apply_standardizer,
     class_distribution,
-    correlation_matrix,
     engineer_time_features,
     fit_standardizer,
     generate_synthetic_imbalanced,
@@ -73,7 +71,6 @@ __all__ = [
     "StandardizerParams",
     "TabularDataset",
     "Verdict",
-    "amount_summary_by_class",
     "apply_pipeline",
     "apply_standardizer",
     "auc",
@@ -81,14 +78,12 @@ __all__ = [
     "compare_scenarios",
     "compute_report",
     "confusion",
-    "correlation_matrix",
     "detect_leakage",
     "engineer_time_features",
     "fit_standardizer",
     "gaussian_synthesize",
     "generate_synthetic_imbalanced",
     "load_csv",
-    "predict",
     "predict_margin",
     "predict_proba",
     "random_oversample",

@@ -537,9 +537,3 @@ def predict_proba(model: GbdtModel, rows) -> np.ndarray:
     """Positive-class probability per row."""
     return _sigmoid(predict_margin(model, rows))
 
-
-def predict(model: GbdtModel, rows, threshold: float = 0.5) -> np.ndarray:
-    """Hard labels: probability >= threshold maps to class 1."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie strictly between 0 and 1")
-    return (predict_proba(model, rows) >= threshold).astype(np.int64)

@@ -1,7 +1,6 @@
 """Command-line entry point.
 
-Subcommands: generate (synthetic dataset CSV), stats (distribution
-summaries behind the usual imbalance figures), run (execute configured
+Subcommands: generate (synthetic dataset CSV), run (execute configured
 scenarios), compare (side-by-side metric tables with inflation deltas).
 Every run is driven entirely by explicit config and seeds; outputs are
 written atomically and never overwritten without --force, and every
@@ -11,8 +10,6 @@ subcommand checks all its output paths before it does any work.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 import threading
@@ -172,58 +169,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_stats(args) -> int:
-    out_dir = Path(args.out_dir)
-    dist_path, summary_path, matrix_path = (
-        out_dir / name
-        for name in ("class_distribution.json", "amount_summary.json", "correlation_matrix.csv")
-    )
-    _refuse_existing([dist_path, summary_path, matrix_path], args.force)
-    schema = ds.CREDITCARD_SCHEMA if args.schema == "creditcard" else None
-    try:
-        data = ds.load_csv(args.input, schema=schema)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"data loading: {exc}") from exc
-    if not data.feature_names:
-        raise CliError(f"stats: {args.input} has no feature columns")
-    column = args.column
-    if column is None:
-        column = "Amount" if "Amount" in data.feature_names else data.feature_names[0]
-    try:
-        counts, fraction = ds.class_distribution(data)
-        summary = ds.amount_summary_by_class(data, column)
-        matrix, constant = ds.correlation_matrix(data)
-    except KeyError as exc:
-        raise CliError(f"stats: {exc.args[0]}") from exc
-    except ValueError as exc:
-        raise CliError(f"stats: {exc}") from exc
-
-    _write_text(
-        dist_path,
-        _json_text(
-            {
-                "counts": {str(k): v for k, v in counts.items()},
-                "minority_fraction": fraction,
-            }
-        ),
-        args.force,
-    )
-    _write_text(
-        summary_path,
-        _json_text({"column": column, "by_class": {str(k): v for k, v in summary.items()}}),
-        args.force,
-    )
-    table = io.StringIO()
-    rows = ([name, *map(repr, row.tolist())] for name, row in zip(data.feature_names, matrix))
-    csv.writer(table, lineterminator="\n").writerows([["", *data.feature_names], *rows])
-    if constant:
-        print(f"note: constant column(s) reported with zero correlation: {', '.join(constant)}")
-    _write_text(matrix_path, table.getvalue(), args.force)
-
-    print(f"wrote stats for {args.input} to {out_dir}")
-    return 0
-
-
 def cmd_run(args) -> int:
     """Run the configured scenarios on --workers threads, writing results in
     config order. A failure cancels the scenarios queued behind it and is
@@ -375,22 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=42)
     p_gen.add_argument("--output", required=True, help="destination CSV path")
     p_gen.set_defaults(func=cmd_generate)
-
-    p_stats = sub.add_parser(
-        "stats",
-        parents=[force],
-        allow_abbrev=False,
-        help="write class/amount/correlation summaries",
-    )
-    p_stats.add_argument("--input", required=True, help="source CSV path")
-    p_stats.add_argument(
-        "--schema", choices=["creditcard"], default=None, help="enforce a known schema"
-    )
-    p_stats.add_argument(
-        "--column", default=None, help="column for the per-class summary"
-    )
-    p_stats.add_argument("--out-dir", default=".", help="directory for output files")
-    p_stats.set_defaults(func=cmd_stats)
 
     p_run = sub.add_parser(
         "run", parents=[force], allow_abbrev=False, help="run all configured scenarios"

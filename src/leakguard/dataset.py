@@ -2,9 +2,12 @@
 
 Every row of a :class:`TabularDataset` knows what kind of row it is:
 loaded from a file, duplicated from another row, or synthesized by a
-sampler. Provenance is what makes train/test contamination detectable
-after the fact, so all loading, splitting, and preprocessing operations
-preserve it.
+sampler, and all loading, splitting, and preprocessing operations
+preserve it. Provenance decides no leakage verdict, which reads only the
+class count change across the split and whether the scaler saw the full
+data (see ``experiment.LeakageReport``). It fills a result's
+``test_provenance_counts`` and ``synthetic_rows_in_test``, which say what
+a test partition holds.
 
 A dataset holds its provenance as one read-only int8 array of kind codes,
 each an index into ``RowProvenance.KINDS``. A :class:`RowProvenance`
@@ -360,15 +363,14 @@ class StandardizerParams:
 
 
 def load_csv(
-    path: str | Path,
-    schema: tuple[str, ...] | list[str] | None = None,
-    label_column: str = LABEL_COLUMN,
+    path: str | Path, schema: tuple[str, ...] | list[str] | None = None
 ) -> TabularDataset:
     """Load a labeled dataset from a headered CSV file.
 
     The header is resolved by name, so column order does not matter. When
     ``schema`` is given the header must contain exactly that set of names.
-    All cells must parse as finite reals; the label column must hold 0/1.
+    All cells must parse as finite reals; the label column, ``Class``, must
+    hold 0/1.
 
     The data rows of a regular file are parsed in bulk: the file is cut
     into chunks of about ``_CSV_CHUNK_BYTES``, each ending at a line end,
@@ -423,13 +425,13 @@ def load_csv(
                 if extra:
                     parts.append(f"unexpected column(s): {', '.join(extra)}")
                 raise SchemaError(f"header mismatch in {path}: {'; '.join(parts)}")
-        if label_column not in header:
-            raise SchemaError(f"{path} has no {label_column!r} column")
+        if LABEL_COLUMN not in header:
+            raise SchemaError(f"{path} has no {LABEL_COLUMN!r} column")
         if len(set(header)) != len(header):
             raise SchemaError(f"duplicate column names in {path}")
 
-        label_pos = header.index(label_column)
-        feature_names = tuple(h for h in header if h != label_column)
+        label_pos = header.index(LABEL_COLUMN)
+        feature_names = tuple(h for h in header if h != LABEL_COLUMN)
         # A pipe or other non-regular file can be read only once, so only a
         # regular file is parsed in bulk.
         if path.is_file():
@@ -691,7 +693,7 @@ def _map_ordered(task, shared: tuple, tasks, workers: int):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def save_csv(dataset: TabularDataset, path: str | Path, label_column: str = LABEL_COLUMN) -> None:
+def save_csv(dataset: TabularDataset, path: str | Path) -> None:
     """Write a dataset as CSV, features first and the label column last.
 
     Floats are written with repr so a reload is bit-identical. The header
@@ -717,8 +719,8 @@ def save_csv(dataset: TabularDataset, path: str | Path, label_column: str = LABE
         which load_csv refuses; raised before the file is created. A dataset
         holds no ±inf, so every cell written is finite.
     """
-    if label_column in dataset.feature_names:
-        raise ValueError(f"feature column {label_column!r} has the label column's name")
+    if LABEL_COLUMN in dataset.feature_names:
+        raise ValueError(f"feature column {LABEL_COLUMN!r} has the label column's name")
     what = "a missing (NaN) value, which load_csv refuses"
     _refuse_cells(dataset.features, dataset.feature_names, np.isnan, what)
     starts = range(0, dataset.n_rows, _CSV_BLOCK_ROWS)
@@ -728,7 +730,7 @@ def save_csv(dataset: TabularDataset, path: str | Path, label_column: str = LABE
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh, contextlib.closing(blocks):
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(dataset.feature_names) + [label_column])
+        writer.writerow(list(dataset.feature_names) + [LABEL_COLUMN])
         fh.writelines(blocks)
 
 
@@ -963,50 +965,3 @@ def class_distribution(dataset: TabularDataset) -> tuple[dict[int, int], float]:
     minority_fraction = min(counts.values()) / dataset.n_rows
     return counts, minority_fraction
 
-
-def amount_summary_by_class(
-    dataset: TabularDataset, column: str
-) -> dict[int, dict[str, float]]:
-    """Five-number summary (min, Q1, median, Q3, max) of a column per class."""
-    if dataset.n_rows == 0:
-        raise ValueError("empty dataset has no summary")
-    values = dataset.column(column)
-    out: dict[int, dict[str, float]] = {}
-    for cls in (0, 1):
-        cls_values = values[dataset.labels == cls]
-        if cls_values.size == 0:
-            continue
-        q = np.percentile(cls_values, [0, 25, 50, 75, 100])
-        out[cls] = {
-            "min": float(q[0]),
-            "q1": float(q[1]),
-            "median": float(q[2]),
-            "q3": float(q[3]),
-            "max": float(q[4]),
-        }
-    return out
-
-
-def correlation_matrix(
-    dataset: TabularDataset,
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Pearson correlation matrix of the feature columns.
-
-    Returns the symmetric matrix (unit diagonal) and the names of constant
-    columns, whose off-diagonal correlations are 0 by convention.
-    """
-    if dataset.n_rows < 2:
-        raise ValueError("correlation needs at least 2 rows")
-    X = dataset.features
-    centered = X - X.mean(axis=0)
-    std = X.std(axis=0, ddof=0)
-    cov = centered.T @ centered / X.shape[0]
-    denom = np.outer(std, std)
-    matrix = np.zeros_like(cov)
-    ok = denom > 0
-    matrix[ok] = cov[ok] / denom[ok]
-    np.fill_diagonal(matrix, 1.0)
-    constant = tuple(
-        name for name, s in zip(dataset.feature_names, std) if s == 0
-    )
-    return matrix, constant

@@ -2,9 +2,13 @@
 
 All samplers target a post-step minority/majority count ratio given by
 ``sampling_strategy`` and tag every row they create with its kind, a
-duplicate or a synthetic row, so downstream leakage checks can tell
-created rows from loaded ones. Samplers never touch the partitioning of
-data; they transform exactly the dataset they are handed.
+duplicate or a synthetic row, which a result counts in its test
+partition. The leakage verdict does not read those tags: a step only
+adds minority rows or only removes majority rows, so a step placed
+before the split shows in the class count change, and the verdict reads
+that count and whether the scaler saw the full data. Samplers never
+touch the partitioning of data; they transform exactly the dataset they
+are handed.
 """
 
 from __future__ import annotations
@@ -93,8 +97,10 @@ _KNN_BLOCK_ELEMENTS = 1 << 22
 def _class_split(train: TabularDataset) -> tuple[int, np.ndarray, np.ndarray]:
     """Resolve the minority label and per-class row indices.
 
-    Ties go to class 1 so the positive class stays the resampling target
-    on exactly balanced data.
+    A tie names class 1, and which class it names is never seen: every
+    strategy lies in (0, 1], so no step makes the minority the majority,
+    and on exactly balanced data every step returns its input or refuses
+    with a message that does not name a class.
     """
     pos = np.flatnonzero(train.labels == 1)
     neg = np.flatnonzero(train.labels == 0)

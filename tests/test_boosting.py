@@ -16,7 +16,6 @@ from leakguard.boosting import (
     apply_tree,
     candidate_thresholds,
     leaf_weight,
-    predict,
     predict_margin,
     predict_proba,
     soft_threshold,
@@ -114,7 +113,7 @@ class TestSplitFinding:
         root = model.trees[0]
         assert not root.is_leaf
         assert -0.1 <= root.threshold <= 0.1
-        assert np.array_equal(predict(model, data.features, 0.5), y)
+        assert np.array_equal(predict_proba(model, data.features) >= 0.5, y)
 
     def test_best_split_matches_exhaustive_enumeration(self):
         # The trained split must attain the gain an exhaustive enumeration
@@ -717,11 +716,6 @@ class TestPrediction:
         margins = predict_margin(self.model, self.rows)
         proba = predict_proba(self.model, self.rows)
         assert np.array_equal(np.argsort(margins), np.argsort(proba))
-
-    def test_threshold_convention(self):
-        proba = predict_proba(self.model, self.rows)
-        labels = predict(self.model, self.rows, 0.5)
-        assert np.array_equal(labels, (proba >= 0.5).astype(int))
 
     def test_feature_count_mismatch(self):
         with pytest.raises(ValueError, match="features"):

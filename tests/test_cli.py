@@ -1,4 +1,3 @@
-import csv
 import hashlib
 import json
 from types import SimpleNamespace
@@ -23,7 +22,7 @@ def assert_usage_error(capsys, *argv, message):
     assert message in capsys.readouterr().err
 
 
-# Flags that other subcommands take but these three never read.
+# Flags that `run` takes but `generate` and `compare` never read.
 RUN_ONLY_FLAGS = [
     ["--seed-override", "6"],
     ["--workers", "2"],
@@ -95,12 +94,13 @@ def base_config(tmp_path, out_dir="results", with_presplit=False):
 
 
 class TestGenerate:
-    def test_writes_csv_deterministically(self, tmp_path):
+    def test_writes_csv_deterministically(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         args = ["generate", "--n-rows", "200", "--positive-fraction", "0.1",
                 "--n-features", "3", "--seed", "5"]
         assert run_cli(*args, "--output", str(a)) == 0
+        assert f"wrote {a}: 200 rows, 20 positive (10.0000%)" in capsys.readouterr().out
         assert run_cli(*args, "--output", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
@@ -169,96 +169,9 @@ class TestGenerate:
         assert not out.exists()
 
 
-class TestStats:
-    def test_writes_summaries(self, tmp_path):
-        csv_path = tmp_path / "data.csv"
-        assert run_cli(
-            "generate", "--n-rows", "300", "--positive-fraction", "0.1",
-            "--n-features", "3", "--output", str(csv_path),
-        ) == 0
-        out_dir = tmp_path / "stats"
-        assert run_cli("stats", "--input", str(csv_path), "--out-dir", str(out_dir)) == 0
-        dist = json.loads((out_dir / "class_distribution.json").read_text())
-        assert dist["counts"] == {"0": 270, "1": 30}
-        assert abs(dist["minority_fraction"] - 0.1) < 1e-12
-        summary = json.loads((out_dir / "amount_summary.json").read_text())
-        assert summary["column"] == "f1"
-        assert set(summary["by_class"]["0"]) == {"min", "q1", "median", "q3", "max"}
-        matrix_lines = (out_dir / "correlation_matrix.csv").read_text().strip().splitlines()
-        assert matrix_lines[0] == ",f1,f2,f3"
-        assert len(matrix_lines) == 4
-
-    def test_missing_input_fails(self, tmp_path, capsys):
-        code = run_cli("stats", "--input", str(tmp_path / "no.csv"), "--out-dir", str(tmp_path))
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "error" in err and "data loading" in err
-
-    def test_unknown_summary_column_fails(self, tmp_path, capsys):
-        csv_path = tmp_path / "d.csv"
-        assert run_cli(
-            "generate", "--n-rows", "100", "--positive-fraction", "0.1",
-            "--output", str(csv_path),
-        ) == 0
-        code = run_cli(
-            "stats", "--input", str(csv_path), "--column", "nope",
-            "--out-dir", str(tmp_path / "s"),
-        )
-        assert code == 2
-        assert "nope" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "content, message",
-        [
-            ("f1,Class\n1.0,0\n", "at least 2 rows"),
-            ("f1,Class\n", "empty dataset"),
-            ("Class\n0\n1\n", "no feature columns"),
-        ],
-        ids=["one-row", "header-only", "labels-only"],
-    )
-    def test_too_small_input_fails_before_writing(self, tmp_path, capsys, content, message):
-        csv_path = tmp_path / "d.csv"
-        csv_path.write_text(content)
-        out_dir = tmp_path / "s"
-        assert run_cli("stats", "--input", str(csv_path), "--out-dir", str(out_dir)) == 2
-        err = capsys.readouterr().err
-        assert "error: stats:" in err and message in err
-        assert not out_dir.exists()
-
-    def test_existing_later_output_leaves_nothing_written(self, tmp_path, capsys):
-        csv_path = tmp_path / "d.csv"
-        assert run_cli(
-            "generate", "--n-rows", "100", "--positive-fraction", "0.1",
-            "--output", str(csv_path),
-        ) == 0
-        out_dir = tmp_path / "s"
-        out_dir.mkdir()
-        (out_dir / "amount_summary.json").write_text("old\n")
-        args = ("stats", "--input", str(csv_path), "--out-dir", str(out_dir))
-        assert run_cli(*args) == 2
-        assert "amount_summary.json exists" in capsys.readouterr().err
-        assert [p.name for p in out_dir.iterdir()] == ["amount_summary.json"]
-        assert run_cli(*args, "--force") == 0
-        assert len(list(out_dir.iterdir())) == 3
-
-    def test_correlation_matrix_with_a_comma_in_a_name_is_square(self, tmp_path):
-        csv_path = tmp_path / "d.csv"
-        csv_path.write_text('"a,b",c,Class\n1.0,2.0,0\n2.0,1.0,1\n3.0,5.0,0\n')
-        out_dir = tmp_path / "s"
-        assert run_cli("stats", "--input", str(csv_path), "--out-dir", str(out_dir)) == 0
-        with open(out_dir / "correlation_matrix.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["", "a,b", "c"]
-        assert [row[0] for row in rows[1:]] == ["a,b", "c"]
-        assert all(len(row) == 3 for row in rows)
-        assert rows[1][1] == rows[2][2] == "1.0" and rows[1][2] == rows[2][1]
-
-    @pytest.mark.parametrize("flag", RUN_ONLY_FLAGS)
-    def test_unread_flags_rejected(self, tmp_path, capsys, flag):
-        assert_usage_error(
-            capsys, "stats", "--input", str(tmp_path / "d.csv"), *flag,
-            message="unrecognized arguments",
-        )
+def test_subcommands_are_generate_run_and_compare(capsys):
+    assert "{generate,run,compare}" in cli._build_parser().format_usage()
+    assert_usage_error(capsys, "stats", "--input", "x.csv", message="invalid choice")
 
 
 class TestRun:
@@ -525,6 +438,72 @@ class TestRun:
         config_path.write_text(json.dumps(config))
         assert run_cli("run", str(config_path)) == 2
         assert "unique" in capsys.readouterr().err
+
+
+class TestRunFromCsv:
+    """`run` with a {"csv": path} data source: the loading path that the
+    synthetic configs above never take."""
+
+    def csv_config(self, tmp_path, csv_path, **data):
+        config_path, config = base_config(tmp_path)
+        config["data"] = {"csv": str(csv_path), **data}
+        config_path.write_text(json.dumps(config))
+        return config_path
+
+    def test_csv_source_gives_the_synthetic_source_results(self, tmp_path):
+        synthetic_path, config = base_config(tmp_path, out_dir="synthetic")
+        assert run_cli("run", str(synthetic_path)) == 0
+        source = config["data"]["synthetic"]
+        csv_path = tmp_path / "data.csv"
+        assert run_cli(
+            "generate", "--n-rows", str(source["n_rows"]),
+            "--positive-fraction", str(source["positive_fraction"]),
+            "--n-features", str(source["n_features"]),
+            "--class-separation", str(source["class_separation"]),
+            "--seed", str(source["seed"]), "--output", str(csv_path),
+        ) == 0
+        csv_dir = tmp_path / "from-csv"
+        config_path = self.csv_config(tmp_path, csv_path)
+        assert run_cli("run", str(config_path), "--out-dir", str(csv_dir)) == 0
+        for spec in config["scenarios"]:
+            name = f"{spec['name']}-42.result.json"
+            a = json.loads((tmp_path / "synthetic" / name).read_text())
+            b = json.loads((csv_dir / name).read_text())
+            a.pop("wall_time")
+            b.pop("wall_time")
+            assert a == b
+
+    def test_missing_csv_fails_before_writing(self, tmp_path, capsys):
+        config_path = self.csv_config(tmp_path, tmp_path / "no.csv")
+        assert run_cli("run", str(config_path)) == 2
+        err = capsys.readouterr().err
+        assert "error: data loading: no such file" in err and "no.csv" in err
+        assert not (tmp_path / "results").exists()
+
+    def test_creditcard_schema_mismatch_names_the_columns(self, tmp_path, capsys):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text('"a,b",Class\n1.0,0\n2.0,1\n')
+        config_path = self.csv_config(tmp_path, csv_path, schema="creditcard")
+        assert run_cli("run", str(config_path)) == 2
+        err = capsys.readouterr().err
+        assert "error: data loading: header mismatch" in err
+        assert "missing column(s): Amount, Time, V1," in err
+        assert "unexpected column(s): a,b" in err
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        ["f1,Class\n1.0,0\n", "f1,Class\n", "Class\n0\n1\n"],
+        ids=["one-row", "header-only", "labels-only"],
+    )
+    def test_too_small_input_fails_before_writing(self, tmp_path, capsys, content):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text(content)
+        config_path = self.csv_config(tmp_path, csv_path)
+        assert run_cli("run", str(config_path)) == 2
+        err = capsys.readouterr().err
+        assert "error: scenario 'baseline': stage 'train/test split':" in err
+        assert not (tmp_path / "results").exists()
 
 
 class TestCompare:

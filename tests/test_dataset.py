@@ -22,10 +22,8 @@ from leakguard.dataset import (
     SplitSpec,
     StandardizerParams,
     TabularDataset,
-    amount_summary_by_class,
     apply_standardizer,
     class_distribution,
-    correlation_matrix,
     engineer_time_features,
     fit_standardizer,
     generate_synthetic_imbalanced,
@@ -292,6 +290,12 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="V7"):
             load_csv(path, schema=CREDITCARD_SCHEMA)
 
+    def test_missing_label_column_named(self, tmp_path):
+        path = tmp_path / "nolabel.csv"
+        path.write_text("a,class\n1.0,0\n")
+        with pytest.raises(SchemaError, match=r"nolabel\.csv has no 'Class' column$"):
+            load_csv(path)
+
     def test_empty_data_rows_is_valid(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("a,Class\n")
@@ -339,11 +343,11 @@ class TestLoadCsv:
         assert loaded.features.tobytes() == data.features.tobytes()
 
 
-def row_by_row_save_csv(dataset, path, label_column="Class"):
+def row_by_row_save_csv(dataset, path):
     """save_csv as it was before it wrote blocks: the byte oracle."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(dataset.feature_names) + [label_column])
+        writer.writerow(list(dataset.feature_names) + ["Class"])
         for i in range(dataset.n_rows):
             writer.writerow(
                 [repr(v) for v in dataset.features[i].tolist()] + [int(dataset.labels[i])]
@@ -374,18 +378,10 @@ class TestSaveCsvBytes:
         row_by_row_save_csv(data, tmp_path / "rows.csv")
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
-    def test_quoted_label_column_name(self, tmp_path):
-        data = make_dataset([[1.5, -0.0], [-1e16, 5e-324]], [1, 0])
-        save_csv(data, tmp_path / "blocks.csv", label_column="class, label")
-        row_by_row_save_csv(data, tmp_path / "rows.csv", label_column="class, label")
-        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
-        assert (tmp_path / "blocks.csv").read_text().startswith('c0,c1,"class, label"\n')
-
-    @pytest.mark.parametrize("label_column", ["Class", "x"])
-    def test_feature_named_like_the_label_column_refused_before_the_file(self, tmp_path, label_column):
+    def test_feature_named_like_the_label_column_refused_before_the_file(self, tmp_path):
         data = TabularDataset(np.zeros((2, 2)), ("Class", "x"), np.array([0, 1]), np.zeros(2, np.int8))
-        with pytest.raises(ValueError, match=f"feature column '{label_column}' has the label column's name"):
-            save_csv(data, tmp_path / "d.csv", label_column=label_column)
+        with pytest.raises(ValueError, match="feature column 'Class' has the label column's name"):
+            save_csv(data, tmp_path / "d.csv")
         assert not (tmp_path / "d.csv").exists()
 
     def test_nan_refused_naming_the_column_before_the_file(self, tmp_path):
@@ -1080,43 +1076,25 @@ class TestEngineerTimeFeatures:
         assert a.equals(b)
 
 
-class TestStats:
-    def test_class_distribution(self):
-        data = make_dataset([[0.0]] * 10, [0] * 9 + [1])
-        counts, fraction = class_distribution(data)
-        assert counts == {0: 9, 1: 1}
-        assert fraction == 0.1
+def test_class_distribution():
+    data = make_dataset([[0.0]] * 10, [0] * 9 + [1])
+    counts, fraction = class_distribution(data)
+    assert counts == {0: 9, 1: 1}
+    assert fraction == 0.1
 
-    def test_amount_summary(self):
-        data = TabularDataset(
-            features=np.array([[1.0], [2.0], [3.0], [4.0], [100.0]]),
-            feature_names=("Amount",),
-            labels=np.array([0, 0, 0, 0, 1]),
-            provenance=tuple(RowProvenance.original(i) for i in range(5)),
-        )
-        summary = amount_summary_by_class(data, "Amount")
-        assert summary[0]["min"] == 1.0 and summary[0]["max"] == 4.0
-        assert summary[0]["median"] == 2.5
-        assert summary[1] == {"min": 100.0, "q1": 100.0, "median": 100.0, "q3": 100.0, "max": 100.0}
 
-    def test_correlation_matches_hand_computation(self):
-        data = make_dataset([[1.0, 1.0], [2.0, 3.0], [4.0, 2.0]], [0, 0, 1])
-        matrix, constant = correlation_matrix(data)
-        assert constant == ()
-        assert abs(matrix[0, 1] - 0.3273268353539886) < 1e-12  # 3/sqrt(84)
-        assert matrix[0, 1] == matrix[1, 0]
-        assert matrix[0, 0] == 1.0 and matrix[1, 1] == 1.0
-
-    def test_constant_column_flagged_with_zero_correlation(self):
-        data = make_dataset([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]], [0, 0, 1])
-        matrix, constant = correlation_matrix(data)
-        assert constant == ("c1",)
-        assert matrix[0, 1] == 0.0 and matrix[1, 1] == 1.0
-
-    def test_correlation_needs_two_rows(self):
-        data = make_dataset([[1.0]], [0])
-        with pytest.raises(ValueError):
-            correlation_matrix(data)
+@pytest.mark.parametrize(
+    "labels, counts, fraction",
+    [
+        ([1] * 9 + [0], {0: 1, 1: 9}, 0.1),
+        ([0, 1] * 5, {0: 5, 1: 5}, 0.5),
+        ([0] * 4, {0: 4, 1: 0}, 0.0),
+    ],
+    ids=["negative-minority", "balanced", "one-class"],
+)
+def test_class_distribution_minority_is_the_smaller_class(labels, counts, fraction):
+    data = make_dataset([[0.0]] * len(labels), labels)
+    assert class_distribution(data) == (counts, fraction)
 
 
 @pytest.mark.parametrize(

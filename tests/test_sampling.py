@@ -491,6 +491,30 @@ def test_too_few_minority_rows_refused(sampler, kind, n_min, fragment):
         sampler(imbalanced(n_min, 100), SamplerSpec(kind, 0.5, seed=1))
 
 
+@pytest.mark.parametrize("strategy", [0.5, 1.0])
+@pytest.mark.parametrize("kind", list(SamplerKind), ids=lambda k: k.value)
+def test_balanced_data_is_returned_or_refused_whichever_class_is_minority(kind, strategy):
+    """Every strategy lies in (0, 1], so no step makes the minority the
+    majority, and on exactly balanced data a step returns its input or
+    refuses, the same with 0 and 1 swapped. So the class a tie names is
+    never seen, and such a step placed before the split leaves the class
+    count change the verdict reads at 0 or stops the scenario."""
+    data = imbalanced(20, 20)
+    swapped = TabularDataset(data.features, data.feature_names, 1 - data.labels, data.provenance)
+    outcomes = []
+    for source in (data, swapped):
+        try:
+            result = resample(source, SamplerSpec(kind, strategy, seed=1))
+            outcomes.append("input" if result is source else "changed")
+        except SamplingError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    if strategy == 1.0:
+        assert outcomes[0] == "input"
+    else:
+        assert "below the current ratio 1;" in outcomes[0]
+
+
 class TestPipeline:
     def hybrid_pipeline(self):
         return SamplerPipeline(
