@@ -8,8 +8,8 @@ gradient and hessian histograms are built together, as the real and
 imaginary parts of one complex scatter-add per feature, exactly and with
 no sibling subtraction, so the trees are identical to those of growing
 one node at a time. Leaf values solve the L1/L2-regularized Newton step in
-closed form, and each split learns which way rows with missing values
-(NaN) should go.
+closed form. Every feature cell is finite: a dataset refuses NaN and
+±inf when it is built, and prediction refuses rows that hold one.
 
 Training is fully deterministic: there is no row or column subsampling,
 and all tie-breaks are by lower feature index, then lower threshold.
@@ -23,9 +23,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import TabularDataset, as_int, as_object, as_real
+from .dataset import TabularDataset, _refuse_cells, as_int, as_object, as_real
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 # Histogram cells (node, feature, bin) built together: a pass takes as many
 # of a level's nodes as fit, and at least one. Every pass scatters every
@@ -85,7 +85,6 @@ class TreeNode:
     weight: float | None = None
     feature_index: int | None = None
     threshold: float | None = None
-    missing_goes_left: bool | None = None
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
 
@@ -95,20 +94,9 @@ class TreeNode:
 
     @classmethod
     def split(
-        cls,
-        feature_index: int,
-        threshold: float,
-        missing_goes_left: bool,
-        left: "TreeNode",
-        right: "TreeNode",
+        cls, feature_index: int, threshold: float, left: "TreeNode", right: "TreeNode"
     ) -> "TreeNode":
-        return cls(
-            feature_index=feature_index,
-            threshold=threshold,
-            missing_goes_left=missing_goes_left,
-            left=left,
-            right=right,
-        )
+        return cls(feature_index=feature_index, threshold=threshold, left=left, right=right)
 
     @property
     def is_leaf(self) -> bool:
@@ -120,7 +108,6 @@ class TreeNode:
         return {
             "feature": self.feature_index,
             "threshold": self.threshold,
-            "missing_left": self.missing_goes_left,
             "left": self.left.to_dict(),
             "right": self.right.to_dict(),
         }
@@ -132,14 +119,9 @@ class TreeNode:
         d = as_object(path, d)
         if "weight" in d:
             return cls.leaf(as_real(f"{path}.weight", d["weight"]))
-        if not isinstance(d["missing_left"], bool):
-            raise ValueError(
-                f"{path}.missing_left must be true or false, got {d['missing_left']!r}"
-            )
         return cls.split(
             feature_index=as_int(f"{path}.feature", d["feature"]),
             threshold=as_real(f"{path}.threshold", d["threshold"]),
-            missing_goes_left=d["missing_left"],
             left=cls.from_dict(d["left"], f"{path}.left"),
             right=cls.from_dict(d["right"], f"{path}.right"),
         )
@@ -234,7 +216,7 @@ def weighted_log_loss(labels: np.ndarray, margins: np.ndarray, weights: np.ndarr
 
 
 def _thresholds_of_sorted(ordered: np.ndarray, n_bins: int) -> np.ndarray:
-    """candidate_thresholds' rule, given a column's NaN-free values sorted."""
+    """candidate_thresholds' rule, given a column's values sorted."""
     first = np.ones(ordered.size, dtype=bool)
     first[1:] = ordered[1:] != ordered[:-1]
     distinct = ordered[first]
@@ -247,32 +229,32 @@ def _thresholds_of_sorted(ordered: np.ndarray, n_bins: int) -> np.ndarray:
 
 
 def candidate_thresholds(values: np.ndarray, n_bins: int) -> np.ndarray:
-    """Split candidates for one feature column (NaN ignored).
+    """Split candidates for one feature column.
 
     Features with at most n_bins distinct values get exact midpoints
     between consecutive distinct values; denser features get n_bins - 1
     interior quantiles, deduplicated.
     """
-    return _thresholds_of_sorted(np.sort(values[~np.isnan(values)]), n_bins)
+    return _thresholds_of_sorted(np.sort(values), n_bins)
 
 
 def _code_dtype(n_bins: int) -> np.dtype:
-    """The narrowest signed integer dtype holding -n_bins, and so every bin
-    code -1..n_bins-1: int8 up to 128 bins, int16 up to 32,768, then int32."""
-    return np.min_scalar_type(-n_bins)
+    """The narrowest unsigned integer dtype holding every bin code
+    0..n_bins-1: uint8 up to 256 bins, uint16 up to 65,536, then uint32."""
+    return np.min_scalar_type(n_bins - 1)
 
 
-def _bin_features(X: np.ndarray, n_bins: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """Each feature's candidate thresholds, the bin index per cell
-    (feature-major), and which features have missing cells.
+def _bin_features(X: np.ndarray, n_bins: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each feature's candidate thresholds, and the bin index per cell
+    (feature-major).
 
-    A cell's bin is the count of thresholds <= its value, -1 when it is
-    missing: searchsorted(thresholds, column, "right"). A row goes left at
+    A cell's bin is the count of thresholds <= its value:
+    searchsorted(thresholds, column, "right"). A row goes left at
     threshold t exactly when its value < t, i.e. when its bin index is <=
     the threshold's position. Bins are stored in _code_dtype(n_bins):
-    int16 at the default 256 bins, half the bytes of int32.
+    uint8 at the default 256 bins, a quarter of the bytes of int32.
 
-    One argsort per column serves both: the sorted present values give the
+    One argsort per column serves both: the sorted values give the
     thresholds, and searchsorted(sorted values, thresholds, "left") gives
     where each bin's run of sorted values starts, which the order scatters
     back to the rows. Temporaries are one column's worth.
@@ -280,20 +262,16 @@ def _bin_features(X: np.ndarray, n_bins: int) -> tuple[list[np.ndarray], np.ndar
     n, n_feat = X.shape
     binned = np.empty((n_feat, n), dtype=_code_dtype(n_bins))
     thresholds = []
-    has_missing = np.empty(n_feat, dtype=bool)
     for f in range(n_feat):
         col = np.ascontiguousarray(X[:, f])
-        order = np.argsort(col)  # NaN sorts last
-        n_present = n - np.count_nonzero(np.isnan(col))
-        ordered = col[order[:n_present]]
+        order = np.argsort(col)
+        ordered = col[order]
         cand = _thresholds_of_sorted(ordered, n_bins)
         starts = np.searchsorted(ordered, cand, side="left")
-        runs = np.diff(starts, prepend=0, append=n_present)
-        binned[f, order[:n_present]] = np.repeat(np.arange(cand.size + 1, dtype=binned.dtype), runs)
-        binned[f, order[n_present:]] = -1
+        runs = np.diff(starts, prepend=0, append=n)
+        binned[f, order] = np.repeat(np.arange(cand.size + 1, dtype=binned.dtype), runs)
         thresholds.append(cand)
-        has_missing[f] = n_present < n
-    return thresholds, binned, has_missing
+    return thresholds, binned
 
 
 def _score(G: np.ndarray, H: np.ndarray, lam: float, alpha: float) -> np.ndarray:
@@ -313,59 +291,36 @@ def _best_splits(
     g_tot: np.ndarray,
     h_tot: np.ndarray,
     sizes: np.ndarray,
-    with_missing: list[int],
     params: GbdtParams,
-) -> list[tuple[int, int, bool] | None]:
+) -> list[tuple[int, int] | None]:
     """Each node's best split, from its histograms, as (feature slot,
-    threshold position, missing_left), or None when no candidate gains.
+    threshold position), or None when no candidate gains.
 
     C is (nodes, feature slots, width) complex: the real part sums the
-    gradients and the imaginary part the hessians, column 0 over missing
-    rows and column 1 + b over bin b. Slot j has sizes[j] thresholds, and
-    the slots in with_missing have missing rows. Each node is scored on its
-    own, so any grouping of nodes gives the same splits.
+    gradients and the imaginary part the hessians, column b over bin b.
+    Slot j has sizes[j] thresholds. Each node is scored on its own, so any
+    grouping of nodes gives the same splits.
     """
     lam, alpha, mcw = params.lambda_l2, params.alpha_l1, params.min_child_weight
-    m, n_slots, width = C.shape
-    valid = np.arange(width - 2) < sizes[:, None]
-    G, H = C.real, C.imag
+    m, _, width = C.shape
+    valid = np.arange(width - 1) < sizes[:, None]
     gt, ht = g_tot[:, None, None], h_tot[:, None, None]
-    parent = _score(gt, ht, lam, alpha)
-
-    def gains_for(gl, hl):
-        gr, hr = gt - gl, ht - hl
-        gains = 0.5 * (_score(gl, hl, lam, alpha) + _score(gr, hr, lam, alpha) - parent)
-        return np.where(valid & (hl >= mcw) & (hr >= mcw), gains, -np.inf)
-
-    g_left = np.cumsum(G[:, :, 1:-1], axis=2)
-    h_left = np.cumsum(H[:, :, 1:-1], axis=2)
-    gains = gains_for(g_left, h_left)
-    go_left = np.ones(gains.shape, dtype=bool)
-    if with_missing:
-        # Missing mass is the node total less its present bins, so a node
-        # without missing rows may keep a rounding residue; with none at
-        # all both directions tie, and the tie goes left.
-        g_miss = np.zeros((m, n_slots, 1))
-        h_miss = np.zeros_like(g_miss)
-        for j in with_missing:
-            present = slice(1, sizes[j] + 2)
-            g_miss[:, j, 0] = gt[:, 0, 0] - G[:, j, present].sum(axis=1)
-            h_miss[:, j, 0] = ht[:, 0, 0] - H[:, j, present].sum(axis=1)
-        gains_ml = gains_for(g_left + g_miss, h_left + h_miss)
-        go_left = gains_ml >= gains
-        gains = np.where(go_left, gains_ml, gains)
-    gains, go_left = gains.reshape(m, -1), go_left.reshape(m, -1)
-    found: list[tuple[int, int, bool] | None] = [None] * m
+    gl = np.cumsum(C.real[:, :, :-1], axis=2)
+    hl = np.cumsum(C.imag[:, :, :-1], axis=2)
+    gr, hr = gt - gl, ht - hl
+    gains = 0.5 * (
+        _score(gl, hl, lam, alpha) + _score(gr, hr, lam, alpha) - _score(gt, ht, lam, alpha)
+    )
+    gains = np.where(valid & (hl >= mcw) & (hr >= mcw), gains, -np.inf).reshape(m, -1)
+    found: list[tuple[int, int] | None] = [None] * m
     for i, b in enumerate(gains.argmax(axis=1)):
         if gains[i, b] > 0:
-            j, pos = divmod(int(b), width - 2)
-            found[i] = (j, pos, bool(go_left[i, b]))
+            found[i] = divmod(int(b), width - 1)
     return found
 
 
 def _grow_tree(
     binned: np.ndarray,
-    feature_has_missing: np.ndarray,
     thresholds: list[np.ndarray],
     g: np.ndarray,
     h: np.ndarray,
@@ -375,30 +330,29 @@ def _grow_tree(
 
     Each level's gradient and hessian histograms come from one keyed
     scatter-add per feature of the complex values g + i*h (key: node slot
-    * width + bin + 1, so missing values fall in column 0): complex addition
-    adds the real and imaginary parts apart, so the real part of a cell is
-    its gradient sum and the imaginary part its hessian sum. Every (node,
-    feature, threshold) of a pass is then scored by _best_splits, in chunks
-    of at most _CELLS_PER_SCORE cells (one node at least). A node's rows
-    stay in ascending order, so each histogram cell adds the same values
-    in the same order as a bincount over that node alone would: the trees
-    are exactly those of greedy per-node growth.
+    * width + bin): complex addition adds the real and imaginary parts
+    apart, so the real part of a cell is its gradient sum and the imaginary
+    part its hessian sum. Every (node, feature, threshold) of a pass is then
+    scored by _best_splits, in chunks of at most _CELLS_PER_SCORE cells
+    (one node at least). A node's rows stay in ascending order, so each
+    histogram cell adds the same values in the same order as a bincount
+    over that node alone would: the trees are exactly those of greedy
+    per-node growth.
 
     A node splits on the highest positive Newton gain whose children both
     meet min_child_weight. Gain ties break toward the lower feature index,
-    then the lower threshold; missing-direction ties break left.
+    then the lower threshold.
     """
     lam, alpha = params.lambda_l2, params.alpha_l1
     feats = [f for f, cand in enumerate(thresholds) if cand.size]
     sizes = np.array([thresholds[f].size for f in feats], dtype=np.int64)
-    width = int(sizes.max(initial=0)) + 2
-    with_missing = [j for j, f in enumerate(feats) if feature_has_missing[f]]
+    width = int(sizes.max(initial=0)) + 1
     nodes_per_pass = max(1, _CELLS_PER_PASS // (len(feats) * width or 1))
     nodes_per_score = max(1, _CELLS_PER_SCORE // (len(feats) * width or 1))
     gh = np.empty(g.size, dtype=np.complex128)
     gh.real, gh.imag = g, h
     leaf_values = np.empty(g.size, dtype=np.float64)
-    # Breadth-first: a leaf, or (feature, threshold, missing_left, left child's index).
+    # Breadth-first: a leaf, or (feature, threshold, left child's index).
     nodes: list = []
     level, depth = [np.arange(g.size)], 0
     while level:
@@ -411,9 +365,9 @@ def _grow_tree(
             m = len(part)
             # Rows keep their original order; rows outside this pass's nodes
             # fill a spare slot m that is never read.
-            base = np.full(g.size, m * width + 1)
+            base = np.full(g.size, m * width)
             for slot, idx in enumerate(part):
-                base[idx] = slot * width + 1
+                base[idx] = slot * width
             C = np.zeros((len(feats), (m + 1) * width), dtype=np.complex128)
             for j, f in enumerate(feats):
                 np.add.at(C[j], binned[f] + base, gh)
@@ -421,10 +375,8 @@ def _grow_tree(
             for c in range(0, m, nodes_per_score):
                 end = min(c + nodes_per_score, m)
                 at = slice(lo + c, lo + end)
-                found = _best_splits(
-                    C[c:end], g_tot[at], h_tot[at], sizes, with_missing, params
-                )
-                splits[at] = [s and (feats[s[0]], s[1], s[2]) for s in found]
+                found = _best_splits(C[c:end], g_tot[at], h_tot[at], sizes, params)
+                splits[at] = [s and (feats[s[0]], s[1]) for s in found]
         next_level = []
         first_child = len(nodes) + k
         for idx, g_sum, h_sum, split in zip(level, g_tot, h_tot, splits):
@@ -433,18 +385,15 @@ def _grow_tree(
                 leaf_values[idx] = w
                 nodes.append(TreeNode.leaf(w))
                 continue
-            f, pos, missing_left = split
-            bins = binned[f][idx]
-            left = bins <= pos
-            if not missing_left:
-                left &= bins >= 0
-            nodes.append((f, float(thresholds[f][pos]), missing_left, first_child + len(next_level)))
+            f, pos = split
+            left = binned[f][idx] <= pos
+            nodes.append((f, float(thresholds[f][pos]), first_child + len(next_level)))
             next_level += [idx[left], idx[~left]]
         level, depth = next_level, depth + 1
     for i in reversed(range(len(nodes))):
         if isinstance(nodes[i], tuple):
-            f, threshold, missing_left, child = nodes[i]
-            nodes[i] = TreeNode.split(f, threshold, missing_left, nodes[child], nodes[child + 1])
+            f, threshold, child = nodes[i]
+            nodes[i] = TreeNode.split(f, threshold, nodes[child], nodes[child + 1])
     return nodes[0], leaf_values
 
 
@@ -457,7 +406,6 @@ def train(train_data: TabularDataset, params: GbdtParams) -> GbdtModel:
     score is the log-odds of the weighted positive rate, so even an empty
     ensemble is calibrated to the class balance. train_loss records the
     weighted log loss after each round, starting from the bare base score.
-    NaN marks a missing feature; a dataset refuses ±inf when it is built.
     """
     X = train_data.features
     y = train_data.labels.astype(np.float64)
@@ -471,7 +419,7 @@ def train(train_data: TabularDataset, params: GbdtParams) -> GbdtModel:
     p_bar = float((w * y).sum() / w.sum())
     base_score = math.log(p_bar / (1.0 - p_bar))
 
-    thresholds, binned, feature_has_missing = _bin_features(X, params.n_bins)
+    thresholds, binned = _bin_features(X, params.n_bins)
 
     margins = np.full(y.size, base_score, dtype=np.float64)
     losses = [weighted_log_loss(y, margins, w)]
@@ -480,7 +428,7 @@ def train(train_data: TabularDataset, params: GbdtParams) -> GbdtModel:
         p = _sigmoid(margins)
         g = w * (p - y)
         h = w * p * (1.0 - p)
-        root, leaf_values = _grow_tree(binned, feature_has_missing, thresholds, g, h, params)
+        root, leaf_values = _grow_tree(binned, thresholds, g, h, params)
         trees.append(root)
         margins = margins + params.learning_rate * leaf_values
         losses.append(weighted_log_loss(y, margins, w))
@@ -495,7 +443,7 @@ def train(train_data: TabularDataset, params: GbdtParams) -> GbdtModel:
 
 
 def apply_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    """Raw leaf value per row; NaN cells follow the stored direction."""
+    """Raw leaf value per row: a row goes left where its value < threshold."""
     out = np.empty(X.shape[0], dtype=np.float64)
     stack: list[tuple[TreeNode, np.ndarray]] = [(root, np.arange(X.shape[0]))]
     while stack:
@@ -505,15 +453,16 @@ def apply_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
         if node.is_leaf:
             out[idx] = node.weight
             continue
-        col = X[idx, node.feature_index]
-        missing = np.isnan(col)
-        left = np.where(missing, node.missing_goes_left, col < node.threshold)
+        left = X[idx, node.feature_index] < node.threshold
         stack.append((node.left, idx[left]))
         stack.append((node.right, idx[~left]))
     return out
 
 
 def _check_rows(model: GbdtModel, rows) -> np.ndarray:
+    """rows as a float64 matrix; a ValueError unless it is 2-D, has the
+    model's feature count and holds only finite cells, naming the first
+    column (by index) that holds a NaN or ±inf."""
     X = np.asarray(rows, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("rows must be a 2-D feature matrix")
@@ -521,6 +470,7 @@ def _check_rows(model: GbdtModel, rows) -> np.ndarray:
         raise ValueError(
             f"model expects {model.feature_count} features, rows have {X.shape[1]}"
         )
+    _refuse_cells(X, range(X.shape[1]))
     return X
 
 

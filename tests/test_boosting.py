@@ -199,18 +199,17 @@ class TestSplitFinding:
     def unique_then_quantile(values, n_bins):
         """candidate_thresholds as first written: np.unique, then np.quantile
         on the unsorted values."""
-        finite = values[~np.isnan(values)]
-        distinct = np.unique(finite)
+        distinct = np.unique(values)
         if distinct.size <= 1:
             return np.empty(0, dtype=np.float64)
         if distinct.size <= n_bins:
             return (distinct[:-1] + distinct[1:]) / 2.0
-        return np.unique(np.quantile(finite, np.arange(1, n_bins) / n_bins))
+        return np.unique(np.quantile(values, np.arange(1, n_bins) / n_bins))
 
     @given(
         values=st.lists(
             st.one_of(
-                st.sampled_from([np.nan, 0.0, -0.0, 1.0, 2.5, -3.0]),
+                st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0]),
                 st.floats(-1e6, 1e6, allow_nan=False),
             ),
             max_size=120,
@@ -229,7 +228,7 @@ class TestSplitFinding:
     @given(
         values=st.lists(
             st.one_of(
-                st.sampled_from([np.nan, 0.0, -0.0, 1.0, 2.5, -3.0]),
+                st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0]),
                 st.floats(-1e6, 1e6, allow_nan=False),
             ),
             max_size=120,
@@ -239,59 +238,53 @@ class TestSplitFinding:
     @settings(max_examples=300, deadline=None)
     def test_binning_matches_searchsorted_oracle(self, values, n_bins):
         """One argsort per column gives the thresholds candidate_thresholds
-        gives and the bins searchsorted(thresholds, column, "right") gives,
-        -1 for NaN. Columns: the drawn values (ties, +-0.0, NaN, 0 or 1
-        rows), few distinct values, constant, and all NaN."""
+        gives and the bins searchsorted(thresholds, column, "right") gives.
+        Columns: the drawn values (ties, +-0.0, 0 or 1 rows), few distinct
+        values, and constant."""
         col = np.array(values, dtype=np.float64)
-        X = np.column_stack(
-            [col, np.round(col / 1e6), np.full(col.size, 2.5), np.full(col.size, np.nan)]
-        )
-        thresholds, binned, has_missing = boosting._bin_features(X, n_bins)
-        # n_bins <= 40, so every code -1..n_bins-1 fits int8.
-        assert binned.shape == (4, col.size) and binned.dtype == np.int8
-        for f in range(4):
+        X = np.column_stack([col, np.round(col / 1e6), np.full(col.size, 2.5)])
+        thresholds, binned = boosting._bin_features(X, n_bins)
+        # n_bins <= 40, so every code 0..n_bins-1 fits uint8.
+        assert binned.shape == (3, col.size) and binned.dtype == np.uint8
+        for f in range(3):
             want = candidate_thresholds(X[:, f], n_bins)
             # +0.0 and -0.0 compare equal, and so bin every value alike.
             np.testing.assert_array_equal(thresholds[f], want)
-            missing = np.isnan(X[:, f])
-            bins = np.where(missing, -1, np.searchsorted(want, X[:, f], side="right"))
-            np.testing.assert_array_equal(binned[f], bins)
-            assert has_missing[f] == missing.any()
+            np.testing.assert_array_equal(binned[f], np.searchsorted(want, X[:, f], side="right"))
 
     @pytest.mark.parametrize(
         "n_bins, n_distinct, dtype",
         [
-            (128, 1000, np.int8),
-            (129, 1000, np.int16),
-            (256, 1000, np.int16),
-            (40_000, 33_000, np.int32),
+            (128, 1000, np.uint8),
+            (256, 1000, np.uint8),
+            (257, 1000, np.uint16),
+            (70_000, 66_000, np.uint32),
         ],
     )
-    def test_bin_codes_take_the_narrowest_signed_dtype(self, n_bins, n_distinct, dtype):
-        """Codes -1..n_bins-1 are stored in the narrowest signed dtype that
+    def test_bin_codes_take_the_narrowest_unsigned_dtype(self, n_bins, n_distinct, dtype):
+        """Codes 0..n_bins-1 are stored in the narrowest unsigned dtype that
         holds them and still equal the searchsorted oracle, also where the
-        top code is that dtype's maximum (127 at 128 bins) or needs the next
-        width (128 at 129 bins, 32,999 from 33,000 distinct values)."""
+        top code is that dtype's maximum (255 at 256 bins) or needs the next
+        width (256 at 257 bins, 65,999 from 66,000 distinct values)."""
         rng = np.random.default_rng(n_bins)
         col = rng.permutation(n_distinct).astype(np.float64)
-        col = np.concatenate([col, col[:40], np.full(25, np.nan)])
+        col = np.concatenate([col, col[:40]])
         X = np.column_stack([col, np.round(col / 100)])
-        thresholds, binned, _ = boosting._bin_features(X, n_bins)
+        thresholds, binned = boosting._bin_features(X, n_bins)
         assert binned.dtype == dtype
         assert binned[0].max() == min(n_bins, n_distinct) - 1
         for f in range(2):
             want = candidate_thresholds(X[:, f], n_bins)
             np.testing.assert_array_equal(thresholds[f], want)
-            bins = np.searchsorted(want, X[:, f], side="right")
-            np.testing.assert_array_equal(binned[f], np.where(np.isnan(X[:, f]), -1, bins))
+            np.testing.assert_array_equal(binned[f], np.searchsorted(want, X[:, f], side="right"))
 
-    @pytest.mark.parametrize("n_bins", [128, 256])
+    @pytest.mark.parametrize("n_bins", [256, 257])
     def test_narrow_codes_grow_the_int64_code_trees(self, monkeypatch, n_bins):
         """Codes enter only integer keys and comparisons, and the histogram
-        key (code + node slot * width) stays int64, so trees grown from int8
-        or int16 codes equal those grown from int64 codes, here with keys
+        key (code + node slot * width) stays int64, so trees grown from uint8
+        or uint16 codes equal those grown from int64 codes, here with keys
         far past either type's range."""
-        data = _oracle_dataset(np.random.default_rng(n_bins), 1000, 0.1)
+        data = _oracle_dataset(np.random.default_rng(n_bins), 1000)
         params = GbdtParams(n_estimators=2, max_depth=5, n_bins=n_bins, min_child_weight=0.0)
         narrow = train(data, params).to_json()
         monkeypatch.setattr(boosting, "_code_dtype", lambda n_bins: np.dtype(np.int64))
@@ -318,41 +311,6 @@ class TestScore:
                 nan = np.isnan(want)
                 assert np.array_equal(np.isnan(got), nan)
                 assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
-
-
-class TestMissingValues:
-    def test_learned_direction_routes_with_informative_class(self):
-        x = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, np.nan, np.nan, np.nan, np.nan])
-        y = np.array([0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1])
-        data = make_dataset(x, y)
-        params = GbdtParams(n_estimators=1, max_depth=1, min_child_weight=0.0)
-        model = train(data, params)
-        root = model.trees[0]
-        assert not root.is_leaf
-        assert 1.5 < root.threshold < 2.0
-        assert root.missing_goes_left is False  # NaN rows are all positive
-        missing_row = np.array([[np.nan]])
-        finite_pos = np.array([[3.0]])
-        assert predict_proba(model, missing_row)[0] == predict_proba(model, finite_pos)[0]
-
-    def test_missing_direction_flips_with_labels(self):
-        x = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, np.nan, np.nan, np.nan, np.nan])
-        y = np.array([0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0])
-        data = make_dataset(x, y)
-        model = train(data, GbdtParams(n_estimators=1, max_depth=1, min_child_weight=0.0))
-        assert model.trees[0].missing_goes_left is True
-
-    def test_infinite_values_rejected(self):
-        # Refused when the dataset is built, so train never sees one.
-        with pytest.raises(ValueError, match="column 'x0' holds an infinite value; use NaN for missing"):
-            make_dataset(np.array([0.0, -np.inf]), np.array([0, 1]))
-
-    def test_prediction_follows_stored_direction(self):
-        left_leaf = TreeNode.leaf(-1.0)
-        right_leaf = TreeNode.leaf(2.0)
-        root = TreeNode.split(0, 0.5, missing_goes_left=True, left=left_leaf, right=right_leaf)
-        out = apply_tree(root, np.array([[np.nan], [0.0], [1.0]]))
-        assert out.tolist() == [-1.0, -1.0, 2.0]
 
 
 class TestTrainingDynamics:
@@ -454,14 +412,12 @@ class _Split:
     feature: int
     position: int
     threshold: float
-    missing_goes_left: bool
     gain: float
 
 
 def _find_best_split(
     binned: np.ndarray,
     idx: np.ndarray,
-    feature_has_missing: np.ndarray,
     thresholds: list[np.ndarray],
     g_node: np.ndarray,
     h_node: np.ndarray,
@@ -469,11 +425,11 @@ def _find_best_split(
     h_total: float,
     params: GbdtParams,
 ) -> _Split | None:
-    """Best (feature, threshold, missing direction) by Newton gain.
+    """Best (feature, threshold) by Newton gain.
 
     Gain ties break toward the lower feature index, then the lower
-    threshold; missing-direction ties break left. Returns None when no
-    candidate has positive gain and min_child_weight-feasible children.
+    threshold. Returns None when no candidate has positive gain and
+    min_child_weight-feasible children.
     """
     lam, alpha, mcw = params.lambda_l2, params.alpha_l1, params.min_child_weight
     parent_score = _score(np.array(g_total), np.array(h_total), lam, alpha)
@@ -484,56 +440,24 @@ def _find_best_split(
             continue
         bins = binned[f, idx]
         n_bins_f = cand.size + 1
-        if feature_has_missing[f]:
-            present = bins >= 0
-            g_hist = np.bincount(bins[present], weights=g_node[present], minlength=n_bins_f)
-            h_hist = np.bincount(bins[present], weights=h_node[present], minlength=n_bins_f)
-            g_missing = g_total - g_hist.sum()
-            h_missing = h_total - h_hist.sum()
-        else:
-            g_hist = np.bincount(bins, weights=g_node, minlength=n_bins_f)
-            h_hist = np.bincount(bins, weights=h_node, minlength=n_bins_f)
-            g_missing = 0.0
-            h_missing = 0.0
-        g_left = np.cumsum(g_hist)[:-1]
-        h_left = np.cumsum(h_hist)[:-1]
-
-        def gains_for(gl, hl):
-            gr = g_total - gl
-            hr = h_total - hl
-            gains = 0.5 * (_score(gl, hl, lam, alpha) + _score(gr, hr, lam, alpha) - parent_score)
-            feasible = (hl >= mcw) & (hr >= mcw)
-            return np.where(feasible, gains, -np.inf)
-
-        if g_missing == 0.0 and h_missing == 0.0:
-            # No missing mass here: both directions score identically and
-            # the tie resolves left.
-            gains = gains_for(g_left, h_left)
-            pos = int(np.argmax(gains))
-            gain = float(gains[pos])
-            go_left_pos = True
-        else:
-            gains_ml = gains_for(g_left + g_missing, h_left + h_missing)
-            gains_mr = gains_for(g_left, h_left)
-            go_left = gains_ml >= gains_mr
-            gains = np.where(go_left, gains_ml, gains_mr)
-            pos = int(np.argmax(gains))
-            gain = float(gains[pos])
-            go_left_pos = bool(go_left[pos])
+        g_hist = np.bincount(bins, weights=g_node, minlength=n_bins_f)
+        h_hist = np.bincount(bins, weights=h_node, minlength=n_bins_f)
+        gl = np.cumsum(g_hist)[:-1]
+        hl = np.cumsum(h_hist)[:-1]
+        gr = g_total - gl
+        hr = h_total - hl
+        gains = 0.5 * (_score(gl, hl, lam, alpha) + _score(gr, hr, lam, alpha) - parent_score)
+        feasible = (hl >= mcw) & (hr >= mcw)
+        gains = np.where(feasible, gains, -np.inf)
+        pos = int(np.argmax(gains))
+        gain = float(gains[pos])
         if gain > 0 and (best is None or gain > best.gain):
-            best = _Split(
-                feature=f,
-                position=pos,
-                threshold=float(cand[pos]),
-                missing_goes_left=go_left_pos,
-                gain=gain,
-            )
+            best = _Split(feature=f, position=pos, threshold=float(cand[pos]), gain=gain)
     return best
 
 
 def reference_grow_tree(
     binned: np.ndarray,
-    feature_has_missing: np.ndarray,
     thresholds: list[np.ndarray],
     g: np.ndarray,
     h: np.ndarray,
@@ -549,21 +473,13 @@ def reference_grow_tree(
         h_total = float(h_node.sum())
         if depth < params.max_depth:
             split = _find_best_split(
-                binned, idx, feature_has_missing, thresholds,
-                g_node, h_node, g_total, h_total, params,
+                binned, idx, thresholds, g_node, h_node, g_total, h_total, params
             )
             if split is not None:
-                bins = binned[split.feature, idx]
-                if feature_has_missing[split.feature]:
-                    left = ((bins >= 0) & (bins <= split.position)) | (
-                        (bins < 0) & split.missing_goes_left
-                    )
-                else:
-                    left = bins <= split.position
+                left = binned[split.feature, idx] <= split.position
                 return TreeNode.split(
                     feature_index=split.feature,
                     threshold=split.threshold,
-                    missing_goes_left=split.missing_goes_left,
                     left=build(idx[left], depth + 1),
                     right=build(idx[~left], depth + 1),
                 )
@@ -575,16 +491,13 @@ def reference_grow_tree(
     return root, leaf_values
 
 
-def _oracle_dataset(rng, n_rows, nan_fraction):
+def _oracle_dataset(rng, n_rows):
     """Features with a duplicated column (ties go to the lower index), a
-    constant column, a few-valued column and, optionally, NaN cells."""
+    constant column and a few-valued column."""
     x = rng.normal(size=(n_rows, 3))
     X = np.column_stack(
         [x[:, 0], x[:, 1], x[:, 1], np.full(n_rows, 2.5), np.round(x[:, 2] * 2), x[:, 2]]
     )
-    if nan_fraction:
-        X[rng.random(X.shape) < nan_fraction] = np.nan
-        X[: n_rows // 3, 5] = np.nan
     logits = 1.5 * x[:, 0] - x[:, 1] + rng.normal(size=n_rows)
     y = (logits > np.quantile(logits, 0.7)).astype(int)
     y[:2] = [0, 1]
@@ -592,24 +505,24 @@ def _oracle_dataset(rng, n_rows, nan_fraction):
 
 
 ORACLE_CASES = [
-    # (n_rows, nan_fraction, params)
-    (300, 0.0, dict(n_estimators=3, max_depth=7)),
-    (300, 0.2, dict(n_estimators=3, max_depth=7, n_bins=16)),
-    (200, 0.1, dict(n_estimators=3, max_depth=3, n_bins=2)),
-    (200, 0.1, dict(n_estimators=3, max_depth=7, n_bins=3, lambda_l2=0.0, min_child_weight=0.0)),
-    (300, 0.1, dict(n_estimators=3, max_depth=4, alpha_l1=0.5, min_child_weight=3.0)),
-    (300, 0.2, dict(n_estimators=3, max_depth=1, positive_class_weight=7.0)),
-    (100, 0.1, dict(n_estimators=0)),
-    (2, 0.0, dict(n_estimators=2, max_depth=7, min_child_weight=0.0)),
-    # 42 open nodes at depth 6 (TestCellBudget splits such levels into passes).
-    (1000, 0.1, dict(n_estimators=1, max_depth=7, min_child_weight=0.0)),
+    # (n_rows, params)
+    (300, dict(n_estimators=3, max_depth=7)),
+    (300, dict(n_estimators=3, max_depth=7, n_bins=16)),
+    (200, dict(n_estimators=3, max_depth=3, n_bins=2)),
+    (200, dict(n_estimators=3, max_depth=7, n_bins=3, lambda_l2=0.0, min_child_weight=0.0)),
+    (300, dict(n_estimators=3, max_depth=4, alpha_l1=0.5, min_child_weight=3.0)),
+    (300, dict(n_estimators=3, max_depth=1, positive_class_weight=7.0)),
+    (100, dict(n_estimators=0)),
+    (2, dict(n_estimators=2, max_depth=7, min_child_weight=0.0)),
+    # 40 open nodes at depth 6 (TestCellBudget splits such levels into passes).
+    (1000, dict(n_estimators=1, max_depth=7, min_child_weight=0.0)),
 ]
 
 
 class TestLevelwiseMatchesPerNodeGrowth:
-    @pytest.mark.parametrize("n_rows, nan_fraction, kwargs", ORACLE_CASES)
-    def test_model_json_byte_equal(self, monkeypatch, n_rows, nan_fraction, kwargs):
-        data = _oracle_dataset(np.random.default_rng(n_rows), n_rows, nan_fraction)
+    @pytest.mark.parametrize("n_rows, kwargs", ORACLE_CASES)
+    def test_model_json_byte_equal(self, monkeypatch, n_rows, kwargs):
+        data = _oracle_dataset(np.random.default_rng(n_rows), n_rows)
         params = GbdtParams(**kwargs)
         levelwise = train(data, params).to_json()
         monkeypatch.setattr(boosting, "_grow_tree", reference_grow_tree)
@@ -619,9 +532,7 @@ class TestLevelwiseMatchesPerNodeGrowth:
         rng = np.random.default_rng(2024)
         configs = []
         for _ in range(12):
-            data = _oracle_dataset(
-                rng, int(rng.integers(2, 150)), float(rng.choice([0.0, 0.05, 0.3]))
-            )
+            data = _oracle_dataset(rng, int(rng.integers(2, 150)))
             params = GbdtParams(
                 learning_rate=float(rng.uniform(0.1, 1.0)),
                 n_estimators=2,
@@ -643,7 +554,7 @@ class TestCellBudget:
     def test_several_passes_give_the_one_pass_model(self, monkeypatch, budget):
         """A level whose nodes do not fit the cell budget is built over
         several passes, down to one node per pass, with the same trees."""
-        data = _oracle_dataset(np.random.default_rng(1000), 1000, 0.1)
+        data = _oracle_dataset(np.random.default_rng(1000), 1000)
         params = GbdtParams(n_estimators=2, max_depth=7, min_child_weight=0.0, n_bins=16)
         one_pass = train(data, params).to_json()
         monkeypatch.setattr(boosting, "_CELLS_PER_PASS", budget)
@@ -652,10 +563,8 @@ class TestCellBudget:
     @pytest.mark.parametrize("score_cells, chunk_nodes", [(1, 1), (300, 3)])
     def test_score_chunks_give_the_whole_level_model(self, monkeypatch, score_cells, chunk_nodes):
         """Scoring a pass's nodes one at a time, or a few at a time, gives the
-        trees of scoring each whole level at once, byte for byte; the data
-        has NaN cells, so the missing-direction search runs."""
-        data = _oracle_dataset(np.random.default_rng(1000), 1000, 0.1)
-        assert np.isnan(data.features).any()
+        trees of scoring each whole level at once, byte for byte."""
+        data = _oracle_dataset(np.random.default_rng(1000), 1000)
         params = GbdtParams(n_estimators=2, max_depth=5, min_child_weight=0.0, n_bins=16)
         chunks = []
         best_splits = boosting._best_splits
@@ -689,8 +598,7 @@ def _leaf_partition(root, X):
         if node.is_leaf:
             out.append((node, idx))
             return
-        col = X[idx, node.feature_index]
-        left = np.where(np.isnan(col), node.missing_goes_left, col < node.threshold)
+        left = X[idx, node.feature_index] < node.threshold
         walk(node.left, idx[left])
         walk(node.right, idx[~left])
 
@@ -721,6 +629,15 @@ class TestPrediction:
         with pytest.raises(ValueError, match="features"):
             predict_margin(self.model, np.zeros((3, 4)))
 
+    @pytest.mark.parametrize(
+        "value", [np.nan, -np.nan, np.inf, -np.inf], ids=["nan", "-nan", "inf", "-inf"]
+    )
+    def test_non_finite_cell_refused_naming_its_column(self, value):
+        rows = self.rows.copy()
+        rows[7, 3] = rows[2, 4] = value
+        with pytest.raises(ValueError, match="^column 3 holds a non-finite value$"):
+            predict_proba(self.model, rows)
+
     def test_margin_additivity(self):
         margins = predict_margin(self.model, self.rows)
         manual = np.full(50, self.model.base_score)
@@ -733,13 +650,11 @@ class TestSerialization:
     def test_round_trip_preserves_margins_bit_exactly(self):
         rng = np.random.default_rng(44)
         X = rng.normal(size=(300, 4))
-        X[rng.random(X.shape) < 0.05] = np.nan
-        y = (np.nan_to_num(X[:, 0]) > 0).astype(int)
+        y = (X[:, 0] > 0).astype(int)
         data = make_dataset(X, y)
         model = train(data, GbdtParams(n_estimators=12, max_depth=4, alpha_l1=0.05))
         restored = GbdtModel.from_json(model.to_json())
         test_rows = rng.normal(size=(100, 4))
-        test_rows[rng.random(test_rows.shape) < 0.1] = np.nan
         a = predict_margin(model, test_rows)
         b = predict_margin(restored, test_rows)
         assert np.array_equal(a, b)
@@ -752,15 +667,19 @@ class TestSerialization:
         assert restored.base_score == model.base_score
         assert restored.train_loss == model.train_loss
 
-    def test_version_checked(self):
-        with pytest.raises(ValueError, match="version"):
-            GbdtModel.from_json('{"format_version": 99, "trees": []}')
+    @pytest.mark.parametrize("version", [2, 99])
+    def test_version_checked(self, version):
+        """Version 2 trees carried a missing-value direction; they are
+        refused rather than read without it."""
+        data = make_dataset(np.arange(20, dtype=float), np.array([0, 1] * 10))
+        doc = json.loads(train(data, GbdtParams(n_estimators=1, max_depth=1)).to_json())
+        doc["format_version"] = version
+        with pytest.raises(ValueError, match=f"^unsupported model format version {version}$"):
+            GbdtModel.from_json(json.dumps(doc))
 
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("missing_left", "false"),
-            ("missing_left", 0),
             ("feature", 0.9),
             ("feature", True),
             ("feature", "0"),
@@ -809,7 +728,7 @@ class TestSerialization:
 
     def test_feature_index_validation(self):
         for feature in (5, -1):
-            bad = TreeNode.split(feature, 0.1, True, TreeNode.leaf(0.0), TreeNode.leaf(0.0))
+            bad = TreeNode.split(feature, 0.1, TreeNode.leaf(0.0), TreeNode.leaf(0.0))
             with pytest.raises(ValueError, match="feature"):
                 GbdtModel(trees=(bad,), base_score=0.0, params=GbdtParams(), feature_count=2)
 

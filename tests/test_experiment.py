@@ -295,7 +295,7 @@ def check_overflowing_scaling_fails_in_preprocessing(schema):
     with pytest.warns(RuntimeWarning, match="overflow"):
         with pytest.raises(
             ScenarioError,
-            match=f"^stage 'preprocessing': column '{scaled}' holds an infinite value",
+            match=f"^stage 'preprocessing': column '{scaled}' holds a non-finite value",
         ):
             run_scenario(data, scenario("overflow", Placement.NO_SAMPLING))
 
@@ -404,7 +404,7 @@ class TestRunScenario:
         data = small_data()
         features = data.features.copy()
         features[::10, 1] = np.inf
-        with pytest.raises(ValueError, match="^column 'f2' holds an infinite value; use NaN for missing$"):
+        with pytest.raises(ValueError, match="^column 'f2' holds a non-finite value$"):
             TabularDataset(features, data.feature_names, data.labels, data.provenance)
 
     @pytest.mark.parametrize("schema", ["plain", "time"])
@@ -425,7 +425,7 @@ class TestRunScenario:
             with pytest.raises(
                 ScenarioError,
                 match="^stage 'sampling after split': pipeline step 0 .gaussian_synth.: "
-                "column 'f1' holds an infinite value",
+                "column 'f1' holds a non-finite value",
             ):
                 run_scenario(data, scenario("overflow", Placement.SAMPLING_AFTER_SPLIT, pipeline))
 
@@ -482,13 +482,11 @@ class TestRunScenario:
 
 
 def time_data(seed=11):
-    """small_data with raw Time and Amount columns; a few negatives miss
-    their Time, so Hour and the segment columns hold NaN there."""
+    """small_data with raw Time and Amount columns."""
     base = small_data(seed)
     rng = np.random.default_rng(seed)
     features = base.features.copy()
     features[:, 0] = np.floor(rng.uniform(0, 2 * 86400, base.n_rows))
-    features[np.flatnonzero(base.labels == 0)[::37], 0] = np.nan
     features[:, 3] = np.round(np.exp(features[:, 3] + 3.0), 2)
     return TabularDataset(features, ("Time", "V1", "V2", "Amount"), base.labels, base.provenance)
 
