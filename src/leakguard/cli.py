@@ -164,8 +164,8 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         raise CliError(f"generate: {exc}") from exc
     _write_atomic(out, args.force, lambda tmp: ds.save_csv(data, tmp))
-    counts, fraction = ds.class_distribution(data)
-    print(f"wrote {out}: {data.n_rows} rows, {counts[1]} positive ({fraction:.4%})")
+    counts = ds.class_distribution(data)[0]
+    print(f"wrote {out}: {data.n_rows} rows, {counts[1]} positive ({counts[1] / data.n_rows:.4%})")
     return 0
 
 

@@ -10,9 +10,9 @@ data (see ``experiment.LeakageReport``). It fills a result's
 a test partition holds.
 
 A dataset holds its provenance as one read-only int8 array of kind codes,
-each an index into ``RowProvenance.KINDS``. A :class:`RowProvenance`
-describes one row; it is only for building provenance by hand, and a
-dataset given a sequence of them stores their kinds.
+the values of the :class:`RowProvenance` members; ``KINDS`` names each
+code. A dataset takes its codes by the rule it takes its labels by, so a
+tuple of members, a list of codes and an int8 array are one input.
 
 Every feature cell is finite. A dataset refuses NaN and ±inf when it is
 built, as ``load_csv`` refuses an empty, ``nan`` or infinite cell in a
@@ -24,6 +24,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import csv
+import enum
 import functools
 import hashlib
 import io
@@ -91,52 +92,33 @@ def as_object(name: str, value, kind: type = dict):
 _BLOCK_ROWS = 4096
 
 
-@dataclass(frozen=True)
-class RowProvenance:
-    """Origin of one dataset row, for building provenance by hand.
+class RowProvenance(enum.IntEnum):
+    """A row's kind, whose value is the int8 code a dataset stores: loaded
+    from a file (ORIGINAL), copied from another row by a sampler
+    (DUPLICATE) or made by a sampler (SYNTHETIC)."""
 
-    kind is one of KINDS: "original", "duplicate", "synthetic". Originals
-    and duplicates name a source row index; a dataset given a sequence of
-    these stores only their kind codes, so the index is checked but not
-    kept.
-    """
-
-    kind: str
-    source_index: int | None = None
-
-    KINDS = ("original", "duplicate", "synthetic")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown provenance kind {self.kind!r}")
-        if self.source_index is not None and self.source_index < 0:
-            raise ValueError("source_index cannot be negative")
-        if self.kind != "synthetic" and self.source_index is None:
-            raise ValueError(f"{self.kind} provenance needs a valid source_index")
+    ORIGINAL = 0
+    DUPLICATE = 1
+    SYNTHETIC = 2
 
     @classmethod
     def original(cls, source_index: int) -> "RowProvenance":
-        return cls("original", source_index=source_index)
-
-    @classmethod
-    def duplicate(cls, source_index: int) -> "RowProvenance":
-        return cls("duplicate", source_index=source_index)
-
-    @classmethod
-    def synthetic(cls) -> "RowProvenance":
-        return cls("synthetic")
+        """ORIGINAL, for the row at a source index that is checked, not kept."""
+        if source_index < 0:
+            raise ValueError("source_index cannot be negative")
+        return cls.ORIGINAL
 
 
-# A row's kind code is its kind's index in RowProvenance.KINDS.
-_KIND_CODES = {kind: code for code, kind in enumerate(RowProvenance.KINDS)}
-ORIGINAL, DUPLICATE, SYNTHETIC = range(len(RowProvenance.KINDS))
+# Each kind's name, at its code.
+KINDS = tuple(kind.name.lower() for kind in RowProvenance)
+ORIGINAL, DUPLICATE, SYNTHETIC = RowProvenance
 
 
 def frozen(array: np.ndarray) -> np.ndarray:
     """Mark a fresh array read-only and return it.
 
     Only for an array its caller has just made and hands straight to a
-    TabularDataset (features, labels or provenance kinds): it keeps such an
+    TabularDataset (features, labels or provenance codes): it keeps such an
     array of its dtype as it is rather than copying it (see TabularDataset).
     """
     array.setflags(write=False)
@@ -181,10 +163,10 @@ class TabularDataset:
     feature_names : unique column labels, one per feature column
     labels : per-row class, 0 (negative) or 1 (positive); kept or copied
         by the rule for features, with int64 as the kept dtype
-    provenance : per-row kind code, an integer array whose values index
-        RowProvenance.KINDS, kept or copied by the rule for features with
-        int8 as the kept dtype; or a sequence of RowProvenance, of which
-        only the kinds are stored
+    provenance : per-row kind code, a RowProvenance value, given as a
+        tuple of members, a list of codes or an integer array; checked,
+        then kept or copied by the rule for labels, with int8 as the kept
+        dtype
     """
 
     features: np.ndarray
@@ -199,13 +181,8 @@ class TabularDataset:
         if feats.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         raw_labels = np.asarray(self.labels)
+        kinds = np.asarray(self.provenance)
         names = tuple(self.feature_names)
-        kinds = self.provenance
-        if not isinstance(kinds, np.ndarray):
-            rows = tuple(kinds)
-            if not all(isinstance(p, RowProvenance) for p in rows):
-                raise TypeError("provenance entries must be RowProvenance")
-            kinds = frozen(np.fromiter((_KIND_CODES[p.kind] for p in rows), np.int8, len(rows)))
         if len(names) != feats.shape[1]:
             raise ValueError(
                 f"{len(names)} feature names for {feats.shape[1]} columns"
@@ -224,7 +201,7 @@ class TabularDataset:
         if kinds.size and (
             kinds.dtype.kind not in "iu" or not 0 <= kinds.min() <= kinds.max() <= SYNTHETIC
         ):
-            raise ValueError(f"provenance must be integer kind codes in [0, {SYNTHETIC}]")
+            raise ValueError(f"provenance must be integer kind codes in [0, {SYNTHETIC:d}]")
         labels = raw_labels
         if not _owned_frozen(labels, np.int64):
             labels = frozen(raw_labels.astype(np.int64))
@@ -306,11 +283,13 @@ class TabularDataset:
         )
 
     def equals(self, other: "TabularDataset") -> bool:
-        """Bit-level equality of features, labels, names, and provenance."""
+        """Bit-level equality of features, labels, names, and provenance:
+        features compare as their 64-bit patterns, so -0.0 differs from 0.0
+        as it does in the fingerprint."""
         return (
             self.feature_names == other.feature_names
             and self.labels.shape == other.labels.shape
-            and np.array_equal(self.features, other.features)
+            and np.array_equal(self.features.view(np.uint64), other.features.view(np.uint64))
             and np.array_equal(self.labels, other.labels)
             and np.array_equal(self.provenance, other.provenance)
         )

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import boosting, metrics, sampling
 from .dataset import (
+    KINDS,
     ORIGINAL,
-    RowProvenance,
     SplitSpec,
     TabularDataset,
     apply_standardizer,
@@ -228,7 +228,7 @@ class ScenarioResult:
         wall_time = as_real("wall_time", d["wall_time"])
         if wall_time < 0:
             raise ValueError("wall_time cannot be negative")
-        prov = _read_counts(d, "test_provenance_counts", RowProvenance.KINDS)
+        prov = _read_counts(d, "test_provenance_counts", KINDS)
         scenario = ScenarioSpec.from_dict(d["scenario"])
         leakage = as_object("leakage", d["leakage"])
         result = cls(
@@ -479,14 +479,14 @@ def run_scenario(data: TabularDataset, spec: ScenarioSpec) -> ScenarioResult:
     with _stage("model training"):
         model = boosting.train(train_ready, spec.model)
 
-    kinds = np.bincount(test_ready.provenance, minlength=len(RowProvenance.KINDS))
+    kinds = np.bincount(test_ready.provenance, minlength=len(KINDS))
     with _stage("evaluation"):
         scores = boosting.predict_proba(model, test_ready.features)
         result = ScenarioResult(
             scenario=spec,
             leakage=leakage,
             train_class_counts=class_distribution(train_ready)[0],
-            test_provenance_counts=dict(zip(RowProvenance.KINDS, kinds.tolist())),
+            test_provenance_counts=dict(zip(KINDS, kinds.tolist())),
             wall_time=time.perf_counter() - start,
             data_fingerprint=fingerprint,
             test_labels=tuple(test_ready.labels.tolist()),

@@ -104,6 +104,12 @@ class TestGenerate:
         assert run_cli(*args, "--output", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_summary_gives_the_positive_share_when_positives_are_the_majority(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        args = ["generate", "--n-rows", "1000", "--positive-fraction", "0.7", "--output", str(out)]
+        assert run_cli(*args) == 0
+        assert f"wrote {out}: 1000 rows, 700 positive (70.0000%)" in capsys.readouterr().out
+
     def test_refuses_overwrite_without_force(self, tmp_path, capsys):
         out = tmp_path / "data.csv"
         args = ["generate", "--n-rows", "100", "--positive-fraction", "0.1",

@@ -92,11 +92,19 @@ class TestTabularDataset:
         assert data.features.shape == shape
 
     def test_provenance_validation(self):
-        with pytest.raises(ValueError):
-            RowProvenance("tagged")
-        with pytest.raises(ValueError):
-            RowProvenance("duplicate")
-        assert RowProvenance.original(3).source_index == 3
+        for value in ("tagged", "duplicate", 3, -1):
+            with pytest.raises(ValueError, match="is not a valid RowProvenance"):
+                RowProvenance(value)
+        with pytest.raises(ValueError, match="source_index cannot be negative"):
+            RowProvenance.original(-1)
+        assert RowProvenance.original(3) is RowProvenance.ORIGINAL == 0
+        assert RowProvenance(2) is RowProvenance.SYNTHETIC
+
+    def test_equals_compares_bits(self):
+        zero, negative_zero = make_dataset([[0.0]], [0]), make_dataset([[-0.0]], [0])
+        assert zero.fingerprint != negative_zero.fingerprint
+        assert not zero.equals(negative_zero) and not negative_zero.equals(zero)
+        assert zero.equals(make_dataset([[0.0]], [0]))
 
     def test_select_rows_takes_integer_indices_only(self):
         data = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1])
@@ -215,12 +223,6 @@ class TestNoSecondCopy:
         base = np.array([0, 1, 0], dtype=np.int64)
         kinds_base = np.array([0, 1, 0], dtype=np.int8)
         given, given_kinds = make(base), make(kinds_base)
-        if isinstance(given_kinds, list):
-            # Provenance is an array of kind codes or a sequence of
-            # RowProvenance, never a list of codes.
-            with pytest.raises(TypeError, match="RowProvenance"):
-                TabularDataset(np.zeros((3, 1)), ("a",), given, given_kinds)
-            given_kinds = kinds_base
         data = TabularDataset(np.zeros((3, 1)), ("a",), given, given_kinds)
         for kept, source, dtype in ((data.labels, base, np.int64), (data.provenance, kinds_base, np.int8)):
             assert kept.dtype == dtype and not kept.flags.writeable

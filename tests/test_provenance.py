@@ -1,7 +1,7 @@
 """Row provenance kinds: the array's rules, and an oracle per producer.
 
 The oracle functions below build provenance the way the package did when
-each row was a RowProvenance object in a tuple, as a tuple of kind names.
+each row was a provenance object in a tuple, as a tuple of kind names.
 Every producer's kind codes must equal the codes of exactly that tuple.
 """
 
@@ -13,6 +13,10 @@ import pytest
 
 from leakguard.boosting import GbdtParams
 from leakguard.dataset import (
+    DUPLICATE,
+    KINDS,
+    ORIGINAL,
+    SYNTHETIC,
     RowProvenance,
     SplitSpec,
     TabularDataset,
@@ -76,7 +80,7 @@ def old_resample(prov, labels, spec):
 
 def codes(oracle):
     """The kind codes of a tuple of kind names."""
-    return np.array([RowProvenance.KINDS.index(kind) for kind in oracle], np.int8)
+    return np.array([KINDS.index(kind) for kind in oracle], np.int8)
 
 
 def assert_kinds(provenance, oracle):
@@ -201,7 +205,7 @@ def test_placements_count_the_oracle_kinds(placement, spec):
         ),
     )
     kinds = Counter(oracle_test)
-    assert result.test_provenance_counts == {k: kinds[k] for k in RowProvenance.KINDS}
+    assert result.test_provenance_counts == {k: kinds[k] for k in KINDS}
 
 
 # --- the kind array itself -------------------------------------------------
@@ -209,10 +213,10 @@ def test_placements_count_the_oracle_kinds(placement, spec):
 
 MIXED = (
     RowProvenance.original(4),
-    RowProvenance.synthetic(),
-    RowProvenance.duplicate(0),
-    RowProvenance.synthetic(),
-    RowProvenance("synthetic", source_index=2),
+    SYNTHETIC,
+    DUPLICATE,
+    SYNTHETIC,
+    RowProvenance.SYNTHETIC,
     RowProvenance.original(7),
 )
 
@@ -221,7 +225,8 @@ def test_rows_are_stored_as_kind_codes():
     made = TabularDataset(np.zeros((6, 1)), ("a",), np.zeros(6, np.int64), MIXED)
     assert made.provenance.dtype == np.int8
     assert made.provenance.tolist() == [0, 2, 1, 2, 2, 0]
-    assert RowProvenance.KINDS == ("original", "duplicate", "synthetic")
+    assert KINDS == ("original", "duplicate", "synthetic")
+    assert (ORIGINAL, DUPLICATE, SYNTHETIC) == tuple(RowProvenance) == (0, 1, 2)
     assert TabularDataset(np.zeros((0, 1)), ("a",), [], ()).provenance.dtype == np.int8
 
 
@@ -233,25 +238,30 @@ def test_kinds_are_immutable():
         data.provenance = np.zeros(20, np.int8)
 
 
+RANGE_MESSAGE = r"^provenance must be integer kind codes in \[0, 2\]$"
+
+
 @pytest.mark.parametrize(
     "kinds, message",
     [
-        ([3], "kind codes"),
-        ([-1], "kind codes"),
-        ([256], "kind codes"),
+        ([3], RANGE_MESSAGE),
+        ([-1], RANGE_MESSAGE),
+        ([256], RANGE_MESSAGE),
         ([0, 0], "provenance length"),
-        ([True], "kind codes"),
-        ([0.0], "kind codes"),
+        ([True], RANGE_MESSAGE),
+        ([0.0], RANGE_MESSAGE),
         ([[0]], "provenance length"),
-        (np.array([200], np.uint8), "kind codes"),
-        (np.array(["original"]), "kind codes"),
+        (np.array([200], np.uint8), RANGE_MESSAGE),
+        (np.array(["original"]), RANGE_MESSAGE),
     ],
     ids=["kind-range", "negative", "wraps-in-int8", "lengths", "bool", "float", "2-D",
          "unsigned-range", "kind-name"],
 )
 def test_invalid_kinds_refused(kinds, message):
-    with pytest.raises(ValueError, match=message):
-        TabularDataset(np.zeros((1, 1)), ("a",), [0], np.array(kinds))
+    # An array and a plain list go through one check.
+    for given in (np.array(kinds), np.asarray(kinds).tolist()):
+        with pytest.raises(ValueError, match=message):
+            TabularDataset(np.zeros((1, 1)), ("a",), [0], given)
 
 
 def test_kind_codes_of_another_dtype_are_copied():
@@ -265,17 +275,12 @@ def test_kind_codes_of_another_dtype_are_copied():
 
 
 def test_tuple_provenance_validates_as_before():
+    """A tuple of members, a list of codes and an int8 array are one input,
+    checked by one rule."""
     features, labels = np.zeros((2, 1)), np.array([0, 1])
-    made = TabularDataset(features, ("a",), labels, (RowProvenance.original(0), RowProvenance.duplicate(0)))
-    assert made.provenance.tolist() == [0, 1]
+    for given in ((RowProvenance.original(0), DUPLICATE), [0, 1], np.array([0, 1], np.int8)):
+        assert TabularDataset(features, ("a",), labels, given).provenance.tolist() == [0, 1]
     with pytest.raises(ValueError, match="provenance length"):
         TabularDataset(features, ("a",), labels, (RowProvenance.original(0),))
-    with pytest.raises(TypeError, match="RowProvenance"):
+    with pytest.raises(ValueError, match=RANGE_MESSAGE):
         TabularDataset(features, ("a",), labels, (RowProvenance.original(0), "original"))
-    with pytest.raises(ValueError, match="source_index cannot be negative"):
-        RowProvenance("synthetic", source_index=-1)
-    with pytest.raises(ValueError, match="unknown provenance kind"):
-        RowProvenance("tagged")
-    for kind in ("original", "duplicate"):
-        with pytest.raises(ValueError, match=f"{kind} provenance needs a valid source_index"):
-            RowProvenance(kind)
