@@ -86,19 +86,7 @@ class ExperimentConfig:
         return ds.generate_synthetic_imbalanced(**self.data["synthetic"])
 
 
-def _override_seeds(node, seed: int):
-    """Recursively replace every 'seed' key so one flag repins all RNGs."""
-    if isinstance(node, dict):
-        return {
-            k: (seed if k == "seed" else _override_seeds(v, seed))
-            for k, v in node.items()
-        }
-    if isinstance(node, list):
-        return [_override_seeds(v, seed) for v in node]
-    return node
-
-
-def _load_config(path: Path, seed_override: int | None) -> ExperimentConfig:
+def _load_config(path: Path) -> ExperimentConfig:
     if not path.exists():
         raise CliError(f"config: no such file: {path}")
     try:
@@ -107,8 +95,6 @@ def _load_config(path: Path, seed_override: int | None) -> ExperimentConfig:
         raise CliError(f"config: {path} line {exc.lineno}: {exc.msg}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"config: {path}: {exc}") from exc
-    if seed_override is not None:
-        raw = _override_seeds(raw, seed_override)
     try:
         return ExperimentConfig.from_dict(raw)
     except (ValueError, TypeError) as exc:
@@ -173,7 +159,7 @@ def cmd_run(args) -> int:
     """Run the configured scenarios on --workers threads, writing results in
     config order. A failure cancels the scenarios queued behind it and is
     raised once the running ones finish."""
-    config = _load_config(Path(args.config), args.seed_override)
+    config = _load_config(Path(args.config))
     presplit = [
         s.name
         for s in config.scenarios
@@ -327,12 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="experiment config JSON path")
     p_run.add_argument(
         "--out-dir", default=None, help="directory for result files (default: config out_dir)"
-    )
-    p_run.add_argument(
-        "--seed-override",
-        type=int,
-        default=None,
-        help="replace every configured seed with this value",
     )
     p_run.add_argument(
         "--allow-presplit-sampling",

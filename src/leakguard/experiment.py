@@ -24,7 +24,6 @@ import numpy as np
 from . import boosting, metrics, sampling
 from .dataset import (
     KINDS,
-    ORIGINAL,
     SplitSpec,
     TabularDataset,
     apply_standardizer,
@@ -358,7 +357,8 @@ def detect_leakage(
     the change is 0 exactly when nothing before the split changed them;
     the report's verdict reads that change and the scaler flag only.
     """
-    created = np.count_nonzero(test.provenance != ORIGINAL)
+    # ORIGINAL is code 0, so the nonzero codes are the created rows.
+    created = np.count_nonzero(test.provenance)
     train_n, test_n, loaded_n = (np.bincount(d.labels, minlength=2) for d in (train, test, loaded))
     return LeakageReport(
         synthetic_rows_in_test=created,

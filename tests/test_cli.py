@@ -24,7 +24,6 @@ def assert_usage_error(capsys, *argv, message):
 
 # Flags that `run` takes but `generate` and `compare` never read.
 RUN_ONLY_FLAGS = [
-    ["--seed-override", "6"],
     ["--workers", "2"],
     ["--allow-presplit-sampling"],
 ]
@@ -119,7 +118,7 @@ class TestGenerate:
         assert "--force" in capsys.readouterr().err
         assert run_cli(*args, "--force") == 0
 
-    def test_seed_override_changes_output(self, tmp_path):
+    def test_seed_changes_output(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         common = ["generate", "--n-rows", "100", "--positive-fraction", "0.1"]
@@ -176,7 +175,13 @@ class TestGenerate:
 
 
 def test_subcommands_are_generate_run_and_compare(capsys):
-    assert "{generate,run,compare}" in cli._build_parser().format_usage()
+    parser = cli._build_parser()
+    assert "{generate,run,compare}" in parser.format_usage()
+    run = parser._subparsers._group_actions[0].choices["run"]
+    options = [a.option_strings or [a.dest] for a in run._actions if a.dest != "help"]
+    assert sorted(options) == sorted([
+        ["config"], ["--out-dir"], ["--workers"], ["--allow-presplit-sampling"], ["--force"],
+    ])
     assert_usage_error(capsys, "stats", "--input", "x.csv", message="invalid choice")
 
 
@@ -358,11 +363,13 @@ class TestRun:
         assert f"data loading: {key}" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
 
-    def test_seed_override_rewrites_every_seed(self, tmp_path):
+    def test_seed_override_is_not_an_option(self, tmp_path, capsys):
         config_path, _ = base_config(tmp_path)
-        assert run_cli("run", str(config_path), "--seed-override", "123") == 0
-        doc = json.loads((tmp_path / "results" / "smote-post-123.result.json").read_text())
-        assert doc["seeds"] == {"split": 123, "samplers": [123]}
+        assert_usage_error(
+            capsys, "run", str(config_path), "--seed-override", "1",
+            message="unrecognized arguments",
+        )
+        assert not (tmp_path / "results").exists()
 
     def test_malformed_json_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
