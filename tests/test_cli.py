@@ -291,7 +291,9 @@ class TestRun:
         )
         assert not (tmp_path / "results").exists()
 
-    @pytest.mark.parametrize("flag", [["--seed", "5"], ["--work", "3"]])
+    @pytest.mark.parametrize(
+        "flag", [["--allow"], ["--work", "3"], ["--out", "x"], ["--for"]]
+    )
     def test_abbreviated_flags_rejected(self, tmp_path, capsys, flag):
         config_path, _ = base_config(tmp_path)
         assert_usage_error(
