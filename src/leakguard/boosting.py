@@ -17,12 +17,19 @@ and all tie-breaks are by lower feature index, then lower threshold.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import mmap
+import os
+import signal
+import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import dataset
 from .dataset import TabularDataset, _refuse_cells, as_int, as_object, as_real
 
 MODEL_FORMAT_VERSION = 3
@@ -257,20 +264,39 @@ def _bin_features(X: np.ndarray, n_bins: int) -> tuple[list[np.ndarray], np.ndar
     One argsort per column serves both: the sorted values give the
     thresholds, and searchsorted(sorted values, thresholds, "left") gives
     where each bin's run of sorted values starts, which the order scatters
-    back to the rows. Temporaries are one column's worth.
+    back to the rows. Temporaries are one column's worth per thread.
+
+    The calling thread and dataset._parallelism(columns) - 1 helper
+    threads take the columns in turn. NumPy's sort and search release the
+    interpreter lock, and each column writes only its own row of the
+    result, so the bins and thresholds do not depend on the thread count.
+    The calling thread bins too because a helper's temporaries stay in its
+    own malloc arena after it ends: on the creditcard-shaped benchmark run,
+    two helper threads raised peak RSS by 12.8 MB over one thread, and the
+    calling thread with one helper by 0.8 MB.
     """
     n, n_feat = X.shape
     binned = np.empty((n_feat, n), dtype=_code_dtype(n_bins))
-    thresholds = []
-    for f in range(n_feat):
-        col = np.ascontiguousarray(X[:, f])
-        order = np.argsort(col)
-        ordered = col[order]
-        cand = _thresholds_of_sorted(ordered, n_bins)
-        starts = np.searchsorted(ordered, cand, side="left")
-        runs = np.diff(starts, prepend=0, append=n)
-        binned[f, order] = np.repeat(np.arange(cand.size + 1, dtype=binned.dtype), runs)
-        thresholds.append(cand)
+    thresholds: list = [None] * n_feat
+    columns = iter(range(n_feat))  # shared by the threads; next() is atomic
+
+    def bin_columns() -> None:
+        for f in columns:
+            col = np.ascontiguousarray(X[:, f])
+            order = np.argsort(col)
+            ordered = col[order]
+            cand = _thresholds_of_sorted(ordered, n_bins)
+            starts = np.searchsorted(ordered, cand, side="left")
+            runs = np.diff(starts, prepend=0, append=n)
+            binned[f, order] = np.repeat(np.arange(cand.size + 1, dtype=binned.dtype), runs)
+            thresholds[f] = cand
+
+    helpers = dataset._parallelism(n_feat) - 1
+    with ThreadPoolExecutor(helpers) if helpers else contextlib.nullcontext() as pool:
+        running = [pool.submit(bin_columns) for _ in range(helpers)]
+        bin_columns()
+        for future in running:
+            future.result()
     return thresholds, binned
 
 
@@ -319,38 +345,164 @@ def _best_splits(
     return found
 
 
+def _shared(size: int, dtype) -> np.ndarray:
+    """A zeroed 1-D array of ``size`` items in an anonymous MAP_SHARED
+    mapping, which a process forked after it is made reads and writes in
+    place. tracemalloc does not see it."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, max(1, size * dtype.itemsize)), dtype, count=size)
+
+
+# A histogram request: the first and last-plus-one feature slot, and the
+# cells per slot of the pass.
+_REQUEST = struct.Struct("3q")
+
+
+class _Histograms:
+    """Each pass's gradient and hessian histograms, scattered by feature
+    range in this process and in forked helper processes.
+
+    The feature slots (the features that have a candidate threshold) are
+    cut into one contiguous range per process: dataset._parallelism(slots)
+    of them when a round will be trained, else one. The helpers are forked
+    when the object is made, after binning, and inherit the bins
+    copy-on-write. The complex gradients ``gh``, the pass's key ``base``
+    and the histogram cells live in shared mappings made before the fork.
+
+    Per pass the parent sends each helper its range and the cells per slot
+    over a pipe, scatters its own range with the same function, and waits
+    for one byte from each helper. With one process its range is every
+    slot. Each slot is scattered by one process, over the rows in order, so
+    the cells do not depend on the process count.
+
+    A helper ignores SIGINT, which is the parent's to handle, and ends with
+    os._exit when its request pipe closes. A helper that dies shows as EOF
+    on its reply pipe, and the pass raises rather than return a partial
+    histogram. Leaving the ``with`` block closes the pipes and reaps every
+    helper.
+    """
+
+    def __init__(self, binned: np.ndarray, thresholds: list[np.ndarray], params: GbdtParams):
+        self.binned = binned
+        self.feats = [f for f, cand in enumerate(thresholds) if cand.size]
+        self.sizes = np.array([thresholds[f].size for f in self.feats], dtype=np.int64)
+        self.width = int(self.sizes.max(initial=0)) + 1
+        slot_cells = len(self.feats) * self.width
+        self.nodes_per_pass = max(1, _CELLS_PER_PASS // (slot_cells or 1))
+        self.nodes_per_score = max(1, _CELLS_PER_SCORE // (slot_cells or 1))
+        n_rows = binned.shape[1]
+        # Only levels above max_depth are scattered, so a pass holds at
+        # most 2**(max_depth - 1) nodes, and one spare slot.
+        most_nodes = min(self.nodes_per_pass, 2 ** (params.max_depth - 1), n_rows)
+        self.gh = _shared(n_rows, np.complex128)
+        self.base = _shared(n_rows, np.int64)
+        self.cells = _shared(slot_cells * (most_nodes + 1), np.complex128)
+        processes = dataset._parallelism(len(self.feats)) if params.n_estimators else 1
+        bounds = [len(self.feats) * i // processes for i in range(processes + 1)]
+        self.ranges = list(zip(bounds[:-1], bounds[1:]))
+        # (pid, request pipe, reply pipe): the parent's ends.
+        self.helpers: list[tuple[int, int, int]] = []
+        try:
+            for _ in self.ranges[1:]:
+                self._fork()
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> "_Histograms":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _fork(self) -> None:
+        read_requests, requests = os.pipe()
+        replies, write_replies = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (read_requests, requests, replies, write_replies):
+                os.close(fd)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                for _, other_requests, other_replies in self.helpers:
+                    os.close(other_requests)
+                    os.close(other_replies)
+                os.close(requests)
+                os.close(replies)
+                while request := os.read(read_requests, _REQUEST.size):
+                    self._scatter(*_REQUEST.unpack(request))
+                    os.write(write_replies, b"\0")
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(read_requests)
+        os.close(write_replies)
+        self.helpers.append((pid, requests, replies))
+
+    def _scatter(self, lo: int, hi: int, row: int) -> None:
+        """Zero slots [lo, hi) of the pass's cells, ``row`` per slot, and
+        scatter-add gh into them at key bin + base."""
+        cells = self.cells[: len(self.feats) * row].reshape(len(self.feats), row)
+        for j in range(lo, hi):
+            cells[j] = 0
+            np.add.at(cells[j], self.binned[self.feats[j]] + self.base, self.gh)
+
+    def scatter(self, m: int) -> np.ndarray:
+        """The (slots, m + 1, width) cells of a pass of m nodes, once every
+        process has scattered its range; base holds the pass's keys."""
+        row = (m + 1) * self.width
+        for (_, requests, _), (lo, hi) in zip(self.helpers, self.ranges[1:]):
+            os.write(requests, _REQUEST.pack(lo, hi, row))
+        self._scatter(*self.ranges[0], row)
+        for pid, _, replies in self.helpers:
+            if not os.read(replies, 1):
+                raise RuntimeError(f"histogram helper process {pid} exited during a pass")
+        return self.cells[: len(self.feats) * row].reshape(len(self.feats), m + 1, self.width)
+
+    def close(self) -> None:
+        """Close the pipes, which ends each helper, and reap the helpers."""
+        helpers, self.helpers = self.helpers, []
+        for _, requests, replies in helpers:
+            os.close(requests)
+            os.close(replies)
+        for pid, _, _ in helpers:
+            os.waitpid(pid, 0)
+
+
 def _grow_tree(
     binned: np.ndarray,
     thresholds: list[np.ndarray],
     g: np.ndarray,
     h: np.ndarray,
     params: GbdtParams,
+    histograms: _Histograms,
 ) -> tuple[TreeNode, np.ndarray]:
     """Grow one tree level by level; returns the root and each row's raw leaf value.
 
     Each level's gradient and hessian histograms come from one keyed
     scatter-add per feature of the complex values g + i*h (key: node slot
-    * width + bin): complex addition adds the real and imaginary parts
-    apart, so the real part of a cell is its gradient sum and the imaginary
-    part its hessian sum. Every (node, feature, threshold) of a pass is then
-    scored by _best_splits, in chunks of at most _CELLS_PER_SCORE cells
-    (one node at least). A node's rows stay in ascending order, so each
-    histogram cell adds the same values in the same order as a bincount
-    over that node alone would: the trees are exactly those of greedy
-    per-node growth.
+    * width + bin), which ``histograms`` spreads over processes: complex
+    addition adds the real and imaginary parts apart, so the real part of
+    a cell is its gradient sum and the imaginary part its hessian sum.
+    Every (node, feature, threshold) of a pass is then scored by
+    _best_splits, in chunks of at most _CELLS_PER_SCORE cells (one node at
+    least). A node's rows stay in ascending order, so each histogram cell
+    adds the same values in the same order as a bincount over that node
+    alone would: the trees are exactly those of greedy per-node growth.
 
     A node splits on the highest positive Newton gain whose children both
     meet min_child_weight. Gain ties break toward the lower feature index,
     then the lower threshold.
     """
     lam, alpha = params.lambda_l2, params.alpha_l1
-    feats = [f for f, cand in enumerate(thresholds) if cand.size]
-    sizes = np.array([thresholds[f].size for f in feats], dtype=np.int64)
-    width = int(sizes.max(initial=0)) + 1
-    nodes_per_pass = max(1, _CELLS_PER_PASS // (len(feats) * width or 1))
-    nodes_per_score = max(1, _CELLS_PER_SCORE // (len(feats) * width or 1))
-    gh = np.empty(g.size, dtype=np.complex128)
-    gh.real, gh.imag = g, h
+    feats, sizes, width = histograms.feats, histograms.sizes, histograms.width
+    nodes_per_pass, nodes_per_score = histograms.nodes_per_pass, histograms.nodes_per_score
+    base = histograms.base
+    histograms.gh.real, histograms.gh.imag = g, h
     leaf_values = np.empty(g.size, dtype=np.float64)
     # Breadth-first: a leaf, or (feature, threshold, left child's index).
     nodes: list = []
@@ -365,13 +517,10 @@ def _grow_tree(
             m = len(part)
             # Rows keep their original order; rows outside this pass's nodes
             # fill a spare slot m that is never read.
-            base = np.full(g.size, m * width)
+            base[:] = m * width
             for slot, idx in enumerate(part):
                 base[idx] = slot * width
-            C = np.zeros((len(feats), (m + 1) * width), dtype=np.complex128)
-            for j, f in enumerate(feats):
-                np.add.at(C[j], binned[f] + base, gh)
-            C = C.reshape(len(feats), m + 1, width).transpose(1, 0, 2)
+            C = histograms.scatter(m).transpose(1, 0, 2)
             for c in range(0, m, nodes_per_score):
                 end = min(c + nodes_per_score, m)
                 at = slice(lo + c, lo + end)
@@ -424,14 +573,15 @@ def train(train_data: TabularDataset, params: GbdtParams) -> GbdtModel:
     margins = np.full(y.size, base_score, dtype=np.float64)
     losses = [weighted_log_loss(y, margins, w)]
     trees: list[TreeNode] = []
-    for _ in range(params.n_estimators):
-        p = _sigmoid(margins)
-        g = w * (p - y)
-        h = w * p * (1.0 - p)
-        root, leaf_values = _grow_tree(binned, thresholds, g, h, params)
-        trees.append(root)
-        margins = margins + params.learning_rate * leaf_values
-        losses.append(weighted_log_loss(y, margins, w))
+    with _Histograms(binned, thresholds, params) as histograms:
+        for _ in range(params.n_estimators):
+            p = _sigmoid(margins)
+            g = w * (p - y)
+            h = w * p * (1.0 - p)
+            root, leaf_values = _grow_tree(binned, thresholds, g, h, params, histograms)
+            trees.append(root)
+            margins = margins + params.learning_rate * leaf_values
+            losses.append(weighted_log_loss(y, margins, w))
 
     return GbdtModel(
         trees=tuple(trees),

@@ -10,6 +10,7 @@ subcommand checks all its output paths before it does any work.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import threading
@@ -156,9 +157,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    """Run the configured scenarios on --workers threads, writing results in
-    config order. A failure cancels the scenarios queued behind it and is
-    raised once the running ones finish."""
+    """Run the configured scenarios, writing results in config order.
+
+    With one worker each scenario runs on the calling thread, so it may
+    fork and thread inside (see dataset._parallelism). With more, they run
+    on --workers threads and nothing inside a scenario forks or threads; a
+    failure cancels the scenarios queued behind it and is raised once the
+    running ones finish."""
     config = _load_config(Path(args.config))
     presplit = [
         s.name
@@ -193,8 +198,12 @@ def cmd_run(args) -> int:
                 failed.set()
                 raise
 
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        outcomes = pool.map(run, config.scenarios)
+    with contextlib.ExitStack() as stack:
+        if args.workers == 1:
+            outcomes = map(run, config.scenarios)
+        else:
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=args.workers))
+            outcomes = pool.map(run, config.scenarios)
         for spec, path in zip(config.scenarios, paths):
             try:
                 result = next(outcomes)
@@ -320,7 +329,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="acknowledge that sampling before the split leaks and run anyway",
     )
     p_run.add_argument(
-        "--workers", type=_positive_int, default=1, help="concurrent scenario workers"
+        "--workers",
+        type=_positive_int,
+        default=1,
+        help="concurrent scenario threads; 1 runs each scenario on the calling "
+        "thread, free to use every CPU inside it",
     )
     p_run.set_defaults(func=cmd_run)
 

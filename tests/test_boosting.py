@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leakguard import boosting
+from leakguard import boosting, dataset
 from leakguard.boosting import (
     GbdtModel,
     GbdtParams,
@@ -22,7 +24,13 @@ from leakguard.boosting import (
     train,
     weighted_log_loss,
 )
-from leakguard.dataset import RowProvenance, TabularDataset
+from leakguard.dataset import (
+    RowProvenance,
+    SplitSpec,
+    TabularDataset,
+    generate_synthetic_imbalanced,
+)
+from leakguard.experiment import Placement, ScenarioError, ScenarioSpec, run_scenario
 
 
 def make_dataset(features, labels):
@@ -462,8 +470,10 @@ def reference_grow_tree(
     g: np.ndarray,
     h: np.ndarray,
     params: GbdtParams,
+    histograms=None,
 ) -> tuple[TreeNode, np.ndarray]:
-    """Grow one tree; returns the root and each row's raw leaf value."""
+    """Grow one tree; returns the root and each row's raw leaf value.
+    ``histograms``, _grow_tree's histogram builder, is not used."""
     leaf_values = np.empty(g.size, dtype=np.float64)
 
     def build(idx: np.ndarray, depth: int) -> TreeNode:
@@ -783,3 +793,143 @@ def test_weighted_log_loss_stable_at_extreme_margins():
     assert weighted_log_loss(y, m, w) < 1e-200
     flipped = weighted_log_loss(y, -m, w)
     assert math.isfinite(flipped) and flipped > 100
+
+
+def _processes(monkeypatch, count):
+    """Have every parallel stage use ``count`` processes or threads, and
+    return the pids of the processes os.fork starts."""
+    monkeypatch.setattr(dataset, "_parallelism", lambda n_tasks: count)
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _few_features_data():
+    """One feature to split on and a constant column: fewer feature slots
+    than processes."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=400)
+    y = (x + rng.normal(size=400) > 0.8).astype(int)
+    return make_dataset(np.column_stack([x, np.full(400, -1.5)]), y)
+
+
+class TestHistogramProcesses:
+    @pytest.mark.parametrize(
+        "data, params",
+        [
+            # 256 bins, depth 6, five feature slots (one column is constant).
+            (
+                _oracle_dataset(np.random.default_rng(600), 600),
+                GbdtParams(n_estimators=3, max_depth=6, min_child_weight=0.0),
+            ),
+            (_few_features_data(), GbdtParams(n_estimators=3, max_depth=4, n_bins=16)),
+        ],
+    )
+    def test_model_json_byte_equal_for_any_process_count(self, monkeypatch, data, params):
+        models = {}
+        for processes in (1, 2, 3):
+            pids = _processes(monkeypatch, processes)
+            models[processes] = train(data, params).to_json()
+            assert len(pids) == processes - 1
+        assert models[2] == models[1] and models[3] == models[1]
+
+    def test_bins_equal_for_any_thread_count(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        X = np.column_stack(
+            [rng.normal(size=3000), np.round(rng.normal(size=3000)), np.full(3000, 2.5)]
+            + [rng.permutation(3000).astype(np.float64) for _ in range(4)]
+        )
+        monkeypatch.setattr(dataset, "_parallelism", lambda n_tasks: 1)
+        thresholds, binned = boosting._bin_features(X, 256)
+        monkeypatch.setattr(dataset, "_parallelism", lambda n_tasks: 2)
+        threaded_thresholds, threaded_binned = boosting._bin_features(X, 256)
+        assert binned.tobytes() == threaded_binned.tobytes()
+        for want, got in zip(thresholds, threaded_thresholds, strict=True):
+            assert want.tobytes() == got.tobytes()
+
+    def test_zero_rounds_fork_no_helper(self, monkeypatch):
+        pids = _processes(monkeypatch, 2)
+        train(_few_features_data(), GbdtParams(n_estimators=0))
+        assert pids == []
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_helper_outlives_training(self, monkeypatch):
+        pids = _processes(monkeypatch, 3)
+        train(_few_features_data(), GbdtParams(n_estimators=2, max_depth=3))
+        assert len(pids) == 2
+        self.assert_no_child()
+
+    def test_no_helper_outlives_a_failed_round(self, monkeypatch):
+        pids = _processes(monkeypatch, 2)
+        rounds = []
+        grow_tree, best_splits = boosting._grow_tree, boosting._best_splits
+
+        def counting_grow_tree(*args):
+            rounds.append(None)
+            return grow_tree(*args)
+
+        def failing_best_splits(*args):
+            if len(rounds) == 2:
+                raise RuntimeError("split search failed")
+            return best_splits(*args)
+
+        monkeypatch.setattr(boosting, "_grow_tree", counting_grow_tree)
+        monkeypatch.setattr(boosting, "_best_splits", failing_best_splits)
+        with pytest.raises(RuntimeError, match="split search failed"):
+            train(_few_features_data(), GbdtParams(n_estimators=3, max_depth=3))
+        assert len(pids) == 1 and len(rounds) == 2
+        self.assert_no_child()
+
+    def test_killed_helper_fails_the_training_stage(self, monkeypatch):
+        """A helper killed between levels ends the scenario with an error
+        naming the training stage, and does not hang it."""
+        pids = _processes(monkeypatch, 2)
+        # One process per task, so the fingerprint of these 2,000 rows (one
+        # range) forks no pool, and the one pid recorded is the helper's.
+        monkeypatch.setattr(dataset, "_parallelism", lambda n_tasks: min(2, n_tasks))
+        best_splits = boosting._best_splits
+        killed = []
+
+        def killing_best_splits(*args):
+            if not killed:
+                (helper,) = pids
+                os.kill(helper, signal.SIGKILL)
+                killed.append(helper)
+            return best_splits(*args)
+
+        class Hung(BaseException):
+            pass
+
+        def hung(signum, frame):
+            raise Hung("training did not end within 60 s of the helper's death")
+
+        monkeypatch.setattr(boosting, "_best_splits", killing_best_splits)
+        spec = ScenarioSpec(
+            name="killed-helper",
+            placement=Placement.NO_SAMPLING,
+            split=SplitSpec(0.2, 42, True),
+            model=GbdtParams(n_estimators=2, max_depth=3),
+        )
+        data = generate_synthetic_imbalanced(2000, 0.1, 4, 1.5, seed=3)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(ScenarioError, match="stage 'model training': histogram helper"):
+                run_scenario(data, spec)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert killed == pids
+        self.assert_no_child()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -262,6 +263,23 @@ class TestRun:
             b = json.loads((tmp_path / "w4" / f"{name}.result.json").read_text())
             a.pop("wall_time"), b.pop("wall_time")
             assert a == b
+
+    @pytest.mark.parametrize("workers, on_main_thread", [("1", True), ("2", False)])
+    def test_one_worker_runs_scenarios_on_the_calling_thread(
+        self, tmp_path, monkeypatch, workers, on_main_thread
+    ):
+        """With one worker a scenario may fork and thread inside; with more,
+        the scenarios run on pool threads."""
+        config_path, _ = base_config(tmp_path)
+        threads = []
+
+        def recording(data, spec):
+            threads.append(threading.current_thread() is threading.main_thread())
+            return run_scenario(data, spec)
+
+        monkeypatch.setattr(cli, "run_scenario", recording)
+        assert run_cli("run", str(config_path), "--workers", workers) == 0
+        assert threads == [on_main_thread, on_main_thread]
 
     def test_failure_cancels_queued_scenarios(self, tmp_path, monkeypatch, capsys):
         config_path, config = base_config(tmp_path)

@@ -406,7 +406,7 @@ class TestSaveCsvPool:
     def test_bytes_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, workers):
         import multiprocessing
 
-        monkeypatch.setattr(dataset_module, "_csv_workers", lambda n_blocks: workers)
+        monkeypatch.setattr(dataset_module, "_parallelism", lambda n_blocks: workers)
         data = self.sixteen_block_data()
         save_csv(data, tmp_path / "pool.csv")
         assert multiprocessing.active_children() == []
@@ -428,7 +428,7 @@ class TestSaveCsvPool:
 
         # The forked workers inherit both replacements.
         monkeypatch.setattr(dataset_module, "_format_rows", failing_format_rows)
-        monkeypatch.setattr(dataset_module, "_csv_workers", lambda n_blocks: 2)
+        monkeypatch.setattr(dataset_module, "_parallelism", lambda n_blocks: 2)
         with pytest.raises(error, match="block 2"):
             save_csv(self.sixteen_block_data(), tmp_path / "pool.csv")
         assert multiprocessing.active_children() == []
@@ -507,7 +507,7 @@ class TestBulkCsvParse:
         """Chunks of one byte end at every LF: each LF-ended line is a chunk
         of its own, parsed in the calling process or in a pool."""
         monkeypatch.setattr(dataset_module, "_CSV_CHUNK_BYTES", 1)
-        monkeypatch.setattr(dataset_module, "_csv_workers", lambda n_tasks: workers)
+        monkeypatch.setattr(dataset_module, "_parallelism", lambda n_tasks: workers)
         self.check_matches_row_loop(tmp_path, monkeypatch, content, bulk_keeps)
         assert multiprocessing.active_children() == []
         starts = {offset for offset, _ in dataset_module._data_chunks(tmp_path / "data.csv")}
@@ -525,7 +525,7 @@ class TestBulkCsvParse:
         # the one inside the quotes.
         after_quoted_lf = content.index('"20.5\n') + len('"20.5\n')
         monkeypatch.setattr(dataset_module, "_CSV_CHUNK_BYTES", after_quoted_lf)
-        monkeypatch.setattr(dataset_module, "_csv_workers", lambda n_tasks: 2)
+        monkeypatch.setattr(dataset_module, "_parallelism", lambda n_tasks: 2)
         chunks = dataset_module._data_chunks(path)
         assert [offset for offset, _ in chunks][:2] == [0, after_quoted_lf] and len(chunks) > 2
         with warnings.catch_warnings(record=True) as caught:
@@ -623,7 +623,7 @@ class TestLoadCsvPool:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_values_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, workers):
         data = self.write_data(tmp_path / "data.csv")
-        monkeypatch.setattr(dataset_module, "_csv_workers", lambda n_tasks: workers)
+        monkeypatch.setattr(dataset_module, "_parallelism", lambda n_tasks: workers)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             loaded = load_csv(tmp_path / "data.csv")
@@ -647,7 +647,7 @@ class TestLoadCsvPool:
 
         # The forked workers inherit both replacements.
         monkeypatch.setattr(dataset_module, "_parse_chunk", failing_parse_chunk)
-        monkeypatch.setattr(dataset_module, "_csv_workers", lambda n_tasks: 2)
+        monkeypatch.setattr(dataset_module, "_parallelism", lambda n_tasks: 2)
         with pytest.raises(error, match="chunk 2"):
             load_csv(path)
         assert multiprocessing.active_children() == []
@@ -676,7 +676,7 @@ class TestCsvWorkersWithThreads:
         helper = threading.Thread(target=stop.wait, daemon=True)
         helper.start()
         try:
-            assert dataset_module._csv_workers(16) == 1
+            assert dataset_module._parallelism(16) == 1
             monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -686,7 +686,7 @@ class TestCsvWorkersWithThreads:
             stop.set()
             helper.join(timeout=10)
         assert not helper.is_alive()
-        assert dataset_module._csv_workers(16) == 4
+        assert dataset_module._parallelism(16) == 4
         row_by_row_save_csv(data, tmp_path / "rows.csv")
         assert (tmp_path / "data.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
         assert loaded.equals(data)

@@ -9,6 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from leakguard import dataset as dataset_module
 from leakguard import experiment
 from leakguard.boosting import GbdtParams
 from leakguard.dataset import (
@@ -21,7 +22,9 @@ from leakguard.dataset import (
     engineer_time_features,
     fit_standardizer,
     generate_synthetic_imbalanced,
+    load_csv,
     round_half_up,
+    save_csv,
     stratified_split,
 )
 from leakguard.experiment import (
@@ -609,6 +612,40 @@ class TestFingerprint:
             provenance=tuple(RowProvenance.original(i) for i in range(n_rows)),
         )
         assert dataset_fingerprint(data) == self.per_row_sum(data)
+
+    @staticmethod
+    def hash_in_small_ranges(monkeypatch, processes):
+        """Ranges of 10 rows in blocks of 4, so a range's last block is
+        short, hashed in ``processes`` processes."""
+        monkeypatch.setattr(dataset_module, "_BLOCK_ROWS", 4)
+        monkeypatch.setattr(dataset_module, "_FINGERPRINT_ROWS", 10)
+        monkeypatch.setattr(dataset_module, "_parallelism", lambda n_tasks: processes)
+
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    def test_same_digits_for_any_process_count(self, monkeypatch, processes):
+        """Row counts at and one past each range and block boundary."""
+        self.hash_in_small_ranges(monkeypatch, processes)
+        rng = np.random.default_rng(processes)
+        for n_rows in (0, 1, 4, 5, 10, 11, 20, 21, 30, 31):
+            data = TabularDataset(
+                features=rng.standard_normal((n_rows, 3)),
+                feature_names=("a", "b", "c"),
+                labels=rng.integers(0, 2, n_rows),
+                provenance=np.zeros(n_rows, np.int8),
+            )
+            assert dataset_fingerprint(data) == self.per_row_sum(data), n_rows
+
+    def test_row_by_row_load_gives_the_same_digits(self, tmp_path, monkeypatch):
+        self.hash_in_small_ranges(monkeypatch, 2)
+        source = generate_synthetic_imbalanced(37, 0.3, 3, 1.0, seed=4)
+        path = tmp_path / "data.csv"
+        save_csv(source, path)
+        bulk = load_csv(path)
+        monkeypatch.setattr(dataset_module, "_parse_bulk", lambda *args: None)
+        with pytest.warns(RuntimeWarning, match="loaded row by row"):
+            row_by_row = load_csv(path)
+        assert dataset_fingerprint(row_by_row) == dataset_fingerprint(bulk)
+        assert dataset_fingerprint(bulk) == dataset_fingerprint(source) == self.per_row_sum(source)
 
 
 class TestCompareScenarios:
