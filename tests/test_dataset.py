@@ -355,11 +355,14 @@ def row_by_row_save_csv(dataset, path):
 
 
 class TestSaveCsvBytes:
-    SPECIAL = [-0.0, 0.0, 5e-324, 1e16, -1e16, 0.1 + 0.2, 1e-300, 123.0]
+    # repr switches to exponent notation below 1e-4 and from 1e16 on.
+    SPECIAL = [-0.0, 0.0, 5e-324, 1e16, -1e16, 0.1 + 0.2, 1e-300, 123.0,
+               1e-05, 0.0001, 1e15, 1.7976931348623157e308, -5e-324]
 
     @pytest.mark.parametrize(
         "n_rows, n_features",
-        [(0, 3), (0, 0), (3, 0), (1, 1), (11, 2), (dataset_module._CSV_BLOCK_ROWS + 5, 2)],
+        [(0, 3), (0, 0), (3, 0), (1, 1), (11, 2), (dataset_module._CSV_BLOCK_ROWS + 5, 2),
+         (dataset_module._CSV_BLOCK_ROWS, 2), (2 * dataset_module._CSV_BLOCK_ROWS, 2)],
     )
     def test_matches_the_row_loop(self, tmp_path, n_rows, n_features):
         rng = np.random.default_rng(n_rows * 7 + n_features)

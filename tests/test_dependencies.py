@@ -2,8 +2,10 @@
 
 Importing leakguard and its command line in a fresh interpreter must load
 no top-level module outside the standard library, numpy and leakguard,
-and not multiprocessing: only save_csv's worker pool needs it, and every
-command pays for what the import loads.
+and not multiprocessing: only the dataset module's worker pool, which
+serves save_csv, load_csv and the fingerprint, and its rule for how many
+processes or threads may run need it, and every command pays for what the
+import loads.
 """
 
 import os

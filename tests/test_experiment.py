@@ -821,6 +821,23 @@ class TestResultFileChecks:
             ScenarioResult.from_dict(self.tamper(docs[1], edit))
 
     @pytest.mark.parametrize(
+        "edit, path",
+        [
+            (lambda d: d["metrics"].update(f1=0.999), "metrics.f1"),
+            (lambda d: d.update(test_weights=[1.0] * len(d["test_labels"])), "test_weights.0"),
+        ],
+        ids=["f1", "extra-per-row-key"],
+    )
+    def test_refused_beside_the_per_row_arrays(self, docs, edit, path):
+        # The per-row arrays are left out of the text check; every other
+        # field, and any key beside them, is still compared.
+        doc = self.tamper(docs[1], edit)
+        stored = json.dumps(doc)
+        with pytest.raises(ValueError, match=f"^{path}: stored value is not"):
+            ScenarioResult.from_dict(doc)
+        assert json.dumps(doc) == stored
+
+    @pytest.mark.parametrize(
         "field, index, value",
         [
             ("test_labels", 0, True),
