@@ -378,8 +378,9 @@ class _Histograms:
     A helper ignores SIGINT, which is the parent's to handle, and ends with
     os._exit when its request pipe closes. A helper that dies shows as EOF
     on its reply pipe, and the pass raises rather than return a partial
-    histogram. Leaving the ``with`` block closes the pipes and reaps every
-    helper.
+    histogram; once it has exited, a request written to it fails with
+    EPIPE, which the pass ignores so that the read names it. Leaving the
+    ``with`` block closes the pipes and reaps every helper.
     """
 
     def __init__(self, binned: np.ndarray, thresholds: list[np.ndarray], params: GbdtParams):
@@ -456,7 +457,8 @@ class _Histograms:
         process has scattered its range; base holds the pass's keys."""
         row = (m + 1) * self.width
         for (_, requests, _), (lo, hi) in zip(self.helpers, self.ranges[1:]):
-            os.write(requests, _REQUEST.pack(lo, hi, row))
+            with contextlib.suppress(BrokenPipeError):
+                os.write(requests, _REQUEST.pack(lo, hi, row))
         self._scatter(*self.ranges[0], row)
         for pid, _, replies in self.helpers:
             if not os.read(replies, 1):

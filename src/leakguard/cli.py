@@ -10,11 +10,8 @@ subcommand checks all its output paths before it does any work.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -157,13 +154,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    """Run the configured scenarios, writing results in config order.
-
-    With one worker each scenario runs on the calling thread, so it may
-    fork and thread inside (see dataset._parallelism). With more, they run
-    on --workers threads and nothing inside a scenario forks or threads; a
-    failure cancels the scenarios queued behind it and is raised once the
-    running ones finish."""
+    """Run the scenarios in config order on the calling thread, where each
+    may fork and thread inside (see dataset._parallelism); the first
+    failure ends the run before any later scenario starts."""
     config = _load_config(Path(args.config))
     presplit = [
         s.name
@@ -187,35 +180,18 @@ def cmd_run(args) -> int:
     except Exception as exc:
         raise CliError(f"data loading: {exc}") from exc
 
-    failed = threading.Event()
-
-    def run(spec):
-        # Not started when queued behind a failure, which is read first.
-        if not failed.is_set():
-            try:
-                return run_scenario(data, spec)
-            except BaseException:
-                failed.set()
-                raise
-
-    with contextlib.ExitStack() as stack:
-        if args.workers == 1:
-            outcomes = map(run, config.scenarios)
-        else:
-            pool = stack.enter_context(ThreadPoolExecutor(max_workers=args.workers))
-            outcomes = pool.map(run, config.scenarios)
-        for spec, path in zip(config.scenarios, paths):
-            try:
-                result = next(outcomes)
-            except Exception as exc:
-                raise CliError(f"scenario '{spec.name}': {exc}") from exc
-            _write_text(path, _json_text(result.to_dict()), args.force)
-            m = result.metrics
-            print(
-                f"{spec.name}: f1={m.f1:.4f} recall={m.recall:.4f} "
-                f"precision={m.precision:.4f} auc={m.auc:.4f} "
-                f"verdict={result.leakage.verdict.value} -> {path}"
-            )
+    for spec, path in zip(config.scenarios, paths):
+        try:
+            result = run_scenario(data, spec)
+        except Exception as exc:
+            raise CliError(f"scenario '{spec.name}': {exc}") from exc
+        _write_text(path, _json_text(result.to_dict()), args.force)
+        m = result.metrics
+        print(
+            f"{spec.name}: f1={m.f1:.4f} recall={m.recall:.4f} "
+            f"precision={m.precision:.4f} auc={m.auc:.4f} "
+            f"verdict={result.leakage.verdict.value} -> {path}"
+        )
     return 0
 
 
@@ -282,13 +258,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     force = argparse.ArgumentParser(add_help=False)
     force.add_argument(
@@ -327,13 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--allow-presplit-sampling",
         action="store_true",
         help="acknowledge that sampling before the split leaks and run anyway",
-    )
-    p_run.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="concurrent scenario threads; 1 runs each scenario on the calling "
-        "thread, free to use every CPU inside it",
     )
     p_run.set_defaults(func=cmd_run)
 

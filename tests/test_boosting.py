@@ -892,9 +892,12 @@ class TestHistogramProcesses:
         assert len(pids) == 1 and len(rounds) == 2
         self.assert_no_child()
 
-    def test_killed_helper_fails_the_training_stage(self, monkeypatch):
+    @pytest.mark.parametrize("wait_for_exit", [False, True])
+    def test_killed_helper_fails_the_training_stage(self, monkeypatch, wait_for_exit):
         """A helper killed between levels ends the scenario with an error
-        naming the training stage, and does not hang it."""
+        naming the training stage, and does not hang it. Waiting for the
+        helper to exit, without reaping it, makes the next request's write
+        meet a closed pipe."""
         pids = _processes(monkeypatch, 2)
         # One process per task, so the fingerprint of these 2,000 rows (one
         # range) forks no pool, and the one pid recorded is the helper's.
@@ -906,6 +909,8 @@ class TestHistogramProcesses:
             if not killed:
                 (helper,) = pids
                 os.kill(helper, signal.SIGKILL)
+                if wait_for_exit:
+                    os.waitid(os.P_PID, helper, os.WEXITED | os.WNOWAIT)
                 killed.append(helper)
             return best_splits(*args)
 

@@ -25,7 +25,6 @@ def assert_usage_error(capsys, *argv, message):
 
 # Flags that `run` takes but `generate` and `compare` never read.
 RUN_ONLY_FLAGS = [
-    ["--workers", "2"],
     ["--allow-presplit-sampling"],
 ]
 
@@ -181,7 +180,7 @@ def test_subcommands_are_generate_run_and_compare(capsys):
     run = parser._subparsers._group_actions[0].choices["run"]
     options = [a.option_strings or [a.dest] for a in run._actions if a.dest != "help"]
     assert sorted(options) == sorted([
-        ["config"], ["--out-dir"], ["--workers"], ["--allow-presplit-sampling"], ["--force"],
+        ["config"], ["--out-dir"], ["--allow-presplit-sampling"], ["--force"],
     ])
     assert_usage_error(capsys, "stats", "--input", "x.csv", message="invalid choice")
 
@@ -252,24 +251,19 @@ class TestRun:
         assert "smote-post-42.result.json exists" in capsys.readouterr().err
         assert [p.name for p in out_dir.iterdir()] == ["smote-post-42.result.json"]
 
-    def test_workers_do_not_change_results(self, tmp_path):
+    def test_parallelism_does_not_change_results(self, tmp_path, monkeypatch):
         config_path, _ = base_config(tmp_path)
-        assert run_cli("run", str(config_path), "--out-dir", str(tmp_path / "w1")) == 0
-        assert run_cli(
-            "run", str(config_path), "--out-dir", str(tmp_path / "w4"), "--workers", "4"
-        ) == 0
+        for count in (1, 2):
+            monkeypatch.setattr(ds, "_parallelism", lambda n_tasks, count=count: min(count, n_tasks))
+            assert run_cli("run", str(config_path), "--out-dir", str(tmp_path / f"p{count}")) == 0
         for name in ("baseline-42", "smote-post-42"):
-            a = json.loads((tmp_path / "w1" / f"{name}.result.json").read_text())
-            b = json.loads((tmp_path / "w4" / f"{name}.result.json").read_text())
+            a = json.loads((tmp_path / "p1" / f"{name}.result.json").read_text())
+            b = json.loads((tmp_path / "p2" / f"{name}.result.json").read_text())
             a.pop("wall_time"), b.pop("wall_time")
             assert a == b
 
-    @pytest.mark.parametrize("workers, on_main_thread", [("1", True), ("2", False)])
-    def test_one_worker_runs_scenarios_on_the_calling_thread(
-        self, tmp_path, monkeypatch, workers, on_main_thread
-    ):
-        """With one worker a scenario may fork and thread inside; with more,
-        the scenarios run on pool threads."""
+    def test_scenarios_run_on_the_calling_thread(self, tmp_path, monkeypatch):
+        """So a scenario may fork and thread inside."""
         config_path, _ = base_config(tmp_path)
         threads = []
 
@@ -278,8 +272,8 @@ class TestRun:
             return run_scenario(data, spec)
 
         monkeypatch.setattr(cli, "run_scenario", recording)
-        assert run_cli("run", str(config_path), "--workers", workers) == 0
-        assert threads == [on_main_thread, on_main_thread]
+        assert run_cli("run", str(config_path)) == 0
+        assert threads == [True, True]
 
     def test_failure_cancels_queued_scenarios(self, tmp_path, monkeypatch, capsys):
         config_path, config = base_config(tmp_path)
@@ -300,17 +294,56 @@ class TestRun:
         assert started == ["bad-under"]
         assert not (tmp_path / "results").exists()
 
-    @pytest.mark.parametrize("workers", ["0", "-1"])
-    def test_workers_must_be_positive(self, tmp_path, capsys, workers):
+    def test_each_result_written_before_the_next_scenario_starts(
+        self, tmp_path, monkeypatch, capsys
+    ):
         config_path, _ = base_config(tmp_path)
-        assert_usage_error(
-            capsys, "run", str(config_path), "--workers", workers,
-            message="--workers: must be at least 1",
-        )
-        assert not (tmp_path / "results").exists()
+        out_dir = tmp_path / "results"
+        seen = []
+
+        def recording(data, spec):
+            printed = capsys.readouterr().out.splitlines()
+            seen.append((spec.name, sorted(p.name for p in out_dir.glob("*")), printed))
+            return run_scenario(data, spec)
+
+        monkeypatch.setattr(cli, "run_scenario", recording)
+        assert run_cli("run", str(config_path)) == 0
+        (first, files, printed), (second, later_files, later_printed) = seen
+        assert (first, second) == ("baseline", "smote-post")
+        assert files == [] and printed == []
+        assert later_files == ["baseline-42.result.json"]
+        (line,) = later_printed
+        assert line.startswith("baseline: f1=")
+        assert line.endswith(f"-> {out_dir / 'baseline-42.result.json'}")
+        assert capsys.readouterr().out.startswith("smote-post: f1=")
+
+    def test_failure_keeps_earlier_results(self, tmp_path, monkeypatch, capsys):
+        config_path, config = base_config(tmp_path)
+        under = [{"kind": "random_under", "sampling_strategy": 0.01, "seed": 3}]
+        config["scenarios"].append(dict(config["scenarios"][1], name="bad-under", pipeline=under))
+        config_path.write_text(json.dumps(config))
+        assert run_cli("run", str(config_path)) == 2
+        captured = capsys.readouterr()
+        assert "scenario 'bad-under': stage 'sampling after split'" in captured.err
+        assert [line.split(":")[0] for line in captured.out.splitlines()] == [
+            "baseline", "smote-post",
+        ]
+        assert sorted(p.name for p in (tmp_path / "results").iterdir()) == [
+            "baseline-42.result.json", "smote-post-42.result.json",
+        ]
 
     @pytest.mark.parametrize(
-        "flag", [["--allow"], ["--work", "3"], ["--out", "x"], ["--for"]]
+        "flag", [["--workers", "1"], ["--workers", "2"], ["--workers=2"]]
+    )
+    def test_workers_flag_rejected(self, tmp_path, capsys, flag):
+        config_path, _ = base_config(tmp_path)
+        assert_usage_error(
+            capsys, "run", str(config_path), *flag, message="unrecognized arguments"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "flag", [["--allow"], ["--out", "x"], ["--for"]]
     )
     def test_abbreviated_flags_rejected(self, tmp_path, capsys, flag):
         config_path, _ = base_config(tmp_path)
